@@ -6,19 +6,13 @@ Subcommands: ``thresholds``, ``sweep``, ``gap-sweep``, ``analyze``,
 from library calls, rounded to 12 significant digits; identical
 configurations produce byte-identical output.  Exit codes: 0 success,
 1 validation or numerical failure, 2 usage error.
-
-The environment variable ``GAUSSENT_THREADS`` caps the worker threads used
-to evaluate sweep rows; rows are always assembled in input order, so the
-output does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -83,15 +77,6 @@ def _emit_rows(columns, rows, fmt: str, output: str | None) -> None:
         _emit("\n".join(lines) + "\n", output)
 
 
-def _map_rows(func, items):
-    """Evaluate rows, optionally threaded via GAUSSENT_THREADS, in input order."""
-    threads = int(os.environ.get("GAUSSENT_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(func, items))
-    return [func(item) for item in items]
-
-
 def _cmd_thresholds(args) -> int:
     report = protocol.threshold_report(args.epsilon)
     payload = {k: v for k, v in report.to_json_dict().items() if k not in ("p", "q")}
@@ -99,8 +84,7 @@ def _cmd_thresholds(args) -> int:
     return 0
 
 
-def _sweep_row(task):
-    r, epsilon = task
+def _sweep_row(r: float, epsilon: float):
     params = protocol.ProtocolParams(r, epsilon)
     mu_pair = two_mode_metrics(protocol.reduced_pair_cm(params)).mu
     shared, _ = protocol.shared_cm(params)
@@ -111,19 +95,14 @@ def _sweep_row(task):
 
 def _cmd_sweep(args) -> int:
     grid = np.linspace(args.r_min, args.r_max, args.steps)
-    rows = _map_rows(_sweep_row, [(float(r), args.epsilon) for r in grid])
-    rows = [(r, *map(_round12, rest)) for r, *rest in rows]
+    rows = [_sweep_row(float(r), args.epsilon) for r in grid]
     _emit_rows(SWEEP_COLUMNS, rows, args.format, args.output)
     return 0
 
 
 def _cmd_gap_sweep(args) -> int:
     grid = np.linspace(args.eps_min, args.eps_max, args.steps)
-    reports = _map_rows(protocol.threshold_report, [float(e) for e in grid])
-    rows = [
-        tuple(_round12(getattr(rep, col)) for col in GAP_SWEEP_COLUMNS)
-        for rep in reports
-    ]
+    rows = [tuple(getattr(rep, col) for col in GAP_SWEEP_COLUMNS) for rep in protocol.gap_profile(grid)]
     _emit_rows(GAP_SWEEP_COLUMNS, rows, args.format, args.output)
     return 0
 

@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Tolerated violation of S Omega S^T = Omega at construction.
 TAU_SYMPLECTIC = 1e-10
-#: Singular values below this are treated as zero in homodyne conditioning.
+#: A measured-quadrature variance at or below this conditions nothing in homodyne.
 HOMODYNE_SV_CUTOFF = 1e-12
 
 
@@ -103,7 +103,8 @@ class MeasurementSpec:
 
     ``kind`` is one of ``homodyne-x``, ``homodyne-p`` or ``general-gaussian``.
     For the general case ``seed_cm`` is the 2x2 covariance matrix of the
-    Gaussian state the detector projects onto; homodyne-x is its
+    Gaussian state the detector projects onto, or a stack of them shaped
+    ``(..., 2, 2)`` whose every seed is checked; homodyne-x is the
     ``diag(t, 1/t), t -> 0`` limit (vanishing position variance) and
     homodyne-p the ``t -> inf`` limit.
     """
@@ -121,16 +122,17 @@ class MeasurementSpec:
             if self.seed_cm is None:
                 raise ValueError("general-gaussian measurement needs a seed_cm")
             seed = np.asarray(self.seed_cm, dtype=float)
-            if seed.shape != (2, 2):
-                raise DimensionMismatchError(f"seed_cm must be 2x2, got {seed.shape}")
-            if np.abs(seed - seed.T).max() > 1e-10:
+            if seed.shape[-2:] != (2, 2):
+                raise DimensionMismatchError(f"seed_cm must be 2x2 or (..., 2, 2), got {seed.shape}")
+            if np.abs(seed - np.swapaxes(seed, -1, -2)).max(initial=0.0) > 1e-10:
                 raise UnphysicalError("seed_cm is not symmetric")
             # the determinant of a strongly squeezed seed carries an absolute
             # float error of order eps * |seed|^2, so the bound scales with it
-            det = float(np.linalg.det(seed))
-            tol = TAU_PSD * max(1.0, float(np.abs(seed).max()) ** 2)
-            if det < 1.0 - tol or seed[0, 0] <= 0:
-                raise UnphysicalError(f"seed_cm is unphysical (det {det:.6g} < 1)")
+            det = np.linalg.det(seed)
+            tol = TAU_PSD * np.maximum(1.0, np.abs(seed).max(axis=(-2, -1)) ** 2)
+            bad = (det < 1.0 - tol) | (seed[..., 0, 0] <= 0)
+            if bad.any():
+                raise UnphysicalError(f"seed_cm is unphysical (det {det[bad].flat[0]:.6g} < 1)")
             self.seed_cm = seed
         elif self.seed_cm is not None:
             raise ValueError(f"seed_cm is only meaningful for general-gaussian, not {self.kind}")
@@ -148,12 +150,37 @@ class MeasurementSpec:
         return cls(mode, "general-gaussian", seed_cm)
 
 
-def _masked_pinv(b: np.ndarray, projector: np.ndarray) -> np.ndarray:
-    """Pi (Pi B Pi)^+ Pi with an absolute singular-value cutoff."""
-    pbp = projector @ b @ projector
-    u, sv, vt = np.linalg.svd(pbp)
-    inv = np.where(sv > HOMODYNE_SV_CUTOFF, 1.0 / np.where(sv > HOMODYNE_SV_CUTOFF, sv, 1.0), 0.0)
-    return projector @ (vt.T @ np.diag(inv) @ u.T) @ projector
+def _measurement_blocks(cm: np.ndarray, mode: int):
+    """Kept block A, measured block B, correlations C and the kept indices."""
+    n = cm.shape[0] // 2
+    mode = _check_modes(mode, n)[0]
+    if n < 2:
+        raise DimensionMismatchError("conditioning needs at least two modes")
+    ki = [q for m in range(n) if m != mode for q in (2 * m, 2 * m + 1)]
+    mi = [2 * mode, 2 * mode + 1]
+    return cm[np.ix_(ki, ki)], cm[np.ix_(mi, mi)], cm[np.ix_(ki, mi)], ki
+
+
+def _schur_complement(a, b, c, spec: MeasurementSpec) -> np.ndarray:
+    """``A - C M C^T`` of :func:`condition_on_measurement`, one per seed of ``spec``."""
+    if spec.kind == "general-gaussian":
+        total = b + spec.seed_cm
+        cond = np.linalg.cond(total)
+        bad = ~(cond <= 1e13)  # NaN and inf fail too
+        if bad.any():
+            raise SingularConditioningError(
+                f"measured block plus seed is numerically singular (cond {cond[bad].flat[0]:.3e})"
+            )
+        m = np.linalg.inv(total)
+    else:
+        k = 0 if spec.kind == "homodyne-x" else 1
+        m = np.zeros((2, 2))
+        if abs(b[k, k]) > HOMODYNE_SV_CUTOFF:
+            m[k, k] = 1.0 / b[k, k]
+    # symmetrize only the correction so an uncorrelated mode (C = 0) leaves
+    # the kept block bitwise untouched
+    correction = c @ m @ c.T
+    return a - 0.5 * (correction + np.swapaxes(correction, -1, -2))
 
 
 def condition_on_measurement(state: GaussianState, spec: MeasurementSpec) -> GaussianState:
@@ -162,36 +189,14 @@ def condition_on_measurement(state: GaussianState, spec: MeasurementSpec) -> Gau
     With the covariance matrix partitioned around the measured mode into
     kept block A, measured block B and correlation block C, the conditional
     matrix is ``A - C M C^T`` where M is ``(B + seed)^{-1}`` for a general
-    Gaussian measurement and the projected pseudo-inverse of B for homodyne
-    detection.  The result does not depend on the measurement outcome, so
-    the kept displacement entries are returned unchanged (outcome-averaged
-    analysis).
+    Gaussian measurement.  For homodyne detection M is ``1/B_kk`` on the
+    measured quadrature k and zero elsewhere, or all zero when
+    ``|B_kk| <= HOMODYNE_SV_CUTOFF``.  The result does not depend on the
+    measurement outcome, so the kept displacement entries are returned
+    unchanged (outcome-averaged analysis).
     """
-    n = state.n_modes
-    mode = _check_modes(spec.mode, n)[0]
-    if n < 2:
-        raise DimensionMismatchError("conditioning needs at least two modes")
-    keep = [m for m in range(n) if m != mode]
-    ki = [q for m in keep for q in (2 * m, 2 * m + 1)]
-    mi = [2 * mode, 2 * mode + 1]
-    a = state.cm[np.ix_(ki, ki)]
-    c = state.cm[np.ix_(ki, mi)]
-    b = state.cm[np.ix_(mi, mi)]
-    if spec.kind == "general-gaussian":
-        total = b + spec.seed_cm
-        cond = np.linalg.cond(total)
-        if not np.isfinite(cond) or cond > 1e13:
-            raise SingularConditioningError(
-                f"measured block plus seed is numerically singular (cond {cond:.3e})"
-            )
-        m = np.linalg.inv(total)
-    else:
-        projector = np.diag([1.0, 0.0]) if spec.kind == "homodyne-x" else np.diag([0.0, 1.0])
-        m = _masked_pinv(b, projector)
-    # symmetrize only the correction so an uncorrelated mode (C = 0) leaves
-    # the kept block bitwise untouched
-    correction = c @ m @ c.T
-    return GaussianState(a - 0.5 * (correction + correction.T), state.displacement[ki])
+    a, b, c, ki = _measurement_blocks(state.cm, spec.mode)
+    return GaussianState(_schur_complement(a, b, c, spec), state.displacement[ki])
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .core import (
     reduce_modes,
 )
 from .errors import ComplexEigenvalueError, DimensionMismatchError, NotBisymmetricError
-from .ops import MeasurementSpec, condition_on_measurement, mode_permutation
+from .ops import MeasurementSpec, _measurement_blocks, _schur_complement, condition_on_measurement
 
 #: Verdicts within this band of the threshold are reported as boundary cases.
 BOUNDARY_TOL = 1e-12
@@ -133,6 +133,24 @@ def splitting_sigma(cm: np.ndarray, mode: int) -> SplittingVerdict:
     return SplittingVerdict(SPLITTING_LABELS[mode], i3 - i2 + i1 - 1.0)
 
 
+def _pt_metrics(cm: np.ndarray):
+    """PT lower eigenvalue ``mu``, ``delta_tilde`` and ``det cm`` of two-mode
+    matrices stacked as ``(..., 4, 4)``."""
+    # block (i, j) of each matrix sits at [..., i, j, :, :]
+    blocks = np.swapaxes(cm.reshape(cm.shape[:-2] + (2, 2, 2, 2)), -3, -2)
+    block_det = np.linalg.det(blocks)
+    delta_tilde = block_det[..., 0, 0] + block_det[..., 1, 1] - 2.0 * block_det[..., 0, 1]
+    det_cm = np.linalg.det(cm)
+    disc = delta_tilde**2 - 4.0 * det_cm
+    # initial=0.0 makes each check's test value the most negative entry, if any
+    if (worst := disc.min(initial=0.0)) < -1e-9:
+        raise ComplexEigenvalueError(f"discriminant {worst:.3e} is negative: unphysical input")
+    mu_sq = 0.5 * (delta_tilde - np.sqrt(np.maximum(disc, 0.0)))
+    if (worst := mu_sq.min(initial=0.0)) < -1e-9:
+        raise ComplexEigenvalueError(f"squared eigenvalue {worst:.3e} is negative: unphysical input")
+    return np.sqrt(np.maximum(mu_sq, 0.0)), delta_tilde, det_cm
+
+
 def two_mode_metrics(cm: np.ndarray) -> EntanglementMetrics:
     """Partial-transpose entanglement metrics of a two-mode state.
 
@@ -144,16 +162,7 @@ def two_mode_metrics(cm: np.ndarray) -> EntanglementMetrics:
     cm = _as_even_square(cm, "cm")
     if cm.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 2-mode (4x4) matrix, got {cm.shape}")
-    det = np.linalg.det
-    delta_tilde = float(det(cm[:2, :2]) + det(cm[2:, 2:]) - 2.0 * det(cm[:2, 2:]))
-    det_cm = float(det(cm))
-    disc = delta_tilde**2 - 4.0 * det_cm
-    if disc < -1e-9:
-        raise ComplexEigenvalueError(f"discriminant {disc:.3e} is negative: unphysical input")
-    mu_sq = 0.5 * (delta_tilde - np.sqrt(max(disc, 0.0)))
-    if mu_sq < -1e-9:
-        raise ComplexEigenvalueError(f"squared eigenvalue {mu_sq:.3e} is negative: unphysical input")
-    mu = float(np.sqrt(max(mu_sq, 0.0)))
+    mu, delta_tilde, det_cm = map(float, _pt_metrics(cm))
     return EntanglementMetrics(
         mu=mu,
         log_negativity=log_negativity(mu),
@@ -208,8 +217,7 @@ def classify_three_mode(cm: np.ndarray) -> SeparabilityReport:
 def _check_bisymmetric(cm: np.ndarray, unmeasured: tuple[int, int]) -> None:
     perm = list(range(3))
     perm[unmeasured[0]], perm[unmeasured[1]] = perm[unmeasured[1]], perm[unmeasured[0]]
-    s = mode_permutation(3, perm).matrix
-    dev = np.abs(s @ cm @ s.T - cm).max()
+    dev = np.abs(reduce_modes(cm, perm) - cm).max()
     if dev > BISYMMETRY_TOL:
         raise NotBisymmetricError(
             f"state deviates by {dev:.3e} under exchange of modes "
@@ -248,17 +256,21 @@ def measurement_scan_oracle(
     Seeds are ``R(theta) diag(t, 1/t) R(theta)^T`` with theta uniform on
     [0, pi) and t log-spaced over ``[10^-t_decades, 10^t_decades]``, which
     brackets both homodyne limits.  Used as a brute-force check that no
-    scanned Gaussian measurement beats the homodyne-x route.
+    scanned Gaussian measurement beats the homodyne-x route.  All seeds are
+    evaluated as one stack, with the same per-seed checks as a single
+    measurement: physicality of each seed and a non-singular ``B + seed``.
     """
     cm = _as_even_square(cm, "cm")
-    state = GaussianState(cm)
-    best = np.inf
-    for theta in np.linspace(0.0, np.pi, n_theta, endpoint=False):
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        for t in np.logspace(-t_decades, t_decades, n_t):
-            seed = rot @ np.diag([t, 1.0 / t]) @ rot.T
-            spec = MeasurementSpec.general_gaussian(measured_mode, seed)
-            mu = two_mode_metrics(condition_on_measurement(state, spec).cm).mu
-            if mu < best:
-                best = mu
-    return float(best)
+    if cm.shape != (6, 6):
+        raise DimensionMismatchError(f"expected a 3-mode (6x6) matrix, got {cm.shape}")
+    theta = np.linspace(0.0, np.pi, n_theta, endpoint=False)
+    cos, sin = np.cos(theta), np.sin(theta)
+    # rotations shaped (n_theta, 1, 2, 2) broadcast against the (n_t, 2, 2) squeezes
+    rot = np.moveaxis(np.array([[cos, -sin], [sin, cos]]), -1, 0)[:, None]
+    t = np.logspace(-t_decades, t_decades, n_t)
+    squeeze = np.zeros((n_t, 2, 2))
+    squeeze[:, 0, 0], squeeze[:, 1, 1] = t, 1.0 / t
+    spec = MeasurementSpec.general_gaussian(measured_mode, rot @ squeeze @ np.swapaxes(rot, -1, -2))
+    a, b, c, _ = _measurement_blocks(cm, measured_mode)
+    mu, _, _ = _pt_metrics(_schur_complement(a, b, c, spec))
+    return float(mu.min(initial=np.inf))

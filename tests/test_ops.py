@@ -22,7 +22,7 @@ from gaussent import (
     symplectic_form,
     two_mode_metrics,
 )
-from gaussent.ops import _preparation_cm
+from gaussent.ops import HOMODYNE_SV_CUTOFF, _measurement_blocks, _preparation_cm, _schur_complement
 from gaussent.protocol import ProtocolParams
 
 from helpers import pt_mu_oracle, random_physical_cm
@@ -111,6 +111,12 @@ class TestMeasurementSpec:
         with pytest.raises(ValueError):
             MeasurementSpec(0, "heterodyne")
 
+    def test_stack_with_one_unphysical_seed_raises(self):
+        seeds = np.stack([np.eye(2), np.diag([4.0, 0.25]), np.diag([0.5, 0.5])])
+        MeasurementSpec.general_gaussian(0, seeds[:2])
+        with pytest.raises(UnphysicalError):
+            MeasurementSpec.general_gaussian(0, seeds)
+
 
 class TestConditioning:
     def test_product_state_is_untouched(self):
@@ -175,6 +181,26 @@ class TestConditioning:
             condition_on_measurement(
                 state, MeasurementSpec.general_gaussian(2, np.diag([1e-14, 1e14]))
             )
+        a, b, c, _ = _measurement_blocks(cm, 2)
+        seeds = np.stack([np.diag([2.0, 0.5]), np.diag([1e-14, 1e14])])
+        with pytest.raises(SingularConditioningError):
+            _schur_complement(a, b, c, MeasurementSpec.general_gaussian(2, seeds))
+
+    def test_stacked_seeds_match_one_at_a_time(self):
+        state, _ = shared_cm(ProtocolParams(0.4, 0.1))
+        seeds = np.stack([np.diag([1e-3, 1e3]), np.eye(2), [[2.0, 0.5], [0.5, 1.0]]])
+        a, b, c, _ = _measurement_blocks(state.cm, 2)
+        stacked = _schur_complement(a, b, c, MeasurementSpec.general_gaussian(2, seeds))
+        for seed, out in zip(seeds, stacked):
+            one = condition_on_measurement(state, MeasurementSpec.general_gaussian(2, seed))
+            assert np.array_equal(out, one.cm)
+
+    def test_homodyne_below_cutoff_returns_kept_block(self):
+        cm = np.eye(6)
+        cm[4, 4] = HOMODYNE_SV_CUTOFF / 2  # measured x variance below the cutoff
+        cm[0, 4] = cm[4, 0] = 0.3
+        out = condition_on_measurement(GaussianState(cm), MeasurementSpec.homodyne_x(2))
+        assert np.array_equal(out.cm, cm[:4, :4])
 
 
 class TestSamplePreparation:

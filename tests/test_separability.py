@@ -23,7 +23,7 @@ from gaussent import (
     two_mode_metrics,
 )
 from gaussent.protocol import ROUTE_VIA_A, ROUTE_VIA_APRIME, ProtocolParams
-from gaussent.separability import PAIR_LABELS, SPLITTING_LABELS
+from gaussent.separability import PAIR_LABELS, SPLITTING_LABELS, _pt_metrics
 
 from helpers import pt_mu_oracle, random_physical_cm
 
@@ -137,6 +137,18 @@ class TestTwoModeMetrics:
     def test_unphysical_input_raises(self):
         with pytest.raises(ComplexEigenvalueError):
             two_mode_metrics(INDEFINITE_CM)
+        with pytest.raises(ComplexEigenvalueError):
+            _pt_metrics(np.stack([np.eye(4), INDEFINITE_CM]))
+
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(33)
+        cms = np.stack([random_physical_cm(2, rng) for _ in range(20)]).reshape(4, 5, 4, 4)
+        mu, delta_tilde, det_cm = _pt_metrics(cms)
+        assert mu.shape == (4, 5)
+        for k, cm in enumerate(cms.reshape(20, 4, 4)):
+            m = two_mode_metrics(cm)
+            assert (m.mu, m.delta_tilde) == (mu.flat[k], delta_tilde.flat[k])
+            assert m.ppt_condition_value == det_cm.flat[k] - delta_tilde.flat[k] + 1.0
 
 
 class TestLogNegativity:
@@ -226,6 +238,7 @@ class TestMeasurementScanOracle:
                     best, arg = mu, (theta, t)
         assert arg[0] == 0.0
         assert arg[1] == pytest.approx(1e-6)
+        assert measurement_scan_oracle(state.cm, 2, n_theta=16, n_t=17) == best
 
     def test_product_state_minimum_at_least_one(self):
         embedded = embed_vacuum(initial_cm(ProtocolParams(0.3, 0.1)), 1)
