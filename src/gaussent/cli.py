@@ -4,14 +4,19 @@ Subcommands: ``thresholds``, ``sweep``, ``gap-sweep``, ``analyze``,
 ``montecarlo``, ``classify``.  Sweeps emit CSV (or JSON rows with
 ``--format json``), everything else emits JSON.  All numbers come straight
 from library calls, rounded to 12 significant digits; identical
-configurations produce byte-identical output.  Exit codes: 0 success,
-1 validation or numerical failure, 2 usage error.
+configurations produce byte-identical output.  ``sweep`` evaluates each
+column as one array call over the whole ``r`` grid, with the same numbers
+and checks as the one-state functions.  Numeric options must be finite and
+nonnegative, and a non-finite result fails the command rather than print
+``NaN``.  Exit codes: 0 success, 1 validation or numerical failure, 2 usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,7 +26,7 @@ from . import protocol
 from .core import load_state
 from .errors import GaussentError
 from .ops import sample_preparation
-from .separability import classify_three_mode, splitting_sigma, two_mode_metrics
+from .separability import _class_labels, _pt_metrics, _sigma, classify_three_mode
 
 _STAGE_ALIASES = {
     "initial": protocol.STAGE_INITIAL,
@@ -52,6 +57,8 @@ def _round12(value):
 
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value} in output")
         return f"{float(value):.12g}"
     return str(value)
 
@@ -63,14 +70,14 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(_round12(payload), indent=2) + "\n", output)
+def _emit_json(payload, output: str | None) -> None:
+    # allow_nan=False: a non-finite number fails the command instead of printing NaN
+    _emit(json.dumps(_round12(payload), indent=2, allow_nan=False) + "\n", output)
 
 
 def _emit_rows(columns, rows, fmt: str, output: str | None) -> None:
     if fmt == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
-        _emit(json.dumps(_round12(payload), indent=2) + "\n", output)
+        _emit_json([dict(zip(columns, row)) for row in rows], output)
     else:
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -84,18 +91,15 @@ def _cmd_thresholds(args) -> int:
     return 0
 
 
-def _sweep_row(r: float, epsilon: float):
-    params = protocol.ProtocolParams(r, epsilon)
-    mu_pair = two_mode_metrics(protocol.reduced_pair_cm(params)).mu
-    shared, _ = protocol.shared_cm(params)
-    sigma_a = splitting_sigma(shared.cm, 0).sigma
-    final = protocol.final_cm(params, protocol.ROUTE_VIA_APRIME)
-    return (r, mu_pair, protocol.mu_m(params), sigma_a, classify_three_mode(final.cm).class_label)
-
-
 def _cmd_sweep(args) -> int:
-    grid = np.linspace(args.r_min, args.r_max, args.steps)
-    rows = [_sweep_row(float(r), args.epsilon) for r in grid]
+    # one array call per column over the whole grid; the parser has checked that
+    # both ends of the grid, and so every r, are finite and nonnegative
+    r, eps = np.linspace(args.r_min, args.r_max, args.steps), args.epsilon
+    blocks = protocol._blocks(r, eps)
+    mu_pair, _, _ = _pt_metrics(protocol._reduced_pair_matrix(blocks))
+    (sigma_a,) = _sigma(protocol._shared_matrix(blocks), [0]).T
+    labels = _class_labels(protocol._final_matrix(blocks, protocol.ROUTE_VIA_APRIME))
+    rows = zip(r.tolist(), mu_pair.tolist(), protocol._mu_m(r, eps).tolist(), sigma_a.tolist(), labels)
     _emit_rows(SWEEP_COLUMNS, rows, args.format, args.output)
     return 0
 
@@ -140,8 +144,8 @@ def _cmd_classify(args) -> int:
 
 def _nonneg(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if not 0.0 <= value < math.inf:  # False for NaN too
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {value}")
     return value
 
 

@@ -43,9 +43,12 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-def _as_even_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+def _as_even_square(m: np.ndarray, what: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Float array of one even-dimension square matrix, or of a ``(..., 2n, 2n)``
+    stack of them when ``stack`` is set."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0 or m.shape[0] == 0:
+    ndim_ok = m.ndim == 2 or (stack and m.ndim > 2)
+    if not ndim_ok or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2 != 0 or m.shape[-1] == 0:
         raise DimensionMismatchError(f"{what} must be square with even dimension, got shape {m.shape}")
     return m
 
@@ -119,19 +122,20 @@ def _check_modes(modes: Iterable[int] | int, n_modes: int, allow_empty: bool = F
 def partial_transpose(cm: np.ndarray, modes: Iterable[int] | int) -> np.ndarray:
     """Flip the momentum sign of the listed modes (Gaussian partial transpose).
 
-    The operation is an exact involution: applying it twice returns the
-    original entries bitwise.
+    Accepts one matrix or a ``(..., 2n, 2n)`` stack.  The operation is an
+    exact involution: applying it twice returns the original entries bitwise.
     """
-    cm = _as_even_square(cm, "cm")
-    modes = _check_modes(modes, cm.shape[0] // 2)
-    signs = np.ones(cm.shape[0])
+    cm = _as_even_square(cm, "cm", stack=True)
+    modes = _check_modes(modes, cm.shape[-1] // 2)
+    signs = np.ones(cm.shape[-1])
     for m in modes:
         signs[2 * m + 1] = -1.0
     return cm * np.outer(signs, signs)
 
 
 class InvariantTriple(NamedTuple):
-    """Symplectic invariants (i1, i2, i3) of a three-mode matrix.
+    """Symplectic invariants (i1, i2, i3) of a three-mode matrix, or arrays of
+    them over a stack of matrices.
 
     They are the coefficients of the characteristic polynomial
     ``q^6 + i1 q^4 + i2 q^2 + i3`` of ``Omega @ cm``.  For the identity
@@ -144,23 +148,35 @@ class InvariantTriple(NamedTuple):
     i3: float
 
 
+#: Indices of the 15 principal 2x2 minors of a 6x6 matrix (as rows a and b) and
+#: of its 15 principal 4x4 minors, in ``combinations`` order.
+_PAIRS = np.array(list(combinations(range(6), 2))).T
+_QUADS = np.array(list(combinations(range(6), 4)))
+
+
 def char_poly_invariants(cm: np.ndarray) -> InvariantTriple:
-    """Characteristic-polynomial invariants of a (partially transposed) 6x6 matrix.
+    """Characteristic-polynomial invariants of (partially transposed) 6x6 matrices.
 
     ``i1`` and ``i2`` are sums of principal 2x2 and 4x4 minors of
     ``Omega @ cm`` (an exact polynomial identity: odd-order minor sums
     vanish because the spectrum comes in +/- pairs); ``i3`` is the
-    determinant of ``Omega @ cm``.
+    determinant of ``Omega @ cm``.  Accepts one matrix, giving floats, or a
+    ``(..., 6, 6)`` stack, giving arrays of shape ``cm.shape[:-2]``; each
+    matrix of a stack gets the same bits as on its own.
     """
-    cm = _as_even_square(cm, "cm")
-    if cm.shape != (6, 6):
+    cm = _as_even_square(cm, "cm", stack=True)
+    if cm.shape[-2:] != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {cm.shape}")
     m = symplectic_form(3) @ cm
-    pairs = list(combinations(range(6), 2))
-    i1 = float(sum(m[a, a] * m[b, b] - m[a, b] * m[b, a] for a, b in pairs))
-    quads = np.stack([m[np.ix_(c, c)] for c in combinations(range(6), 4)])
-    i2 = float(np.linalg.det(quads).sum())
-    i3 = float(np.linalg.det(m))
+    a, b = _PAIRS
+    # builtin sum adds the minors left to right; np.sum's pairwise order differs in the last bits
+    i1 = sum(np.moveaxis(m[..., a, a] * m[..., b, b] - m[..., a, b] * m[..., b, a], -1, 0))
+    # fancy indexing puts the stack axis innermost; summing along a contiguous axis
+    # gives each matrix numpy's pairwise order, as for a single matrix
+    i2 = np.ascontiguousarray(np.linalg.det(m[..., _QUADS[:, :, None], _QUADS[:, None, :]])).sum(-1)
+    i3 = np.linalg.det(m)
+    if cm.ndim == 2:
+        return InvariantTriple(float(i1), float(i2), float(i3))
     return InvariantTriple(i1, i2, i3)
 
 

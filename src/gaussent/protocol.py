@@ -11,6 +11,7 @@ the generic transform pipeline and root finders in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +42,19 @@ class ProtocolParams:
     epsilon: float
 
     def __post_init__(self):
-        if self.r < 0 or self.epsilon < 0:
-            raise ValueError(f"r and epsilon must be nonnegative, got r={self.r}, epsilon={self.epsilon}")
+        # the chained comparisons are False for NaN too
+        if not (0.0 <= self.r < math.inf and 0.0 <= self.epsilon < math.inf):
+            raise ValueError(
+                f"r and epsilon must be finite and nonnegative, got r={self.r}, epsilon={self.epsilon}"
+            )
 
 
 @dataclass
 class BlockSet:
-    """The four diagonal 2x2 blocks the shared three-mode matrix is built from."""
+    """The four diagonal 2x2 blocks the shared three-mode matrix is built from.
+
+    Each is one 2x2 matrix, or a ``(..., 2, 2)`` stack over an array of ``r``.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -105,16 +112,59 @@ def initial_cm(params: ProtocolParams) -> GaussianState:
     return GaussianState(cm)
 
 
-def shared_blocks(params: ProtocolParams) -> BlockSet:
-    r, eps = params.r, params.epsilon
+def _diag2(x, y) -> np.ndarray:
+    """2x2 diagonal matrices ``diag(x, y)``, stacked over the shape of ``x``."""
+    out = np.zeros(np.shape(x) + (2, 2))
+    out[..., 0, 0] = x
+    out[..., 1, 1] = y
+    return out
+
+
+def _blocks(r, epsilon: float) -> BlockSet:
+    """Shared-stage blocks at squeezing ``r`` (a float or an array) and noise ``epsilon``."""
     em, ep = np.exp(-2.0 * r), np.exp(2.0 * r)
-    noise = np.exp(2.0 * eps) - 1.0
+    noise = np.exp(2.0 * epsilon) - 1.0
     return BlockSet(
-        alpha=np.diag([2.0 + em * noise, ep + 1.0]) / 2.0,
-        beta=np.diag([2.0 - em, 1.0]),
-        tau=np.diag([em - 1.0, 0.0]) / _SQRT2,
-        delta=np.diag([em * noise, ep - 1.0]) / 2.0,
+        alpha=_diag2(2.0 + em * noise, ep + 1.0) / 2.0,
+        beta=_diag2(2.0 - em, 1.0),
+        tau=_diag2(em - 1.0, 0.0) / _SQRT2,
+        delta=_diag2(em * noise, ep - 1.0) / 2.0,
     )
+
+
+def _shared_matrix(b: BlockSet) -> np.ndarray:
+    return np.block([
+        [b.alpha, b.delta, b.tau],
+        [b.delta, b.alpha, b.tau],
+        [b.tau, b.tau, b.beta],
+    ])
+
+
+def _final_matrix(b: BlockSet, route: str) -> np.ndarray:
+    al, be, ta, de = b.alpha, b.beta, b.tau, b.delta
+    if route == ROUTE_VIA_APRIME:
+        return np.block([
+            [al, (ta - de) / _SQRT2, (ta + de) / _SQRT2],
+            [(ta - de) / _SQRT2, (al + be - 2.0 * ta) / 2.0, (be - al) / 2.0],
+            [(ta + de) / _SQRT2, (be - al) / 2.0, (al + be + 2.0 * ta) / 2.0],
+        ])
+    if route == ROUTE_VIA_A:
+        return np.block([
+            [(al + be - 2.0 * ta) / 2.0, (de - ta) / _SQRT2, (al - be) / 2.0],
+            [(de - ta) / _SQRT2, al, (de + ta) / _SQRT2],
+            [(al - be) / 2.0, (de + ta) / _SQRT2, (al + be + 2.0 * ta) / 2.0],
+        ])
+    raise ValueError(f"route must be {ROUTE_VIA_APRIME!r} or {ROUTE_VIA_A!r}, got {route!r}")
+
+
+def _reduced_pair_matrix(b: BlockSet) -> np.ndarray:
+    off = (b.delta + b.tau) / _SQRT2
+    corner = (b.alpha + b.beta + 2.0 * b.tau) / 2.0
+    return np.block([[b.alpha, off], [off, corner]])
+
+
+def shared_blocks(params: ProtocolParams) -> BlockSet:
+    return _blocks(params.r, params.epsilon)
 
 
 def shared_cm(params: ProtocolParams) -> tuple[GaussianState, BlockSet]:
@@ -124,12 +174,7 @@ def shared_cm(params: ProtocolParams) -> tuple[GaussianState, BlockSet]:
     'plus' beam splitter on (A, A')) applied to :func:`initial_cm`.
     """
     b = shared_blocks(params)
-    cm = np.block([
-        [b.alpha, b.delta, b.tau],
-        [b.delta, b.alpha, b.tau],
-        [b.tau, b.tau, b.beta],
-    ])
-    return GaussianState(cm), b
+    return GaussianState(_shared_matrix(b)), b
 
 
 def final_cm(params: ProtocolParams, route: str = ROUTE_VIA_APRIME) -> GaussianState:
@@ -139,23 +184,7 @@ def final_cm(params: ProtocolParams, route: str = ROUTE_VIA_APRIME) -> GaussianS
     splitter on (B, A')).  ``via-A``: Bob mixes the received mode A with B
     ('minus' splitter on (A, B)).
     """
-    b = shared_blocks(params)
-    al, be, ta, de = b.alpha, b.beta, b.tau, b.delta
-    if route == ROUTE_VIA_APRIME:
-        cm = np.block([
-            [al, (ta - de) / _SQRT2, (ta + de) / _SQRT2],
-            [(ta - de) / _SQRT2, (al + be - 2.0 * ta) / 2.0, (be - al) / 2.0],
-            [(ta + de) / _SQRT2, (be - al) / 2.0, (al + be + 2.0 * ta) / 2.0],
-        ])
-    elif route == ROUTE_VIA_A:
-        cm = np.block([
-            [(al + be - 2.0 * ta) / 2.0, (de - ta) / _SQRT2, (al - be) / 2.0],
-            [(de - ta) / _SQRT2, al, (de + ta) / _SQRT2],
-            [(al - be) / 2.0, (de + ta) / _SQRT2, (al + be + 2.0 * ta) / 2.0],
-        ])
-    else:
-        raise ValueError(f"route must be {ROUTE_VIA_APRIME!r} or {ROUTE_VIA_A!r}, got {route!r}")
-    return GaussianState(cm)
+    return GaussianState(_final_matrix(shared_blocks(params), route))
 
 
 def reduced_pair_cm(params: ProtocolParams) -> np.ndarray:
@@ -163,10 +192,7 @@ def reduced_pair_cm(params: ProtocolParams) -> np.ndarray:
 
     Both final routes reduce to the same matrix.
     """
-    b = shared_blocks(params)
-    off = (b.delta + b.tau) / _SQRT2
-    corner = (b.alpha + b.beta + 2.0 * b.tau) / 2.0
-    return np.block([[b.alpha, off], [off, corner]])
+    return _reduced_pair_matrix(shared_blocks(params))
 
 
 def threshold_r_e(epsilon: float) -> float:
@@ -221,11 +247,14 @@ def mu_m(params: ProtocolParams) -> float:
     root of the conditional position variance left after homodyne detection
     of x_B.
     """
-    r, eps = params.r, params.epsilon
-    if r < threshold_r_l(eps):
-        return float(np.exp(r))
+    return float(_mu_m(params.r, params.epsilon))
+
+
+def _mu_m(r, epsilon: float):
+    """:func:`mu_m` at squeezing ``r`` (a float or an array) and noise ``epsilon``."""
     em = np.exp(-2.0 * r)
-    return float(np.sqrt(1.0 + em * (np.exp(2.0 * eps) - 1.0) - (em - 1.0) ** 2 / (2.0 - em)))
+    homodyne = np.sqrt(1.0 + em * (np.exp(2.0 * epsilon) - 1.0) - (em - 1.0) ** 2 / (2.0 - em))
+    return np.where(r < threshold_r_l(epsilon), np.exp(r), homodyne)
 
 
 def _bisect_root(f, lo: float, hi: float, xtol: float = 1e-10) -> float:

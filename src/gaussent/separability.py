@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     GaussianState,
     _as_even_square,
+    _check_modes,
     char_poly_invariants,
     partial_transpose,
     reduce_modes,
@@ -37,6 +38,12 @@ CLASS_FULLY_INSEPARABLE = "fully-inseparable"
 CLASS_ONE_MODE_BISEPARABLE = "one-mode-biseparable"
 CLASS_TWO_MODE_BISEPARABLE = "two-mode-biseparable"
 CLASS_PPT_ALL = "ppt-all-splittings"
+#: Class label by the number of entangled splittings.
+_CLASS_BY_COUNT = (
+    CLASS_PPT_ALL, CLASS_TWO_MODE_BISEPARABLE, CLASS_ONE_MODE_BISEPARABLE, CLASS_FULLY_INSEPARABLE,
+)
+#: Quadrature indices of the two-mode reductions, in ``PAIR_MODES`` order.
+_PAIR_QUADS = np.array([[2 * a, 2 * a + 1, 2 * b, 2 * b + 1] for a, b in PAIR_MODES])
 
 
 @dataclass
@@ -124,13 +131,25 @@ class SeparabilityReport:
         return out
 
 
-def splitting_sigma(cm: np.ndarray, mode: int) -> SplittingVerdict:
-    """Invariant separability test of one mode against the remaining pair."""
+def _as_three_mode(cm: np.ndarray) -> np.ndarray:
     cm = _as_even_square(cm, "cm")
     if cm.shape != (6, 6):
         raise DimensionMismatchError(f"expected a 3-mode (6x6) matrix, got {cm.shape}")
-    i1, i2, i3 = char_poly_invariants(partial_transpose(cm, mode))
-    return SplittingVerdict(SPLITTING_LABELS[mode], i3 - i2 + i1 - 1.0)
+    return cm
+
+
+def _sigma(cm: np.ndarray, modes=(0, 1, 2)) -> np.ndarray:
+    """``sigma`` of the splittings of ``modes`` from the rest, for three-mode
+    matrices stacked as ``(..., 6, 6)``; shaped ``(..., len(modes))``."""
+    pt = np.stack([partial_transpose(cm, mode) for mode in modes], axis=-3)
+    i1, i2, i3 = char_poly_invariants(pt)
+    return i3 - i2 + i1 - 1.0
+
+
+def splitting_sigma(cm: np.ndarray, mode: int) -> SplittingVerdict:
+    """Invariant separability test of one mode against the remaining pair."""
+    (mode,) = _check_modes(mode, 3)
+    return SplittingVerdict(SPLITTING_LABELS[mode], float(_sigma(_as_three_mode(cm), [mode])[0]))
 
 
 def _pt_metrics(cm: np.ndarray):
@@ -162,13 +181,23 @@ def two_mode_metrics(cm: np.ndarray) -> EntanglementMetrics:
     cm = _as_even_square(cm, "cm")
     if cm.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 2-mode (4x4) matrix, got {cm.shape}")
-    mu, delta_tilde, det_cm = map(float, _pt_metrics(cm))
+    return _entanglement_metrics(*_pt_metrics(cm))
+
+
+def _entanglement_metrics(mu, delta_tilde, det_cm) -> EntanglementMetrics:
+    mu, delta_tilde, det_cm = float(mu), float(delta_tilde), float(det_cm)
     return EntanglementMetrics(
         mu=mu,
         log_negativity=log_negativity(mu),
         delta_tilde=delta_tilde,
         ppt_condition_value=det_cm - delta_tilde + 1.0,
     )
+
+
+def _pair_metrics(cm: np.ndarray):
+    """``_pt_metrics`` of the ``PAIR_MODES`` reductions of ``(..., 6, 6)`` matrices,
+    each result shaped ``(..., 3)``."""
+    return _pt_metrics(cm[..., _PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]])
 
 
 def log_negativity(mu: float) -> float:
@@ -189,29 +218,29 @@ def classify_three_mode(cm: np.ndarray) -> SeparabilityReport:
     inseparable, 2: one-mode biseparable, 1: two-mode biseparable,
     0: PPT across all splittings).
     """
-    cm = _as_even_square(cm, "cm")
-    if cm.shape != (6, 6):
-        raise DimensionMismatchError(f"expected a 3-mode (6x6) matrix, got {cm.shape}")
-    verdicts = tuple(splitting_sigma(cm, mode) for mode in range(3))
+    cm = _as_three_mode(cm)
+    verdicts = tuple(SplittingVerdict(label, float(x)) for label, x in zip(SPLITTING_LABELS, _sigma(cm)))
     pairwise = tuple(
-        (label, two_mode_metrics(reduce_modes(cm, modes)))
-        for label, modes in zip(PAIR_LABELS, PAIR_MODES)
+        (label, _entanglement_metrics(*metrics)) for label, *metrics in zip(PAIR_LABELS, *_pair_metrics(cm))
     )
-    entangled = [v for v in verdicts if v.entangled]
-    separable = [v for v in verdicts if not v.entangled]
-    if len(entangled) == 3:
-        return SeparabilityReport(verdicts, pairwise, CLASS_FULLY_INSEPARABLE)
-    if len(entangled) == 2:
-        return SeparabilityReport(
-            verdicts, pairwise, CLASS_ONE_MODE_BISEPARABLE,
-            separable_splitting=separable[0].splitting,
-        )
-    if len(entangled) == 1:
-        return SeparabilityReport(
-            verdicts, pairwise, CLASS_TWO_MODE_BISEPARABLE,
-            entangled_splitting=entangled[0].splitting,
-        )
-    return SeparabilityReport(verdicts, pairwise, CLASS_PPT_ALL)
+    entangled = [v.splitting for v in verdicts if v.entangled]
+    separable = [v.splitting for v in verdicts if not v.entangled]
+    return SeparabilityReport(
+        verdicts, pairwise, _CLASS_BY_COUNT[len(entangled)],
+        separable_splitting=separable[0] if len(entangled) == 2 else None,
+        entangled_splitting=entangled[0] if len(entangled) == 1 else None,
+    )
+
+
+def _class_labels(cm: np.ndarray) -> list[str]:
+    """Class label of each matrix of a ``(..., 6, 6)`` stack, flattened.
+
+    Runs every check :func:`classify_three_mode` runs, including the
+    ``ComplexEigenvalueError`` checks on the two-mode reductions.
+    """
+    _pair_metrics(cm)
+    counts = (_sigma(cm) < -BOUNDARY_TOL).sum(-1)
+    return [_CLASS_BY_COUNT[n] for n in counts.ravel()]
 
 
 def _check_bisymmetric(cm: np.ndarray, unmeasured: tuple[int, int]) -> None:
@@ -233,9 +262,7 @@ def localizable_mu(cm: np.ndarray, measured_mode: int) -> float:
     states, so the input must be symmetric under exchange of the two
     unmeasured modes (otherwise :class:`NotBisymmetricError`).
     """
-    cm = _as_even_square(cm, "cm")
-    if cm.shape != (6, 6):
-        raise DimensionMismatchError(f"expected a 3-mode (6x6) matrix, got {cm.shape}")
+    cm = _as_three_mode(cm)
     unmeasured = tuple(m for m in range(3) if m != measured_mode)
     _check_bisymmetric(cm, unmeasured)
     conditioned = condition_on_measurement(
@@ -260,9 +287,7 @@ def measurement_scan_oracle(
     evaluated as one stack, with the same per-seed checks as a single
     measurement: physicality of each seed and a non-singular ``B + seed``.
     """
-    cm = _as_even_square(cm, "cm")
-    if cm.shape != (6, 6):
-        raise DimensionMismatchError(f"expected a 3-mode (6x6) matrix, got {cm.shape}")
+    cm = _as_three_mode(cm)
     theta = np.linspace(0.0, np.pi, n_theta, endpoint=False)
     cos, sin = np.cos(theta), np.sin(theta)
     # rotations shaped (n_theta, 1, 2, 2) broadcast against the (n_t, 2, 2) squeezes

@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 
 from gaussent import (
+    classify_three_mode,
+    final_cm,
     mu_m,
     reduced_pair_cm,
     sample_preparation,
+    shared_cm,
+    splitting_sigma,
     threshold_r_e,
     threshold_r_l,
     threshold_r_m,
     two_mode_metrics,
 )
-from gaussent.cli import GAP_SWEEP_COLUMNS, SWEEP_COLUMNS, main
-from gaussent.protocol import ProtocolParams
+from gaussent.cli import GAP_SWEEP_COLUMNS, SWEEP_COLUMNS, _emit_json, _emit_rows, main
+from gaussent.protocol import ROUTE_VIA_APRIME, ProtocolParams
 
 
 def run_cli(capsys, *argv):
@@ -81,10 +85,13 @@ class TestSweepCommand:
         _, out = run_cli(capsys, "sweep", "--epsilon", "0.2", "--r-min", "0.1",
                          "--r-max", "0.5", "--steps", "5")
         rows = [line.split(",") for line in out.out.strip().split("\n")[1:]]
+        assert len(rows) == 5
         for row in rows:
             params = ProtocolParams(float(row[0]), 0.2)
             assert float(row[1]) == round12(two_mode_metrics(reduced_pair_cm(params)).mu)
             assert float(row[2]) == round12(mu_m(params))
+            assert float(row[3]) == round12(splitting_sigma(shared_cm(params)[0].cm, 0).sigma)
+            assert row[4] == classify_three_mode(final_cm(params, ROUTE_VIA_APRIME).cm).class_label
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ("sweep", "--epsilon", "0.1", "--steps", "40")
@@ -198,12 +205,41 @@ class TestUsageErrors:
             main(["thresholds", "--epsilon", "-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "thresholds --epsilon nan",
+        "analyze --r nan --epsilon 0.1 --stage shared",
+        "sweep --epsilon nan",
+        "montecarlo --r inf --epsilon 0.1",
+    ])
+    def test_non_finite_number_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "finite" in out.err
+
+
+class TestNonFiniteOutput:
+    def test_json_refuses_nan(self, capsys):
+        with pytest.raises(ValueError):
+            _emit_json({"x": float("nan")}, None)
+        with pytest.raises(ValueError):
+            _emit_rows(("x",), [(float("inf"),)], "json", None)
+        assert capsys.readouterr().out == ""
+
+    def test_csv_refuses_nan(self, capsys):
+        with pytest.raises(ValueError):
+            _emit_rows(("r", "x"), [(0.0, 1.0), (0.1, float("nan"))], "csv", None)
+        assert capsys.readouterr().out == ""
+
 
 class TestReferenceOutput:
     """Pinned sha256 of stdout: any changed byte in these outputs fails."""
 
     @pytest.mark.parametrize("argv,digest", [
         ("sweep --epsilon 0.1", "be1be61a975e610e35c52e005c8089279ea6e47fa4eb5f85c3bf6ceb37264893"),
+        ("sweep --epsilon 2 --r-max 1.5 --format json",
+         "658e95e770f9dada9493e1c7e6946af68e3511033b0e90cbcbf0740cfc2a337c"),
         ("gap-sweep", "8e6746fb195e5155db72b5b0e487d7b37a5cb0830226e6b99bd1e2f491f35669"),
         ("analyze --r 0.4 --epsilon 0.1 --stage shared",
          "4f20387a9322f425c7fbcb4a2f603f21ea8c0e38044a46ab044d3382913ed15a"),

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -130,6 +131,13 @@ class TestPartialTranspose:
         nu_min = symplectic_eigenvalues(partial_transpose(cm.cm, 0)).min()
         assert nu_min < 1.0
 
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(16)
+        stack = np.stack([random_physical_cm(3, rng) for _ in range(6)]).reshape(2, 3, 6, 6)
+        flipped = partial_transpose(stack, [0, 2])
+        for k in np.ndindex(2, 3):
+            assert np.array_equal(flipped[k], partial_transpose(stack[k], [0, 2]))
+
     def test_bad_mode_raises(self):
         with pytest.raises(BadModeIndexError):
             partial_transpose(np.eye(6), [3])
@@ -172,6 +180,27 @@ class TestCharPolyInvariants:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatchError):
             char_poly_invariants(np.eye(4))
+        with pytest.raises(DimensionMismatchError):
+            char_poly_invariants(np.zeros((2, 4, 4)))
+
+    def test_stack_is_bitwise_the_per_matrix_minor_sums(self):
+        # reference: the principal minors taken one at a time, i1 summed left to
+        # right and the 4x4 minors by one np.sum, as a single-matrix loop would
+        def reference(cm):
+            m = symplectic_form(3) @ cm
+            i1 = sum(m[a, a] * m[b, b] - m[a, b] * m[b, a] for a, b in combinations(range(6), 2))
+            quads = np.stack([m[np.ix_(c, c)] for c in combinations(range(6), 4)])
+            return (float(i1), float(np.linalg.det(quads).sum()), float(np.linalg.det(m)))
+
+        rng = np.random.default_rng(15)
+        stack = np.stack([random_symmetric(6, rng, scale) for scale in (0.1, 1.0, 30.0) * 8])
+        stack = stack.reshape(4, 6, 6, 6)
+        i1, i2, i3 = char_poly_invariants(stack)
+        assert i1.shape == i2.shape == i3.shape == (4, 6)
+        for k, cm in enumerate(stack.reshape(-1, 6, 6)):
+            want = reference(cm)
+            assert tuple(char_poly_invariants(cm)) == want
+            assert (i1.flat[k], i2.flat[k], i3.flat[k]) == want
 
 
 class TestReduceModes:

@@ -26,6 +26,7 @@ from gaussent import (
     two_mode_metrics,
     validate_cm,
 )
+from gaussent import protocol
 from gaussent.protocol import (
     ROUTE_VIA_A,
     ROUTE_VIA_APRIME,
@@ -76,6 +77,13 @@ class TestInitialCm:
         with pytest.raises(ValueError):
             ProtocolParams(-0.1, 0.0)
 
+    @pytest.mark.parametrize("r,eps", [
+        (float("nan"), 0.1), (0.3, float("nan")), (float("inf"), 0.1), (0.3, float("inf")),
+    ])
+    def test_params_must_be_finite(self, r, eps):
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolParams(r, eps)
+
 
 class TestClosedFormsMatchPipeline:
     def test_shared_vacuum_limit(self):
@@ -105,6 +113,24 @@ class TestClosedFormsMatchPipeline:
     def test_bad_route(self):
         with pytest.raises(ValueError):
             final_cm(ProtocolParams(0.1, 0.1), "via-B")
+
+    def test_array_builders_are_bitwise_the_scalar_wrappers(self):
+        eps = 0.7
+        rs = np.linspace(0.0, 1.5, 11)
+        blocks = protocol._blocks(rs, eps)
+        shared = protocol._shared_matrix(blocks)
+        finals = {route: protocol._final_matrix(blocks, route) for route in (ROUTE_VIA_APRIME, ROUTE_VIA_A)}
+        pair = protocol._reduced_pair_matrix(blocks)
+        mus = protocol._mu_m(rs, eps)
+        assert shared.shape == (11, 6, 6) and pair.shape == (11, 4, 4)
+        assert np.any(rs < threshold_r_l(eps)) and np.any(rs > threshold_r_l(eps))
+        for k, r in enumerate(rs.tolist()):
+            params = ProtocolParams(r, eps)
+            assert np.array_equal(shared[k], shared_cm(params)[0].cm)
+            for route, stack in finals.items():
+                assert np.array_equal(stack[k], final_cm(params, route).cm)
+            assert np.array_equal(pair[k], reduced_pair_cm(params))
+            assert mus[k] == mu_m(params)
 
 
 class TestThresholds:

@@ -1,11 +1,16 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from gaussent import (
+    BadModeIndexError,
     ComplexEigenvalueError,
     GaussianState,
     MeasurementSpec,
     NotBisymmetricError,
+    char_poly_invariants,
     classify_three_mode,
     condition_on_measurement,
     embed_vacuum,
@@ -15,6 +20,7 @@ from gaussent import (
     log_negativity,
     measurement_scan_oracle,
     mu_m,
+    partial_transpose,
     reduce_modes,
     shared_cm,
     splitting_sigma,
@@ -22,8 +28,8 @@ from gaussent import (
     threshold_r_m,
     two_mode_metrics,
 )
-from gaussent.protocol import ROUTE_VIA_A, ROUTE_VIA_APRIME, ProtocolParams
-from gaussent.separability import PAIR_LABELS, SPLITTING_LABELS, _pt_metrics
+from gaussent.protocol import ROUTE_VIA_A, ROUTE_VIA_APRIME, STAGES, ProtocolParams, stage_state
+from gaussent.separability import PAIR_LABELS, SPLITTING_LABELS, _class_labels, _pt_metrics, _sigma
 
 from helpers import pt_mu_oracle, random_physical_cm
 
@@ -79,6 +85,23 @@ class TestSplittingSigma:
     def test_labels(self):
         state, _ = shared_cm(ProtocolParams(0.3, 0.1))
         assert [splitting_sigma(state.cm, m).splitting for m in range(3)] == list(SPLITTING_LABELS)
+
+    def test_bad_mode_rejected(self):
+        with pytest.raises(BadModeIndexError):
+            splitting_sigma(np.eye(6), 3)
+
+    def test_stack_kernel_is_bitwise_per_matrix(self):
+        rng = np.random.default_rng(41)
+        cms = [random_physical_cm(3, rng) for _ in range(12)]
+        cms += [final_cm(ProtocolParams(r, 0.4), ROUTE_VIA_APRIME).cm for r in (0.0, 0.2, 0.9, 1.5)]
+        stack = np.stack(cms).reshape(4, 4, 6, 6)
+        sigma = _sigma(stack)
+        assert sigma.shape == (4, 4, 3)
+        assert np.array_equal(_sigma(stack, [2, 0]), sigma[..., [2, 0]])
+        for k, cm in enumerate(cms):
+            for mode in range(3):
+                i1, i2, i3 = char_poly_invariants(partial_transpose(cm, mode))
+                assert sigma.reshape(-1, 3)[k, mode] == splitting_sigma(cm, mode).sigma == i3 - i2 + i1 - 1.0
 
 
 class TestFinalStateSigmas:
@@ -189,6 +212,33 @@ class TestClassifyThreeMode:
         assert set(payload) == {"verdicts", "pairwise", "class", "separable_splitting"}
         assert len(payload["verdicts"]) == 3
         assert len(payload["pairwise"]) == 3
+
+    def test_reports_unchanged_by_the_stacked_kernels(self):
+        # sha256 of the full-precision reports, taken with the one-splitting-at-a-time
+        # implementation that preceded the stacked kernels
+        reports = [stage_state(ProtocolParams(r, eps), stage).report
+                   for r in (0.0, 0.3, 0.9, 1.5, 2.5) for eps in (0.001, 0.1, 1.0) for stage in STAGES]
+        rng = np.random.default_rng(21)
+        reports += [classify_three_mode(random_physical_cm(3, rng)) for _ in range(40)]
+        payload = json.dumps([report.to_json_dict() for report in reports]).encode()
+        assert hashlib.sha256(payload).hexdigest() == (
+            "7b8a4a495388e286b5c72e9104c60415abf6e6ee81654e6121831ffde60812c0"
+        )
+
+    def test_stacked_labels_match_reports(self):
+        rng = np.random.default_rng(42)
+        cms = [random_physical_cm(3, rng) for _ in range(8)]
+        cms += [stage_state(ProtocolParams(0.3, 0.1), stage).state.cm for stage in STAGES]
+        labels = _class_labels(np.stack(cms).reshape(3, 4, 6, 6))
+        assert labels == [classify_three_mode(cm).class_label for cm in cms]
+
+    def test_stacked_labels_run_the_pair_checks(self):
+        bad = np.eye(6)
+        bad[:4, :4] = INDEFINITE_CM
+        with pytest.raises(ComplexEigenvalueError):
+            classify_three_mode(bad)
+        with pytest.raises(ComplexEigenvalueError):
+            _class_labels(np.stack([np.eye(6), bad]))
 
 
 class TestLocalizableMu:
