@@ -55,6 +55,19 @@ def _round12(value):
     return value
 
 
+def _first_non_finite(value, path: str = ""):
+    """``(key path, value)`` of the first NaN or infinity in a JSON payload, or None."""
+    if isinstance(value, (float, np.floating)):
+        return None if math.isfinite(value) else (path.lstrip(".") or "top level", float(value))
+    if isinstance(value, dict):
+        keyed = ((f"{path}.{k}", v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        keyed = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next((hit for key, v in keyed if (hit := _first_non_finite(v, key)) is not None), None)
+
+
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
@@ -72,7 +85,14 @@ def _emit(text: str, output: str | None) -> None:
 
 def _emit_json(payload, output: str | None) -> None:
     # allow_nan=False: a non-finite number fails the command instead of printing NaN
-    _emit(json.dumps(_round12(payload), indent=2, allow_nan=False) + "\n", output)
+    try:
+        text = json.dumps(_round12(payload), indent=2, allow_nan=False)
+    except ValueError:
+        hit = _first_non_finite(payload)
+        if hit is None:
+            raise
+        raise ValueError("non-finite value in output at {} = {}".format(*hit)) from None
+    _emit(text + "\n", output)
 
 
 def _emit_rows(columns, rows, fmt: str, output: str | None) -> None:

@@ -88,10 +88,14 @@ def validate_cm(m: np.ndarray) -> np.ndarray:
         The symmetrized matrix as a fresh float array.
 
     Raises:
+        UnphysicalError: an entry is NaN or infinite, or the smallest
+            symplectic eigenvalue is below ``1 - TAU_PSD``.
         NotSymmetricError: asymmetry exceeds ``TAU_SYM``.
-        UnphysicalError: smallest symplectic eigenvalue below ``1 - TAU_PSD``.
     """
     m = _as_even_square(m, "covariance matrix")
+    finite = np.isfinite(m)
+    if not finite.all():
+        raise UnphysicalError(f"covariance matrix has {finite.size - finite.sum()} non-finite entries")
     asym = np.abs(m - m.T).max()
     if asym >= TAU_SYM:
         raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds tolerance {TAU_SYM:.0e}")

@@ -151,18 +151,20 @@ class MeasurementSpec:
 
 
 def _measurement_blocks(cm: np.ndarray, mode: int):
-    """Kept block A, measured block B, correlations C and the kept indices."""
-    n = cm.shape[0] // 2
+    """Kept block A, measured block B, correlations C and the kept indices,
+    of one matrix or of each matrix of a ``(..., 2n, 2n)`` stack."""
+    n = cm.shape[-1] // 2
     mode = _check_modes(mode, n)[0]
     if n < 2:
         raise DimensionMismatchError("conditioning needs at least two modes")
-    ki = [q for m in range(n) if m != mode for q in (2 * m, 2 * m + 1)]
-    mi = [2 * mode, 2 * mode + 1]
-    return cm[np.ix_(ki, ki)], cm[np.ix_(mi, mi)], cm[np.ix_(ki, mi)], ki
+    ki = np.array([q for m in range(n) if m != mode for q in (2 * m, 2 * m + 1)])
+    mi = np.array([2 * mode, 2 * mode + 1])
+    return cm[..., ki[:, None], ki], cm[..., mi[:, None], mi], cm[..., ki[:, None], mi], ki
 
 
 def _schur_complement(a, b, c, spec: MeasurementSpec) -> np.ndarray:
-    """``A - C M C^T`` of :func:`condition_on_measurement`, one per seed of ``spec``."""
+    """``A - C M C^T`` of :func:`condition_on_measurement`, broadcast over the
+    stack axes of the blocks and of the seeds of ``spec``."""
     if spec.kind == "general-gaussian":
         total = b + spec.seed_cm
         cond = np.linalg.cond(total)
@@ -174,12 +176,13 @@ def _schur_complement(a, b, c, spec: MeasurementSpec) -> np.ndarray:
         m = np.linalg.inv(total)
     else:
         k = 0 if spec.kind == "homodyne-x" else 1
-        m = np.zeros((2, 2))
-        if abs(b[k, k]) > HOMODYNE_SV_CUTOFF:
-            m[k, k] = 1.0 / b[k, k]
+        b_kk = b[..., k, k]
+        measured = np.abs(b_kk) > HOMODYNE_SV_CUTOFF
+        m = np.zeros(b.shape)
+        m[..., k, k] = np.where(measured, 1.0 / np.where(measured, b_kk, 1.0), 0.0)
     # symmetrize only the correction so an uncorrelated mode (C = 0) leaves
     # the kept block bitwise untouched
-    correction = c @ m @ c.T
+    correction = c @ m @ np.swapaxes(c, -1, -2)
     return a - 0.5 * (correction + np.swapaxes(correction, -1, -2))
 
 
@@ -251,13 +254,14 @@ def sample_preparation(params: "ProtocolParams", count: int, seed: int) -> Sampl
     if count < 2:
         raise BadCountError(f"count must be at least 2, got {count}")
     r, epsilon = params.r, params.epsilon
-    rng = np.random.default_rng(seed)
-    x_a = rng.normal(0.0, np.sqrt(np.exp(-2.0 * (r - epsilon)) / 2.0), count)
-    p_a = rng.normal(0.0, np.sqrt(np.exp(2.0 * r) / 2.0), count)
-    x_b = rng.normal(0.0, np.sqrt(0.5), count)
-    p_b = rng.normal(0.0, np.sqrt(0.5), count)
-    xbar = rng.normal(0.0, np.sqrt((1.0 - np.exp(-2.0 * r)) / 2.0), count)
-    samples = np.stack([x_a + xbar, p_a, x_b - xbar, p_b])
+    # rows x_A, p_A, x_B, p_B, xbar in one draw: bit for bit the stream of five
+    # successive rng.normal(0.0, scale, count) calls, which compute 0.0 + scale * z
+    twice_var = np.array([np.exp(-2.0 * (r - epsilon)), np.exp(2.0 * r), 1.0, 1.0, 1.0 - np.exp(-2.0 * r)])
+    draws = np.random.default_rng(seed).standard_normal((5, count))
+    draws *= np.sqrt(twice_var / 2.0)[:, None]
+    draws[0] += draws[4]
+    draws[2] -= draws[4]
+    samples = draws[:4]
     empirical_cm = 2.0 * np.cov(samples)
     return SampleBatch(
         count=int(count),

@@ -19,7 +19,7 @@ import numpy as np
 from .core import GaussianState
 from .errors import DomainError, NumericalFailureError
 from .ops import embed_vacuum
-from .separability import SeparabilityReport, classify_three_mode, localizable_mu, two_mode_metrics
+from .separability import SeparabilityReport, _localizable_mu, _pt_metrics, classify_three_mode
 
 _SQRT2 = np.sqrt(2.0)
 _C8 = 8.0 * _SQRT2  # recurring constant in the pair-entanglement threshold
@@ -275,38 +275,46 @@ def _bisect_root(f, lo: float, hi: float, xtol: float = 1e-10) -> float:
 _NOISE_FLOOR = 1e-7  # mu - 1 loses half precision where its discriminant degenerates
 
 
-def _threshold_root(f, r_max: float = 5.0, xtol: float = 1e-10) -> float:
-    """Locate where f crosses from positive to negative on [0, r_max].
+def _threshold_root(mu, epsilon: float, r_max: float = 5.0, xtol: float = 1e-10) -> float:
+    """Locate where ``mu(r, epsilon) - 1`` crosses from positive to negative on [0, r_max].
 
-    The protocol's mu curves all satisfy f(0) = 0 exactly (the unsqueezed
-    state sits on the separability boundary), rise for small r, and cross
-    down once at the threshold, so the bracket is the last sign change on a
-    log-augmented scan grid.  Grid values must clear a small noise floor to
-    count as positive; curves that never do resolve to a threshold of 0.
+    ``mu`` maps an array of ``r`` to an array of ``mu`` values; it evaluates
+    the whole scan grid in one call and each bisection step on a one-element
+    array.  The protocol's mu curves all satisfy mu(0) = 1 exactly (the
+    unsqueezed state sits on the separability boundary), rise for small r,
+    and cross down once at the threshold, so the bracket is the last sign
+    change on a log-augmented scan grid.  Grid values must clear a small
+    noise floor to count as positive; curves that never do resolve to a
+    threshold of 0.
     """
+    ProtocolParams(0.0, epsilon)  # the same ValueError for a bad epsilon as every other entry point
     grid = np.concatenate(([0.0], np.logspace(-9.0, np.log10(r_max), 120)))
-    vals = [f(r) for r in grid]
-    for k in reversed(range(len(grid) - 1)):
-        if vals[k] > _NOISE_FLOOR and vals[k + 1] <= 0.0:
-            return _bisect_root(f, grid[k], grid[k + 1], xtol)
+    vals = mu(grid, epsilon) - 1.0
+    crossings = np.flatnonzero((vals[:-1] > _NOISE_FLOOR) & (vals[1:] <= 0.0))
+    if crossings.size:
+        k = crossings[-1]
+        return _bisect_root(lambda r: float(mu(np.array([r]), epsilon)[0]) - 1.0, grid[k], grid[k + 1], xtol)
     if vals[-1] > _NOISE_FLOOR:
         raise NumericalFailureError(f"no threshold crossing found on [0, {r_max}]")
     return 0.0
 
 
+def _pair_mu(r, epsilon: float) -> np.ndarray:
+    return _pt_metrics(_reduced_pair_matrix(_blocks(r, epsilon)))[0]
+
+
+def _homodyne_mu(r, epsilon: float) -> np.ndarray:
+    return _localizable_mu(_shared_matrix(_blocks(r, epsilon)), 2)
+
+
 def numeric_threshold_r_e(epsilon: float, r_max: float = 5.0) -> float:
     """Bisection root of mu(reduced pair) - 1 in r; verifies :func:`threshold_r_e`."""
-    def f(r):
-        return two_mode_metrics(reduced_pair_cm(ProtocolParams(r, epsilon))).mu - 1.0
-    return _threshold_root(f, r_max)
+    return _threshold_root(_pair_mu, epsilon, r_max)
 
 
 def numeric_threshold_r_m(epsilon: float, r_max: float = 5.0) -> float:
     """Bisection root of the homodyne-conditioned mu - 1; verifies :func:`threshold_r_m`."""
-    def f(r):
-        state, _ = shared_cm(ProtocolParams(r, epsilon))
-        return localizable_mu(state.cm, 2) - 1.0
-    return _threshold_root(f, r_max)
+    return _threshold_root(_homodyne_mu, epsilon, r_max)
 
 
 def threshold_report(epsilon: float) -> ThresholdReport:

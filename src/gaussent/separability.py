@@ -13,16 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    GaussianState,
-    _as_even_square,
-    _check_modes,
-    char_poly_invariants,
-    partial_transpose,
-    reduce_modes,
-)
+from .core import _as_even_square, _check_modes, char_poly_invariants, partial_transpose
 from .errors import ComplexEigenvalueError, DimensionMismatchError, NotBisymmetricError
-from .ops import MeasurementSpec, _measurement_blocks, _schur_complement, condition_on_measurement
+from .ops import MeasurementSpec, _measurement_blocks, _schur_complement
 
 #: Verdicts within this band of the threshold are reported as boundary cases.
 BOUNDARY_TOL = 1e-12
@@ -243,15 +236,19 @@ def _class_labels(cm: np.ndarray) -> list[str]:
     return [_CLASS_BY_COUNT[n] for n in counts.ravel()]
 
 
-def _check_bisymmetric(cm: np.ndarray, unmeasured: tuple[int, int]) -> None:
-    perm = list(range(3))
-    perm[unmeasured[0]], perm[unmeasured[1]] = perm[unmeasured[1]], perm[unmeasured[0]]
-    dev = np.abs(reduce_modes(cm, perm) - cm).max()
+def _localizable_mu(cm: np.ndarray, measured_mode: int) -> np.ndarray:
+    """:func:`localizable_mu` of three-mode matrices stacked as ``(..., 6, 6)``,
+    shaped ``cm.shape[:-2]``; the bisymmetry check covers every matrix."""
+    i, j = (m for m in range(3) if m != measured_mode)
+    modes = [0, 1, 2]
+    modes[i], modes[j] = j, i
+    swap = np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
+    dev = np.abs(cm[..., swap[:, None], swap] - cm).max(initial=0.0)
     if dev > BISYMMETRY_TOL:
-        raise NotBisymmetricError(
-            f"state deviates by {dev:.3e} under exchange of modes "
-            f"{unmeasured[0]} and {unmeasured[1]}"
-        )
+        raise NotBisymmetricError(f"state deviates by {dev:.3e} under exchange of modes {i} and {j}")
+    a, b, c, _ = _measurement_blocks(cm, measured_mode)
+    mu, _, _ = _pt_metrics(_schur_complement(a, b, c, MeasurementSpec.homodyne_x(measured_mode)))
+    return mu
 
 
 def localizable_mu(cm: np.ndarray, measured_mode: int) -> float:
@@ -262,13 +259,8 @@ def localizable_mu(cm: np.ndarray, measured_mode: int) -> float:
     states, so the input must be symmetric under exchange of the two
     unmeasured modes (otherwise :class:`NotBisymmetricError`).
     """
-    cm = _as_three_mode(cm)
-    unmeasured = tuple(m for m in range(3) if m != measured_mode)
-    _check_bisymmetric(cm, unmeasured)
-    conditioned = condition_on_measurement(
-        GaussianState(cm), MeasurementSpec.homodyne_x(measured_mode)
-    )
-    return two_mode_metrics(conditioned.cm).mu
+    (measured_mode,) = _check_modes(measured_mode, 3)
+    return float(_localizable_mu(_as_three_mode(cm), measured_mode))
 
 
 def measurement_scan_oracle(

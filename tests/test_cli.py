@@ -184,6 +184,15 @@ class TestClassifyCommand:
         assert code == 1
         assert "symplectic eigenvalue" in out.err
 
+    def test_non_finite_file_exits_1(self, tmp_path, capsys):
+        cm = np.eye(6)
+        cm[0, 1] = cm[1, 0] = np.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"n_modes": 3, "cm": cm.ravel().tolist()}))
+        code, out = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 1
+        assert out.out == "" and "non-finite" in out.err
+
     def test_missing_file_exits_1(self, capsys):
         code, out = run_cli(capsys, "classify", "--input", "/nonexistent.json")
         assert code == 1
@@ -226,6 +235,21 @@ class TestNonFiniteOutput:
         with pytest.raises(ValueError):
             _emit_rows(("x",), [(float("inf"),)], "json", None)
         assert capsys.readouterr().out == ""
+
+    def test_json_error_names_the_key_path(self, capsys):
+        nan = float("nan")
+        with pytest.raises(ValueError, match=r"at a\.b\[2\]\.c = nan$"):
+            _emit_json({"a": {"b": [1.0, {"c": 2.0}, {"c": nan}]}}, None)
+        with pytest.raises(ValueError, match=r"at \[1\]\.x = inf$"):
+            _emit_rows(("x",), [(1.0,), (float("inf"),)], "json", None)
+        assert capsys.readouterr().out == ""
+
+    def test_infinite_log_negativity_is_named(self, capsys):
+        # the pair's mu cancels to 0 at this squeezing, so its log negativity is inf
+        code, out = run_cli(capsys, "analyze", "--r", "25", "--epsilon", "0.1", "--stage", "final-via-A")
+        assert code == 1
+        assert out.out == ""
+        assert "at report.pairwise[1].log_negativity = inf" in out.err
 
     def test_csv_refuses_nan(self, capsys):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -82,6 +83,19 @@ class TestValidateCm:
     def test_rejects_odd_dimension(self):
         with pytest.raises(DimensionMismatchError):
             validate_cm(np.eye(5))
+
+    @pytest.mark.parametrize("entries", [
+        {(0, 1): np.nan, (1, 0): np.nan},  # a symmetric NaN pair
+        {(3, 3): np.inf},
+    ])
+    def test_rejects_non_finite_entries_without_warnings(self, entries):
+        m = np.eye(6)
+        for ij, value in entries.items():
+            m[ij] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnphysicalError, match="non-finite"):
+                validate_cm(m)
 
 
 class TestSymplecticEigenvalues:

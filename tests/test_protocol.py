@@ -1,8 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussent import (
     GaussianState,
+    NumericalFailureError,
     apply_symplectic,
     beam_splitter,
     classify_three_mode,
@@ -168,6 +173,47 @@ class TestThresholds:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             threshold_r_e(-0.1)
+
+
+#: Seeded noise values for the pinned numeric roots, both ends included.
+PINNED_EPSILONS = np.concatenate(([0.0, 4.0], np.random.default_rng(2016).uniform(0.0, 4.0, 10)))
+
+
+class TestNumericRoots:
+    def test_pinned_roots(self):
+        # sha256 of the float64 roots, taken when each grid point was its own
+        # scalar call; the whole-grid scan must find the same bits
+        h = hashlib.sha256()
+        for eps in PINNED_EPSILONS.tolist():
+            h.update(np.float64(numeric_threshold_r_e(eps)).tobytes())
+            h.update(np.float64(numeric_threshold_r_m(eps)).tobytes())
+        assert h.hexdigest() == "318dad8661a2700f60251e1bc74aa7a872a70528e7ac7844d8fb7d69ec7fede9"
+
+    @settings(max_examples=40, deadline=None)
+    @given(eps=st.just(0.0) | st.floats(1e-4, 4.0))
+    def test_roots_match_closed_forms(self, eps):
+        assert abs(numeric_threshold_r_e(eps) - threshold_r_e(eps)) <= 1e-8
+        assert abs(numeric_threshold_r_m(eps) - threshold_r_m(eps)) <= 1e-8
+
+    @pytest.mark.xfail(strict=True, reason="below epsilon ~5e-5 no grid value of mu - 1 clears "
+                                           "_NOISE_FLOOR, so the root resolves to 0")
+    @pytest.mark.parametrize("root,closed,eps", [
+        (numeric_threshold_r_e, threshold_r_e, 1e-6),
+        (numeric_threshold_r_m, threshold_r_m, 3.171415415268996e-05),
+    ])
+    def test_roots_at_tiny_noise(self, root, closed, eps):
+        assert abs(root(eps) - closed(eps)) <= 1e-8
+
+    @pytest.mark.parametrize("root", [numeric_threshold_r_e, numeric_threshold_r_m])
+    def test_bad_noise_rejected(self, root):
+        for eps in (float("nan"), -0.1, float("inf")):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                root(eps)
+
+    @pytest.mark.parametrize("root", [numeric_threshold_r_e, numeric_threshold_r_m])
+    def test_no_crossing_below_r_max(self, root):
+        with pytest.raises(NumericalFailureError):
+            root(5.0)
 
 
 class TestMuM:

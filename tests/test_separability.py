@@ -29,7 +29,15 @@ from gaussent import (
     two_mode_metrics,
 )
 from gaussent.protocol import ROUTE_VIA_A, ROUTE_VIA_APRIME, STAGES, ProtocolParams, stage_state
-from gaussent.separability import PAIR_LABELS, SPLITTING_LABELS, _class_labels, _pt_metrics, _sigma
+from gaussent.ops import HOMODYNE_SV_CUTOFF
+from gaussent.separability import (
+    PAIR_LABELS,
+    SPLITTING_LABELS,
+    _class_labels,
+    _localizable_mu,
+    _pt_metrics,
+    _sigma,
+)
 
 from helpers import pt_mu_oracle, random_physical_cm
 
@@ -263,6 +271,37 @@ class TestLocalizableMu:
             localizable_mu(embedded.cm, 2)
         with pytest.raises(NotBisymmetricError):
             localizable_mu(final_cm(ProtocolParams(0.3, 0.1)).cm, 0)
+
+    def test_scalar_values_pinned(self):
+        # sha256 of the float64 results on 40 seeded shared states, taken
+        # before localizable_mu became a wrapper of the stacked kernel
+        rng = np.random.default_rng(44)
+        h = hashlib.sha256()
+        for r, eps in rng.uniform([0.0, 0.0], [3.0, 3.0], (40, 2)):
+            state, _ = shared_cm(ProtocolParams(r, eps))
+            h.update(np.float64(localizable_mu(state.cm, 2)).tobytes())
+        assert h.hexdigest() == "f5cb3552af0a0033f7d8113cccaf57a37407ce80679de1f5ced832b3e132ba2c"
+
+    def test_stack_matches_one_at_a_time(self):
+        params = np.random.default_rng(3).uniform(0.0, 3.0, (50, 2))
+        cms = np.stack([shared_cm(ProtocolParams(r, eps))[0].cm for r, eps in params])
+        stacked = _localizable_mu(cms.reshape(5, 10, 6, 6), 2)
+        assert stacked.shape == (5, 10)
+        np.testing.assert_array_max_ulp(stacked.ravel(), [localizable_mu(cm, 2) for cm in cms], maxulp=4)
+
+    def test_stack_with_one_asymmetric_matrix_rejected(self):
+        params = ProtocolParams(0.3, 0.1)
+        shared = shared_cm(params)[0].cm
+        with pytest.raises(NotBisymmetricError):
+            _localizable_mu(np.stack([shared, embed_vacuum(initial_cm(params), 1).cm, shared]), 2)
+
+    def test_stack_honours_homodyne_cutoff_per_matrix(self):
+        shared = shared_cm(ProtocolParams(0.4, 0.1))[0].cm
+        below = shared.copy()
+        below[4, 4] = HOMODYNE_SV_CUTOFF / 2  # measured x variance below the cutoff: nothing conditioned
+        mu = _localizable_mu(np.stack([shared, below]), 2)
+        assert mu[0] == localizable_mu(shared, 2) < 1.0
+        assert mu[1] == two_mode_metrics(shared[:4, :4]).mu > 1.0
 
 
 class TestMeasurementScanOracle:
