@@ -8,8 +8,9 @@ configurations produce byte-identical output.  ``sweep`` evaluates each
 column as one array call over the whole ``r`` grid, with the same numbers
 and checks as the one-state functions.  Numeric options must be finite and
 nonnegative, and a non-finite result fails the command rather than print
-``NaN``.  Exit codes: 0 success, 1 validation or numerical failure, 2 usage
-error.
+``NaN``; so does a floating-point overflow, division by zero or invalid
+operation, with one line on stderr.  Exit codes: 0 success, 1 validation
+or numerical failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -240,8 +241,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate(args, parser)
     try:
-        return args.func(args)
-    except (GaussentError, ValueError, OSError, KeyError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (GaussentError, ValueError, OSError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,6 @@ the generic transform pipeline and root finders in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +41,15 @@ class ProtocolParams:
     epsilon: float
 
     def __post_init__(self):
-        # the chained comparisons are False for NaN too
-        if not (0.0 <= self.r < math.inf and 0.0 <= self.epsilon < math.inf):
-            raise ValueError(
-                f"r and epsilon must be finite and nonnegative, got r={self.r}, epsilon={self.epsilon}"
-            )
+        _check_domain(r=self.r, epsilon=self.epsilon)
+
+
+def _check_domain(**values) -> None:
+    """Raise ``ValueError`` unless every value (floats, or arrays of one shape) is finite and >= 0."""
+    v = np.asarray(tuple(values.values()), dtype=float)
+    if not ((v >= 0.0) & (v < np.inf)).all():
+        got = ", ".join(f"{name}={value}" for name, value in values.items())
+        raise ValueError(f"{' and '.join(values)} must be finite and nonnegative, got {got}")
 
 
 @dataclass
@@ -195,27 +198,26 @@ def reduced_pair_cm(params: ProtocolParams) -> np.ndarray:
     return _reduced_pair_matrix(shared_blocks(params))
 
 
-def threshold_r_e(epsilon: float) -> float:
+def threshold_r_e(epsilon):
     """Squeezing above which Bob's beam splitter entangles the reduced pair.
 
+    ``epsilon`` is a float or an array, as for every threshold below.
     Evaluated with exp(2 epsilon) factored out of the square root so large
     noise values cannot overflow.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    _check_domain(epsilon=epsilon)
     em = np.exp(-2.0 * epsilon)
     u = 11.0 + (_C8 - 13.0) * em
     return epsilon + 0.5 * np.log((u + np.sqrt(u * u + 4.0 * (_C8 - 1.0) * em)) / (2.0 * (_C8 - 1.0)))
 
 
-def threshold_r_m(epsilon: float) -> float:
+def threshold_r_m(epsilon):
     """Squeezing above which a Gaussian measurement on B can localize entanglement."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    _check_domain(epsilon=epsilon)
     return epsilon + 0.5 * np.log1p(np.sqrt(1.0 - np.exp(-2.0 * epsilon)))
 
 
-def cubic_pq(epsilon: float) -> tuple[float, float]:
+def cubic_pq(epsilon):
     """Depressed-cubic coefficients behind the branch point of :func:`mu_m`.
 
     ``p`` is negative for every epsilon >= 0, so the trigonometric root is
@@ -225,18 +227,16 @@ def cubic_pq(epsilon: float) -> tuple[float, float]:
     return 1.0 / 6.0 - e2, 5.0 / 54.0 + e2 / 6.0
 
 
-def threshold_r_l(epsilon: float) -> float:
+def threshold_r_l(epsilon):
     """Squeezing at which the two branches of :func:`mu_m` meet."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    _check_domain(epsilon=epsilon)
     p, q = cubic_pq(epsilon)
-    # -(q/2) sqrt(-27/p^3) written so p^3 is never formed (overflows early)
-    arg = -(q / 2.0) * np.sqrt(27.0) * (-p) ** -1.5
-    if abs(arg) > 1.0:
-        if abs(arg) > 1.0 + 1e-12:
-            raise DomainError(f"arccos argument {arg!r} outside [-1, 1]")
-        arg = np.clip(arg, -1.0, 1.0)
-    root = 2.0 * np.sqrt(-p / 3.0) * np.cos(np.arccos(arg) / 3.0)
+    # -(q/2) sqrt(-27/p^3) written so p^3 is never formed (overflows early);
+    # np.power, unlike a float64 scalar's **, rounds a float as it does an array
+    arg = -(q / 2.0) * np.sqrt(27.0) * np.power(-p, -1.5)
+    if (np.abs(arg) > 1.0 + 1e-12).any():
+        raise DomainError(f"arccos argument {arg!r} outside [-1, 1]")
+    root = 2.0 * np.sqrt(-p / 3.0) * np.cos(np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0)
     return 0.5 * np.log(1.0 / 3.0 + root)
 
 
@@ -250,8 +250,8 @@ def mu_m(params: ProtocolParams) -> float:
     return float(_mu_m(params.r, params.epsilon))
 
 
-def _mu_m(r, epsilon: float):
-    """:func:`mu_m` at squeezing ``r`` (a float or an array) and noise ``epsilon``."""
+def _mu_m(r, epsilon):
+    """:func:`mu_m` at squeezing ``r`` and noise ``epsilon``, floats or arrays that broadcast."""
     em = np.exp(-2.0 * r)
     homodyne = np.sqrt(1.0 + em * (np.exp(2.0 * epsilon) - 1.0) - (em - 1.0) ** 2 / (2.0 - em))
     return np.where(r < threshold_r_l(epsilon), np.exp(r), homodyne)
@@ -282,21 +282,21 @@ def _threshold_root(mu, epsilon: float, r_max: float = 5.0, xtol: float = 1e-10)
     the whole scan grid in one call and each bisection step on a one-element
     array.  The protocol's mu curves all satisfy mu(0) = 1 exactly (the
     unsqueezed state sits on the separability boundary), rise for small r,
-    and cross down once at the threshold, so the bracket is the last sign
-    change on a log-augmented scan grid.  Grid values must clear a small
-    noise floor to count as positive; curves that never do resolve to a
-    threshold of 0.
+    and cross down once at the threshold.  The bracket on a log-augmented
+    scan grid ends at the first value ``<= 0`` after the last one above a
+    small noise floor; curves that never clear the floor resolve to 0.
     """
-    ProtocolParams(0.0, epsilon)  # the same ValueError for a bad epsilon as every other entry point
+    _check_domain(epsilon=epsilon)
     grid = np.concatenate(([0.0], np.logspace(-9.0, np.log10(r_max), 120)))
     vals = mu(grid, epsilon) - 1.0
-    crossings = np.flatnonzero((vals[:-1] > _NOISE_FLOOR) & (vals[1:] <= 0.0))
-    if crossings.size:
-        k = crossings[-1]
-        return _bisect_root(lambda r: float(mu(np.array([r]), epsilon)[0]) - 1.0, grid[k], grid[k + 1], xtol)
-    if vals[-1] > _NOISE_FLOOR:
+    above = np.flatnonzero(vals > _NOISE_FLOOR)
+    if not above.size:
+        return 0.0
+    after = np.flatnonzero(vals[above[-1]:] <= 0.0)
+    if not after.size:
         raise NumericalFailureError(f"no threshold crossing found on [0, {r_max}]")
-    return 0.0
+    k = above[-1] + after[0]
+    return _bisect_root(lambda r: float(mu(np.array([r]), epsilon)[0]) - 1.0, grid[k - 1], grid[k], xtol)
 
 
 def _pair_mu(r, epsilon: float) -> np.ndarray:
@@ -318,23 +318,15 @@ def numeric_threshold_r_m(epsilon: float, r_max: float = 5.0) -> float:
 
 
 def threshold_report(epsilon: float) -> ThresholdReport:
-    p, q = cubic_pq(epsilon)
-    r_e = threshold_r_e(epsilon)
-    r_m = threshold_r_m(epsilon)
-    return ThresholdReport(
-        epsilon=float(epsilon),
-        r_l=float(threshold_r_l(epsilon)),
-        r_e=float(r_e),
-        r_m=float(r_m),
-        gap=float(r_m - r_e),
-        p=float(p),
-        q=float(q),
-    )
+    return gap_profile([epsilon])[0]
 
 
 def gap_profile(epsilons) -> list[ThresholdReport]:
-    """Threshold reports over a grid of noise values."""
-    return [threshold_report(float(e)) for e in np.asarray(epsilons, dtype=float)]
+    """Threshold reports over a grid of noise values, one array call per column."""
+    eps = np.asarray(epsilons, dtype=float)
+    r_e, r_m = threshold_r_e(eps), threshold_r_m(eps)
+    columns = (eps, threshold_r_l(eps), r_e, r_m, r_m - r_e, *cubic_pq(eps))
+    return [ThresholdReport(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def stage_state(params: ProtocolParams, stage: str) -> StageState:

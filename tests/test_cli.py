@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaussent
 from gaussent import (
     classify_three_mode,
     final_cm,
@@ -250,6 +255,19 @@ class TestNonFiniteOutput:
         assert code == 1
         assert out.out == ""
         assert "at report.pairwise[1].log_negativity = inf" in out.err
+
+    @pytest.mark.parametrize("argv", [
+        "sweep --epsilon 400 --steps 3",
+        "thresholds --epsilon 400",
+        "analyze --r 400 --epsilon 0.1 --stage shared",
+    ])
+    def test_overflow_fails_with_one_stderr_line(self, argv):
+        # a child process, so numpy warnings would reach its stderr as they do a user's
+        env = dict(os.environ, PYTHONPATH=str(Path(gaussent.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "gaussent", *argv.split()],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: overflow encountered in exp"]
 
     def test_csv_refuses_nan(self, capsys):
         with pytest.raises(ValueError):

@@ -174,6 +174,24 @@ class TestThresholds:
         with pytest.raises(ValueError):
             threshold_r_e(-0.1)
 
+    @pytest.mark.parametrize("fn", [threshold_r_e, threshold_r_m, threshold_r_l, gap_profile])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1])
+    def test_bad_noise_rejected(self, fn, eps):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fn(eps if fn is not gap_profile else [0.1, eps])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fn(np.array([0.1, eps, 0.2]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(eps=st.lists(st.floats(0.0, 350.0), min_size=1, max_size=40))
+    def test_array_calls_are_bitwise_the_float_calls(self, eps):
+        grid = np.array(eps)
+        for fn in (threshold_r_e, threshold_r_m, threshold_r_l):
+            assert np.array_equal(fn(grid), [fn(e) for e in eps])
+        p, q = cubic_pq(grid)
+        assert np.array_equal(p, [cubic_pq(e)[0] for e in eps])
+        assert np.array_equal(q, [cubic_pq(e)[1] for e in eps])
+
 
 #: Seeded noise values for the pinned numeric roots, both ends included.
 PINNED_EPSILONS = np.concatenate(([0.0, 4.0], np.random.default_rng(2016).uniform(0.0, 4.0, 10)))
@@ -195,14 +213,19 @@ class TestNumericRoots:
         assert abs(numeric_threshold_r_e(eps) - threshold_r_e(eps)) <= 1e-8
         assert abs(numeric_threshold_r_m(eps) - threshold_r_m(eps)) <= 1e-8
 
-    @pytest.mark.xfail(strict=True, reason="below epsilon ~5e-5 no grid value of mu - 1 clears "
-                                           "_NOISE_FLOOR, so the root resolves to 0")
     @pytest.mark.parametrize("root,closed,eps", [
         (numeric_threshold_r_e, threshold_r_e, 1e-6),
         (numeric_threshold_r_m, threshold_r_m, 3.171415415268996e-05),
     ])
     def test_roots_at_tiny_noise(self, root, closed, eps):
         assert abs(root(eps) - closed(eps)) <= 1e-8
+
+    def test_roots_on_a_tiny_noise_log_grid(self):
+        # grid points between the last one above the noise floor and the
+        # crossing may sit in (0, floor]; the bracket must still find the root
+        for eps in np.logspace(-6.0, -4.0, 41).tolist():
+            assert abs(numeric_threshold_r_e(eps) - threshold_r_e(eps)) <= 1e-8
+            assert abs(numeric_threshold_r_m(eps) - threshold_r_m(eps)) <= 1e-8
 
     @pytest.mark.parametrize("root", [numeric_threshold_r_e, numeric_threshold_r_m])
     def test_bad_noise_rejected(self, root):
@@ -235,6 +258,14 @@ class TestMuM:
         second = np.sqrt(1 + em * (np.exp(2 * eps) - 1) - (em - 1) ** 2 / (2 - em))
         assert abs(np.exp(r_l) - second) < 1e-6
 
+    def test_outer_grid_is_bitwise_the_scalar_calls(self):
+        rs, eps = np.linspace(0.0, 1.5, 31), np.linspace(0.0, 3.0, 17)
+        grid = protocol._mu_m(rs[:, None], eps[None, :])
+        assert grid.shape == (31, 17)
+        for i, r in enumerate(rs.tolist()):
+            for j, e in enumerate(eps.tolist()):
+                assert grid[i, j] == mu_m(ProtocolParams(r, e))
+
     def test_agrees_with_numeric_conditioning(self):
         for eps in (0.05, 0.1, 0.5):
             for r in np.arange(0.1, 1.01, 0.1):
@@ -249,6 +280,11 @@ class TestGapProfile:
         gaps = [rep.gap for rep in reports]
         assert all(g > 0 for g in gaps)
         assert all(b >= a for a, b in zip(gaps, gaps[1:]))
+
+    def test_report_is_the_profile_entry(self):
+        grid = np.linspace(0.0, 5.0, 23)
+        for eps, entry in zip(grid.tolist(), gap_profile(grid)):
+            assert threshold_report(eps) == entry
 
     def test_gap_at_zero_noise_vanishes(self):
         assert threshold_report(0.0).gap == pytest.approx(0.0, abs=1e-12)
