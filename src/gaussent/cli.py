@@ -27,7 +27,7 @@ from . import protocol
 from .core import load_state
 from .errors import GaussentError
 from .ops import sample_preparation
-from .separability import _class_labels, _pt_metrics, _sigma, classify_three_mode
+from .separability import _classify, _pt_metrics, _splittings, classify_three_mode
 
 _STAGE_ALIASES = {
     "initial": protocol.STAGE_INITIAL,
@@ -69,12 +69,15 @@ def _first_non_finite(value, path: str = ""):
     return next((hit for key, v in keyed if (hit := _first_non_finite(v, key)) is not None), None)
 
 
+def _refuse_non_finite(payload) -> None:
+    """Raise ``ValueError`` naming the key path of the first NaN or infinity in ``payload``, if any."""
+    hit = _first_non_finite(payload)
+    if hit is not None:
+        raise ValueError("non-finite value in output at {} = {}".format(*hit))
+
+
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {value} in output")
-        return f"{float(value):.12g}"
-    return str(value)
+    return f"{float(value):.12g}" if isinstance(value, (float, np.floating)) else str(value)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -89,20 +92,20 @@ def _emit_json(payload, output: str | None) -> None:
     try:
         text = json.dumps(_round12(payload), indent=2, allow_nan=False)
     except ValueError:
-        hit = _first_non_finite(payload)
-        if hit is None:
-            raise
-        raise ValueError("non-finite value in output at {} = {}".format(*hit)) from None
+        _refuse_non_finite(payload)
+        raise
     _emit(text + "\n", output)
 
 
 def _emit_rows(columns, rows, fmt: str, output: str | None) -> None:
     if fmt == "json":
         _emit_json([dict(zip(columns, row)) for row in rows], output)
-    else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        _emit("\n".join(lines) + "\n", output)
+        return
+    text = "\n".join([",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+    # a non-finite cell prints as nan or inf; only then search for its row and column
+    if "nan" in text or "inf" in text:
+        _refuse_non_finite([dict(zip(columns, row)) for row in rows])
+    _emit(text, output)
 
 
 def _cmd_thresholds(args) -> int:
@@ -118,9 +121,9 @@ def _cmd_sweep(args) -> int:
     r, eps = np.linspace(args.r_min, args.r_max, args.steps), args.epsilon
     blocks = protocol._blocks(r, eps)
     mu_pair, _, _ = _pt_metrics(protocol._reduced_pair_matrix(blocks))
-    (sigma_a,) = _sigma(protocol._shared_matrix(blocks), [0]).T
-    labels = _class_labels(protocol._final_matrix(blocks, protocol.ROUTE_VIA_APRIME))
-    rows = zip(r.tolist(), mu_pair.tolist(), protocol._mu_m(r, eps).tolist(), sigma_a.tolist(), labels)
+    sigma_a = _splittings(protocol._shared_matrix(blocks), [0])[0][:, 0]
+    _, _, labels = _classify(protocol._final_matrix(blocks, protocol.ROUTE_VIA_APRIME))
+    rows = list(zip(*(c.tolist() for c in (r, mu_pair, protocol._mu_m(r, eps), sigma_a, labels))))
     _emit_rows(SWEEP_COLUMNS, rows, args.format, args.output)
     return 0
 

@@ -109,11 +109,11 @@ def validate_cm(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _check_modes(modes: Iterable[int] | int, n_modes: int, allow_empty: bool = False) -> list[int]:
+def _check_modes(modes: Iterable[int] | int, n_modes: int) -> list[int]:
     if isinstance(modes, (int, np.integer)):
         modes = [int(modes)]
     modes = [int(m) for m in modes]
-    if not modes and not allow_empty:
+    if not modes:
         raise BadModeIndexError("mode selection is empty")
     if len(set(modes)) != len(modes):
         raise BadModeIndexError(f"repeated mode index in {modes}")

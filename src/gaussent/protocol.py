@@ -11,7 +11,7 @@ the generic transform pipeline and root finders in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,15 +78,7 @@ class ThresholdReport:
     q: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "r_l": self.r_l,
-            "r_e": self.r_e,
-            "r_m": self.r_m,
-            "gap": self.gap,
-            "p": self.p,
-            "q": self.q,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -257,10 +249,14 @@ def _mu_m(r, epsilon):
     return np.where(r < threshold_r_l(epsilon), np.exp(r), homodyne)
 
 
-def _bisect_root(f, lo: float, hi: float, xtol: float = 1e-10) -> float:
-    """Plain bisection on a bracketing interval, terminating at width xtol."""
+_ROOT_R_MAX = 5.0  # upper end of the threshold scan grid
+_ROOT_XTOL = 1e-10  # bracket width at which bisection stops
+
+
+def _bisect_root(f, lo: float, hi: float) -> float:
+    """Plain bisection on a bracketing interval, terminating at width ``_ROOT_XTOL``."""
     flo = f(lo)
-    while hi - lo > xtol:
+    while hi - lo > _ROOT_XTOL:
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:
@@ -275,8 +271,8 @@ def _bisect_root(f, lo: float, hi: float, xtol: float = 1e-10) -> float:
 _NOISE_FLOOR = 1e-7  # mu - 1 loses half precision where its discriminant degenerates
 
 
-def _threshold_root(mu, epsilon: float, r_max: float = 5.0, xtol: float = 1e-10) -> float:
-    """Locate where ``mu(r, epsilon) - 1`` crosses from positive to negative on [0, r_max].
+def _threshold_root(mu, epsilon: float) -> float:
+    """Locate where ``mu(r, epsilon) - 1`` crosses from positive to negative on [0, ``_ROOT_R_MAX``].
 
     ``mu`` maps an array of ``r`` to an array of ``mu`` values; it evaluates
     the whole scan grid in one call and each bisection step on a one-element
@@ -287,16 +283,16 @@ def _threshold_root(mu, epsilon: float, r_max: float = 5.0, xtol: float = 1e-10)
     small noise floor; curves that never clear the floor resolve to 0.
     """
     _check_domain(epsilon=epsilon)
-    grid = np.concatenate(([0.0], np.logspace(-9.0, np.log10(r_max), 120)))
+    grid = np.concatenate(([0.0], np.logspace(-9.0, np.log10(_ROOT_R_MAX), 120)))
     vals = mu(grid, epsilon) - 1.0
     above = np.flatnonzero(vals > _NOISE_FLOOR)
     if not above.size:
         return 0.0
     after = np.flatnonzero(vals[above[-1]:] <= 0.0)
     if not after.size:
-        raise NumericalFailureError(f"no threshold crossing found on [0, {r_max}]")
+        raise NumericalFailureError(f"no threshold crossing found on [0, {_ROOT_R_MAX}]")
     k = above[-1] + after[0]
-    return _bisect_root(lambda r: float(mu(np.array([r]), epsilon)[0]) - 1.0, grid[k - 1], grid[k], xtol)
+    return _bisect_root(lambda r: float(mu(np.array([r]), epsilon)[0]) - 1.0, grid[k - 1], grid[k])
 
 
 def _pair_mu(r, epsilon: float) -> np.ndarray:
@@ -307,14 +303,14 @@ def _homodyne_mu(r, epsilon: float) -> np.ndarray:
     return _localizable_mu(_shared_matrix(_blocks(r, epsilon)), 2)
 
 
-def numeric_threshold_r_e(epsilon: float, r_max: float = 5.0) -> float:
+def numeric_threshold_r_e(epsilon: float) -> float:
     """Bisection root of mu(reduced pair) - 1 in r; verifies :func:`threshold_r_e`."""
-    return _threshold_root(_pair_mu, epsilon, r_max)
+    return _threshold_root(_pair_mu, epsilon)
 
 
-def numeric_threshold_r_m(epsilon: float, r_max: float = 5.0) -> float:
+def numeric_threshold_r_m(epsilon: float) -> float:
     """Bisection root of the homodyne-conditioned mu - 1; verifies :func:`threshold_r_m`."""
-    return _threshold_root(_homodyne_mu, epsilon, r_max)
+    return _threshold_root(_homodyne_mu, epsilon)
 
 
 def threshold_report(epsilon: float) -> ThresholdReport:

@@ -4,12 +4,14 @@ Three-mode states use the fixed mode naming (A, A', B) = (0, 1, 2).  A 1x2
 splitting is judged by the sign of the invariant combination
 ``sigma = i3 - i2 + i1 - 1`` of the partially transposed matrix: negative
 means entangled.  Two-mode states are judged by the lower symplectic
-eigenvalue ``mu`` of the partial transpose: below 1 means entangled.
+eigenvalue ``mu`` of the partial transpose: below 1 means entangled.  Each
+verdict is decided once, by the stacked kernels ``_splittings`` and
+``_pairs``; the records below only carry their results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,8 +19,11 @@ from .core import _as_even_square, _check_modes, char_poly_invariants, partial_t
 from .errors import ComplexEigenvalueError, DimensionMismatchError, NotBisymmetricError
 from .ops import MeasurementSpec, _measurement_blocks, _schur_complement
 
-#: Verdicts within this band of the threshold are reported as boundary cases.
+#: Pair verdicts with ``|mu - 1|`` within this band are reported as boundary cases.
 BOUNDARY_TOL = 1e-12
+#: Splitting verdicts with ``|sigma|`` within this multiple of ``1 + |i1| + |i2| + |i3|``
+#: are reported as boundary cases; the band scales with the terms ``sigma`` cancels.
+SPLITTING_BAND = 1e-13
 #: Tolerated asymmetry under exchange of the two unmeasured modes.
 BISYMMETRY_TOL = 1e-8
 
@@ -32,8 +37,8 @@ CLASS_ONE_MODE_BISEPARABLE = "one-mode-biseparable"
 CLASS_TWO_MODE_BISEPARABLE = "two-mode-biseparable"
 CLASS_PPT_ALL = "ppt-all-splittings"
 #: Class label by the number of entangled splittings.
-_CLASS_BY_COUNT = (
-    CLASS_PPT_ALL, CLASS_TWO_MODE_BISEPARABLE, CLASS_ONE_MODE_BISEPARABLE, CLASS_FULLY_INSEPARABLE,
+_CLASS_BY_COUNT = np.array(
+    [CLASS_PPT_ALL, CLASS_TWO_MODE_BISEPARABLE, CLASS_ONE_MODE_BISEPARABLE, CLASS_FULLY_INSEPARABLE]
 )
 #: Quadrature indices of the two-mode reductions, in ``PAIR_MODES`` order.
 _PAIR_QUADS = np.array([[2 * a, 2 * a + 1, 2 * b, 2 * b + 1] for a, b in PAIR_MODES])
@@ -45,22 +50,11 @@ class SplittingVerdict:
 
     splitting: str
     sigma: float
-
-    @property
-    def entangled(self) -> bool:
-        return self.sigma < -BOUNDARY_TOL
-
-    @property
-    def boundary(self) -> bool:
-        return abs(self.sigma) <= BOUNDARY_TOL
+    entangled: bool
+    boundary: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "splitting": self.splitting,
-            "sigma": self.sigma,
-            "entangled": self.entangled,
-            "boundary": self.boundary,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -77,14 +71,8 @@ class EntanglementMetrics:
     log_negativity: float
     delta_tilde: float
     ppt_condition_value: float
-
-    @property
-    def entangled(self) -> bool:
-        return self.mu < 1.0 - BOUNDARY_TOL
-
-    @property
-    def boundary(self) -> bool:
-        return abs(self.mu - 1.0) <= BOUNDARY_TOL
+    entangled: bool
+    boundary: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -131,18 +119,21 @@ def _as_three_mode(cm: np.ndarray) -> np.ndarray:
     return cm
 
 
-def _sigma(cm: np.ndarray, modes=(0, 1, 2)) -> np.ndarray:
-    """``sigma`` of the splittings of ``modes`` from the rest, for three-mode
-    matrices stacked as ``(..., 6, 6)``; shaped ``(..., len(modes))``."""
+def _splittings(cm: np.ndarray, modes=(0, 1, 2)):
+    """``sigma`` of the splittings of ``modes`` from the rest, with its entangled
+    and boundary masks, for ``(..., 6, 6)`` stacks; each shaped ``(..., len(modes))``."""
     pt = np.stack([partial_transpose(cm, mode) for mode in modes], axis=-3)
     i1, i2, i3 = char_poly_invariants(pt)
-    return i3 - i2 + i1 - 1.0
+    sigma = i3 - i2 + i1 - 1.0
+    band = SPLITTING_BAND * (1.0 + np.abs(i1) + np.abs(i2) + np.abs(i3))
+    return sigma, sigma < -band, np.abs(sigma) <= band
 
 
 def splitting_sigma(cm: np.ndarray, mode: int) -> SplittingVerdict:
     """Invariant separability test of one mode against the remaining pair."""
     (mode,) = _check_modes(mode, 3)
-    return SplittingVerdict(SPLITTING_LABELS[mode], float(_sigma(_as_three_mode(cm), [mode])[0]))
+    sigma, entangled, boundary = (x.item() for x in _splittings(_as_three_mode(cm), [mode]))
+    return SplittingVerdict(SPLITTING_LABELS[mode], sigma, entangled, boundary)
 
 
 def _pt_metrics(cm: np.ndarray):
@@ -163,6 +154,13 @@ def _pt_metrics(cm: np.ndarray):
     return np.sqrt(np.maximum(mu_sq, 0.0)), delta_tilde, det_cm
 
 
+def _pairs(cm: np.ndarray):
+    """:func:`_pt_metrics` of ``(..., 4, 4)`` stacks, followed by the entangled
+    and boundary masks of ``mu``."""
+    mu, delta_tilde, det_cm = _pt_metrics(cm)
+    return mu, delta_tilde, det_cm, mu < 1.0 - BOUNDARY_TOL, np.abs(mu - 1.0) <= BOUNDARY_TOL
+
+
 def two_mode_metrics(cm: np.ndarray) -> EntanglementMetrics:
     """Partial-transpose entanglement metrics of a two-mode state.
 
@@ -174,23 +172,13 @@ def two_mode_metrics(cm: np.ndarray) -> EntanglementMetrics:
     cm = _as_even_square(cm, "cm")
     if cm.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 2-mode (4x4) matrix, got {cm.shape}")
-    return _entanglement_metrics(*_pt_metrics(cm))
+    return _entanglement_metrics(*(x.item() for x in _pairs(cm)))
 
 
-def _entanglement_metrics(mu, delta_tilde, det_cm) -> EntanglementMetrics:
-    mu, delta_tilde, det_cm = float(mu), float(delta_tilde), float(det_cm)
+def _entanglement_metrics(mu, delta_tilde, det_cm, entangled, boundary) -> EntanglementMetrics:
     return EntanglementMetrics(
-        mu=mu,
-        log_negativity=log_negativity(mu),
-        delta_tilde=delta_tilde,
-        ppt_condition_value=det_cm - delta_tilde + 1.0,
+        mu, log_negativity(mu), delta_tilde, det_cm - delta_tilde + 1.0, entangled, boundary
     )
-
-
-def _pair_metrics(cm: np.ndarray):
-    """``_pt_metrics`` of the ``PAIR_MODES`` reductions of ``(..., 6, 6)`` matrices,
-    each result shaped ``(..., 3)``."""
-    return _pt_metrics(cm[..., _PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]])
 
 
 def log_negativity(mu: float) -> float:
@@ -202,6 +190,15 @@ def log_negativity(mu: float) -> float:
     return max(0.0, float(-np.log2(mu)))
 
 
+def _classify(cm: np.ndarray):
+    """Splitting results and pair results (:func:`_splittings` and :func:`_pairs`
+    of the ``PAIR_MODES`` reductions) and the class label of ``(..., 6, 6)``
+    stacks; the pair checks raise ``ComplexEigenvalueError`` as for one matrix."""
+    splits = _splittings(cm)
+    pairs = _pairs(cm[..., _PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]])
+    return splits, pairs, _CLASS_BY_COUNT[splits[1].sum(-1)]
+
+
 def classify_three_mode(cm: np.ndarray) -> SeparabilityReport:
     """Full separability report of a three-mode state.
 
@@ -211,29 +208,13 @@ def classify_three_mode(cm: np.ndarray) -> SeparabilityReport:
     inseparable, 2: one-mode biseparable, 1: two-mode biseparable,
     0: PPT across all splittings).
     """
-    cm = _as_three_mode(cm)
-    verdicts = tuple(SplittingVerdict(label, float(x)) for label, x in zip(SPLITTING_LABELS, _sigma(cm)))
-    pairwise = tuple(
-        (label, _entanglement_metrics(*metrics)) for label, *metrics in zip(PAIR_LABELS, *_pair_metrics(cm))
-    )
-    entangled = [v.splitting for v in verdicts if v.entangled]
-    separable = [v.splitting for v in verdicts if not v.entangled]
-    return SeparabilityReport(
-        verdicts, pairwise, _CLASS_BY_COUNT[len(entangled)],
-        separable_splitting=separable[0] if len(entangled) == 2 else None,
-        entangled_splitting=entangled[0] if len(entangled) == 1 else None,
-    )
-
-
-def _class_labels(cm: np.ndarray) -> list[str]:
-    """Class label of each matrix of a ``(..., 6, 6)`` stack, flattened.
-
-    Runs every check :func:`classify_three_mode` runs, including the
-    ``ComplexEigenvalueError`` checks on the two-mode reductions.
-    """
-    _pair_metrics(cm)
-    counts = (_sigma(cm) < -BOUNDARY_TOL).sum(-1)
-    return [_CLASS_BY_COUNT[n] for n in counts.ravel()]
+    (sigma, entangled, boundary), pairs, label = _classify(_as_three_mode(cm))
+    label = label.item()
+    verdicts = map(SplittingVerdict, SPLITTING_LABELS, sigma.tolist(), entangled.tolist(), boundary.tolist())
+    pairwise = zip(PAIR_LABELS, map(_entanglement_metrics, *(x.tolist() for x in pairs)))
+    separable = SPLITTING_LABELS[entangled.argmin()] if label == CLASS_ONE_MODE_BISEPARABLE else None
+    entangled_one = SPLITTING_LABELS[entangled.argmax()] if label == CLASS_TWO_MODE_BISEPARABLE else None
+    return SeparabilityReport(tuple(verdicts), tuple(pairwise), label, separable, entangled_one)
 
 
 def _localizable_mu(cm: np.ndarray, measured_mode: int) -> np.ndarray:
@@ -263,17 +244,11 @@ def localizable_mu(cm: np.ndarray, measured_mode: int) -> float:
     return float(_localizable_mu(_as_three_mode(cm), measured_mode))
 
 
-def measurement_scan_oracle(
-    cm: np.ndarray,
-    measured_mode: int,
-    n_theta: int = 64,
-    n_t: int = 64,
-    t_decades: float = 6.0,
-) -> float:
+def measurement_scan_oracle(cm: np.ndarray, measured_mode: int, n_theta: int = 64, n_t: int = 64) -> float:
     """Minimum conditioned ``mu`` over a grid of Gaussian measurement seeds.
 
     Seeds are ``R(theta) diag(t, 1/t) R(theta)^T`` with theta uniform on
-    [0, pi) and t log-spaced over ``[10^-t_decades, 10^t_decades]``, which
+    [0, pi) and t log-spaced over ``[1e-6, 1e6]``, which
     brackets both homodyne limits.  Used as a brute-force check that no
     scanned Gaussian measurement beats the homodyne-x route.  All seeds are
     evaluated as one stack, with the same per-seed checks as a single
@@ -284,7 +259,7 @@ def measurement_scan_oracle(
     cos, sin = np.cos(theta), np.sin(theta)
     # rotations shaped (n_theta, 1, 2, 2) broadcast against the (n_t, 2, 2) squeezes
     rot = np.moveaxis(np.array([[cos, -sin], [sin, cos]]), -1, 0)[:, None]
-    t = np.logspace(-t_decades, t_decades, n_t)
+    t = np.logspace(-6.0, 6.0, n_t)
     squeeze = np.zeros((n_t, 2, 2))
     squeeze[:, 0, 0], squeeze[:, 1, 1] = t, 1.0 / t
     spec = MeasurementSpec.general_gaussian(measured_mode, rot @ squeeze @ np.swapaxes(rot, -1, -2))

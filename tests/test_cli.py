@@ -155,6 +155,14 @@ class TestAnalyzeCommand:
         _, out = run_cli(capsys, "analyze", "--r", "0.3", "--epsilon", "0.1", "--stage", stage)
         assert json.loads(out.out)["report"]["class"] == label
 
+    def test_boundary_splitting_at_high_noise(self, capsys):
+        # sigma_B is 0 analytically; roundoff leaves about -1e-12, inside the scaled band
+        _, out = run_cli(capsys, "analyze", "--r", "0.07401233538923155", "--epsilon", "3", "--stage", "shared")
+        report = json.loads(out.out)["report"]
+        assert report["class"] == "ppt-all-splittings"
+        assert [(v["entangled"], v["boundary"]) for v in report["verdicts"]] == [(False, False)] * 2 + [(False, True)]
+        assert "entangled_splitting" not in report
+
 
 class TestMontecarloCommand:
     def test_schema_and_library_agreement(self, capsys):
@@ -270,8 +278,10 @@ class TestNonFiniteOutput:
         assert proc.stderr.splitlines() == ["error: overflow encountered in exp"]
 
     def test_csv_refuses_nan(self, capsys):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^non-finite value in output at \[1\]\.x = nan$"):
             _emit_rows(("r", "x"), [(0.0, 1.0), (0.1, float("nan"))], "csv", None)
+        with pytest.raises(ValueError, match=r"at \[0\]\.r = -inf$"):
+            _emit_rows(("r", "x"), [(float("-inf"), 1.0)], "csv", None)
         assert capsys.readouterr().out == ""
 
 

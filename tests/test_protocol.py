@@ -39,9 +39,11 @@ from gaussent.protocol import (
     STAGE_FINAL_VIA_APRIME,
     STAGE_INITIAL,
     STAGE_SHARED,
+    STAGES,
     ProtocolParams,
     cubic_pq,
 )
+from gaussent.separability import _classify
 
 from helpers import random_pure_cm
 
@@ -327,6 +329,22 @@ class TestStageLadder:
             assert stage_state(params, STAGE_INITIAL).report.class_label == "ppt-all-splittings"
             assert stage_state(params, STAGE_SHARED).report.class_label == "one-mode-biseparable"
             assert stage_state(params, STAGE_FINAL_VIA_APRIME).report.class_label == "fully-inseparable"
+
+    @pytest.mark.parametrize("r", [4.0, 8.0, 12.0, 16.0])
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 1.0, 3.0])
+    def test_ladder_at_large_squeezing(self, r, eps):
+        # the analytic boundaries (every initial splitting, B|(AA') of the shared
+        # stage) cancel to |sigma| of 1e-12 up to 0.3 here; the scaled band holds them
+        labels = [stage_state(ProtocolParams(r, eps), stage).report.class_label for stage in STAGES]
+        assert labels == ["ppt-all-splittings", "one-mode-biseparable", "fully-inseparable", "fully-inseparable"]
+
+    def test_shared_stage_at_high_noise_is_ppt(self):
+        # sigma_B is 0 analytically and A|(A'B) is separable for r < epsilon
+        r = np.linspace(0.0, 1.5, 6000)
+        (_, entangled, boundary), _, labels = _classify(protocol._shared_matrix(protocol._blocks(r, 3.0)))
+        assert (labels == "ppt-all-splittings").all()
+        assert not entangled.any()
+        assert boundary[:, 2].all() and not boundary[1:, :2].any()  # sigma_A is 0 at r = 0 only
 
     def test_unknown_stage(self):
         with pytest.raises(ValueError):

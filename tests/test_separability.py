@@ -33,10 +33,11 @@ from gaussent.ops import HOMODYNE_SV_CUTOFF
 from gaussent.separability import (
     PAIR_LABELS,
     SPLITTING_LABELS,
-    _class_labels,
+    _classify,
     _localizable_mu,
+    _pairs,
     _pt_metrics,
-    _sigma,
+    _splittings,
 )
 
 from helpers import pt_mu_oracle, random_physical_cm
@@ -103,13 +104,17 @@ class TestSplittingSigma:
         cms = [random_physical_cm(3, rng) for _ in range(12)]
         cms += [final_cm(ProtocolParams(r, 0.4), ROUTE_VIA_APRIME).cm for r in (0.0, 0.2, 0.9, 1.5)]
         stack = np.stack(cms).reshape(4, 4, 6, 6)
-        sigma = _sigma(stack)
-        assert sigma.shape == (4, 4, 3)
-        assert np.array_equal(_sigma(stack, [2, 0]), sigma[..., [2, 0]])
+        results = _splittings(stack)
+        assert [x.shape for x in results] == [(4, 4, 3)] * 3
+        for x, y in zip(_splittings(stack, [2, 0]), results):
+            assert np.array_equal(x, y[..., [2, 0]])
+        sigma, entangled, boundary = (x.reshape(-1, 3) for x in results)
         for k, cm in enumerate(cms):
             for mode in range(3):
                 i1, i2, i3 = char_poly_invariants(partial_transpose(cm, mode))
-                assert sigma.reshape(-1, 3)[k, mode] == splitting_sigma(cm, mode).sigma == i3 - i2 + i1 - 1.0
+                verdict = splitting_sigma(cm, mode)
+                assert sigma[k, mode] == verdict.sigma == i3 - i2 + i1 - 1.0
+                assert (entangled[k, mode], boundary[k, mode]) == (verdict.entangled, verdict.boundary)
 
 
 class TestFinalStateSigmas:
@@ -173,13 +178,16 @@ class TestTwoModeMetrics:
 
     def test_stack_matches_one_at_a_time(self):
         rng = np.random.default_rng(33)
-        cms = np.stack([random_physical_cm(2, rng) for _ in range(20)]).reshape(4, 5, 4, 4)
-        mu, delta_tilde, det_cm = _pt_metrics(cms)
-        assert mu.shape == (4, 5)
-        for k, cm in enumerate(cms.reshape(20, 4, 4)):
+        cms = [random_physical_cm(2, rng) for _ in range(18)] + [np.eye(4), tmsv_cm(0.5)]
+        results = _pairs(np.stack(cms).reshape(4, 5, 4, 4))
+        assert [x.shape for x in results] == [(4, 5)] * 5
+        assert all(np.array_equal(x, y) for x, y in zip(results, _pt_metrics(np.stack(cms).reshape(4, 5, 4, 4))))
+        mu, delta_tilde, det_cm, entangled, boundary = (x.ravel() for x in results)
+        assert entangled.any() and boundary.any() and not (entangled | boundary).all()
+        for k, cm in enumerate(cms):
             m = two_mode_metrics(cm)
-            assert (m.mu, m.delta_tilde) == (mu.flat[k], delta_tilde.flat[k])
-            assert m.ppt_condition_value == det_cm.flat[k] - delta_tilde.flat[k] + 1.0
+            assert (m.mu, m.delta_tilde, m.entangled, m.boundary) == (mu[k], delta_tilde[k], entangled[k], boundary[k])
+            assert m.ppt_condition_value == det_cm[k] - delta_tilde[k] + 1.0
 
 
 class TestLogNegativity:
@@ -237,8 +245,16 @@ class TestClassifyThreeMode:
         rng = np.random.default_rng(42)
         cms = [random_physical_cm(3, rng) for _ in range(8)]
         cms += [stage_state(ProtocolParams(0.3, 0.1), stage).state.cm for stage in STAGES]
-        labels = _class_labels(np.stack(cms).reshape(3, 4, 6, 6))
-        assert labels == [classify_three_mode(cm).class_label for cm in cms]
+        (sigma, entangled, boundary), pairs, labels = _classify(np.stack(cms).reshape(3, 4, 6, 6))
+        assert labels.shape == (3, 4)
+        for k, cm in enumerate(cms):
+            report = classify_three_mode(cm)
+            assert labels.flat[k] == report.class_label
+            assert [(v.sigma, v.entangled, v.boundary) for v in report.verdicts] == list(
+                zip(sigma.reshape(-1, 3)[k], entangled.reshape(-1, 3)[k], boundary.reshape(-1, 3)[k])
+            )
+            mu, _, _, pair_entangled, _ = (x.reshape(-1, 3)[k] for x in pairs)
+            assert [(m.mu, m.entangled) for _, m in report.pairwise] == list(zip(mu, pair_entangled))
 
     def test_stacked_labels_run_the_pair_checks(self):
         bad = np.eye(6)
@@ -246,7 +262,7 @@ class TestClassifyThreeMode:
         with pytest.raises(ComplexEigenvalueError):
             classify_three_mode(bad)
         with pytest.raises(ComplexEigenvalueError):
-            _class_labels(np.stack([np.eye(6), bad]))
+            _classify(np.stack([np.eye(6), bad]))
 
 
 class TestLocalizableMu:
