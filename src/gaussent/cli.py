@@ -4,9 +4,9 @@ Subcommands: ``thresholds``, ``sweep``, ``gap-sweep``, ``analyze``,
 ``montecarlo``, ``classify``.  Sweeps emit CSV (or JSON rows with
 ``--format json``), everything else emits JSON.  All numbers come straight
 from library calls, rounded to 12 significant digits; identical
-configurations produce byte-identical output.  ``sweep`` evaluates each
-column as one array call over the whole ``r`` grid, with the same numbers
-and checks as the one-state functions.  Numeric options must be finite and
+configurations produce byte-identical output.  ``sweep`` prints the
+columns of :func:`gaussent.protocol.sweep_profile`, which has the numbers
+and checks of the one-state functions.  Numeric options must be finite and
 nonnegative, and a non-finite result fails the command rather than print
 ``NaN``; so does a floating-point overflow, division by zero or invalid
 operation, with one line on stderr.  Exit codes: 0 success, 1 validation
@@ -27,7 +27,7 @@ from . import protocol
 from .core import load_state
 from .errors import GaussentError
 from .ops import sample_preparation
-from .separability import _classify, _pt_metrics, _splittings, classify_three_mode
+from .separability import classify_three_mode
 
 _STAGE_ALIASES = {
     "initial": protocol.STAGE_INITIAL,
@@ -109,21 +109,13 @@ def _emit_rows(columns, rows, fmt: str, output: str | None) -> None:
 
 
 def _cmd_thresholds(args) -> int:
-    report = protocol.threshold_report(args.epsilon)
-    payload = {k: v for k, v in report.to_json_dict().items() if k not in ("p", "q")}
-    _emit_json(payload, args.output)
+    _emit_json(protocol.threshold_report(args.epsilon).to_json_dict(), args.output)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    # one array call per column over the whole grid; the parser has checked that
-    # both ends of the grid, and so every r, are finite and nonnegative
-    r, eps = np.linspace(args.r_min, args.r_max, args.steps), args.epsilon
-    blocks = protocol._blocks(r, eps)
-    mu_pair, _, _ = _pt_metrics(protocol._reduced_pair_matrix(blocks))
-    sigma_a = _splittings(protocol._shared_matrix(blocks), [0])[0][:, 0]
-    _, _, labels = _classify(protocol._final_matrix(blocks, protocol.ROUTE_VIA_APRIME))
-    rows = list(zip(*(c.tolist() for c in (r, mu_pair, protocol._mu_m(r, eps), sigma_a, labels))))
+    profile = protocol.sweep_profile(np.linspace(args.r_min, args.r_max, args.steps), args.epsilon)
+    rows = list(zip(*(profile[col].tolist() for col in SWEEP_COLUMNS)))
     _emit_rows(SWEEP_COLUMNS, rows, args.format, args.output)
     return 0
 
@@ -141,11 +133,7 @@ def _cmd_analyze(args) -> int:
         "stage": stage.stage,
         "r": args.r,
         "epsilon": args.epsilon,
-        "state": {
-            "n_modes": stage.state.n_modes,
-            "cm": stage.state.cm.ravel().tolist(),
-            "displacement": stage.state.displacement.tolist(),
-        },
+        "state": stage.state.to_json_dict(),
         "report": stage.report.to_json_dict(),
     }
     _emit_json(payload, args.output)
@@ -237,6 +225,8 @@ def _validate(args, parser) -> None:
         parser.error(f"--eps-min must be below --eps-max, got {args.eps_min} >= {args.eps_max}")
     if args.command == "montecarlo" and args.samples < 2:
         parser.error(f"--samples must be at least 2, got {args.samples}")
+    if args.command == "montecarlo" and args.seed < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
 
 
 def main(argv=None) -> int:

@@ -36,10 +36,9 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the 2n x 2n symplectic form, block-diagonal in [[0, 1], [-1, 0]]."""
     if n_modes < 1:
         raise DimensionMismatchError(f"n_modes must be positive, got {n_modes}")
+    x, p = _quadratures(range(n_modes)).reshape(-1, 2).T
     omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
+    omega[x, p], omega[p, x] = 1.0, -1.0
     return omega
 
 
@@ -123,6 +122,11 @@ def _check_modes(modes: Iterable[int] | int, n_modes: int) -> list[int]:
     return modes
 
 
+def _quadratures(modes: Iterable[int]) -> np.ndarray:
+    """Indices ``2m, 2m + 1`` of the ``(x, p)`` quadratures of each listed mode, in order."""
+    return np.array([q for m in modes for q in (2 * m, 2 * m + 1)], dtype=int)
+
+
 def partial_transpose(cm: np.ndarray, modes: Iterable[int] | int) -> np.ndarray:
     """Flip the momentum sign of the listed modes (Gaussian partial transpose).
 
@@ -132,8 +136,7 @@ def partial_transpose(cm: np.ndarray, modes: Iterable[int] | int) -> np.ndarray:
     cm = _as_even_square(cm, "cm", stack=True)
     modes = _check_modes(modes, cm.shape[-1] // 2)
     signs = np.ones(cm.shape[-1])
-    for m in modes:
-        signs[2 * m + 1] = -1.0
+    signs[_quadratures(modes)[1::2]] = -1.0
     return cm * np.outer(signs, signs)
 
 
@@ -188,8 +191,8 @@ def reduce_modes(cm: np.ndarray, modes: Sequence[int] | int) -> np.ndarray:
     """Principal submatrix on the selected quadrature pairs, in the given order."""
     cm = _as_even_square(cm, "cm")
     modes = _check_modes(modes, cm.shape[0] // 2)
-    idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
-    return cm[np.ix_(idx, idx)].copy()
+    idx = _quadratures(modes)
+    return cm[np.ix_(idx, idx)]
 
 
 def is_classical(cm: np.ndarray) -> bool:
@@ -233,6 +236,14 @@ class GaussianState:
     def vacuum(cls, n_modes: int) -> "GaussianState":
         return cls(np.eye(2 * n_modes))
 
+    def to_json_dict(self) -> dict:
+        """The JSON covariance-matrix record read by :func:`load_state`."""
+        return {
+            "n_modes": self.n_modes,
+            "cm": self.cm.ravel().tolist(),
+            "displacement": self.displacement.tolist(),
+        }
+
 
 def apply_symplectic(state: GaussianState, transform) -> GaussianState:
     """Apply a symplectic transform: ``cm -> S cm S^T``, ``d -> S d``.
@@ -274,9 +285,4 @@ def load_state(path: str | Path) -> GaussianState:
 
 def save_state(state: GaussianState, path: str | Path) -> None:
     """Write a state in the JSON covariance-matrix file format."""
-    payload = {
-        "n_modes": state.n_modes,
-        "cm": state.cm.ravel().tolist(),
-        "displacement": state.displacement.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(state.to_json_dict(), indent=2) + "\n")

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import GaussianState, TAU_PSD, _as_even_square, _check_modes, symplectic_form
+from .core import GaussianState, TAU_PSD, _as_even_square, _check_modes, _quadratures, symplectic_form
 from .errors import (
     BadCountError,
     BadModeIndexError,
@@ -58,16 +58,10 @@ def beam_splitter(n_modes: int, i: int, j: int, variant: str = "plus") -> Symple
     _check_modes([i, j], n_modes)
     if variant not in ("plus", "minus"):
         raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
-    c = 1.0 / np.sqrt(2.0)
-    eye2 = np.eye(2)
+    mix = np.array([[1.0, 1.0], [1.0, -1.0]] if variant == "plus" else [[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
     s = np.eye(2 * n_modes)
-    si, sj = slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2)
-    if variant == "plus":
-        s[si, si], s[si, sj] = c * eye2, c * eye2
-        s[sj, si], s[sj, sj] = c * eye2, -c * eye2
-    else:
-        s[si, si], s[si, sj] = c * eye2, -c * eye2
-        s[sj, si], s[sj, sj] = c * eye2, c * eye2
+    for quadrature in _quadratures([i, j]).reshape(2, 2).T:  # (x_i, x_j), then (p_i, p_j)
+        s[np.ix_(quadrature, quadrature)] = mix
     return SymplecticTransform(s)
 
 
@@ -76,11 +70,7 @@ def mode_permutation(n_modes: int, perm: Sequence[int]) -> SymplecticTransform:
     perm = _check_modes(list(perm), n_modes)
     if len(perm) != n_modes:
         raise BadModeIndexError(f"permutation must list all {n_modes} modes, got {perm}")
-    s = np.zeros((2 * n_modes, 2 * n_modes))
-    for new, old in enumerate(perm):
-        s[2 * new, 2 * old] = 1.0
-        s[2 * new + 1, 2 * old + 1] = 1.0
-    return SymplecticTransform(s)
+    return SymplecticTransform(np.eye(2 * n_modes)[_quadratures(perm)])
 
 
 def embed_vacuum(state: GaussianState, position: int) -> GaussianState:
@@ -88,8 +78,7 @@ def embed_vacuum(state: GaussianState, position: int) -> GaussianState:
     n = state.n_modes
     if not 0 <= position <= n:
         raise BadModeIndexError(f"position {position} out of range for inserting into {n} modes")
-    old_slots = [k if k < position else k + 1 for k in range(n)]
-    idx = [q for m in old_slots for q in (2 * m, 2 * m + 1)]
+    idx = _quadratures(k if k < position else k + 1 for k in range(n))
     cm = np.eye(2 * (n + 1))
     cm[np.ix_(idx, idx)] = state.cm
     d = np.zeros(2 * (n + 1))
@@ -157,8 +146,7 @@ def _measurement_blocks(cm: np.ndarray, mode: int):
     mode = _check_modes(mode, n)[0]
     if n < 2:
         raise DimensionMismatchError("conditioning needs at least two modes")
-    ki = np.array([q for m in range(n) if m != mode for q in (2 * m, 2 * m + 1)])
-    mi = np.array([2 * mode, 2 * mode + 1])
+    ki, mi = _quadratures(m for m in range(n) if m != mode), _quadratures([mode])
     return cm[..., ki[:, None], ki], cm[..., mi[:, None], mi], cm[..., ki[:, None], mi], ki
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .core import GaussianState
 from .errors import DomainError, NumericalFailureError
 from .ops import embed_vacuum
-from .separability import SeparabilityReport, _localizable_mu, _pt_metrics, classify_three_mode
+from .separability import SeparabilityReport, _classify, _localizable_mu, _pt_metrics, _splittings, classify_three_mode
 
 _SQRT2 = np.sqrt(2.0)
 _C8 = 8.0 * _SQRT2  # recurring constant in the pair-entanglement threshold
@@ -74,8 +74,6 @@ class ThresholdReport:
     r_e: float
     r_m: float
     gap: float
-    p: float
-    q: float
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -226,8 +224,8 @@ def threshold_r_l(epsilon):
     # -(q/2) sqrt(-27/p^3) written so p^3 is never formed (overflows early);
     # np.power, unlike a float64 scalar's **, rounds a float as it does an array
     arg = -(q / 2.0) * np.sqrt(27.0) * np.power(-p, -1.5)
-    if (np.abs(arg) > 1.0 + 1e-12).any():
-        raise DomainError(f"arccos argument {arg!r} outside [-1, 1]")
+    if (~(np.abs(arg) <= 1.0 + 1e-12)).any():  # NaN fails too
+        raise DomainError(f"arccos argument {arg} outside [-1, 1]")
     root = 2.0 * np.sqrt(-p / 3.0) * np.cos(np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0)
     return 0.5 * np.log(1.0 / 3.0 + root)
 
@@ -321,8 +319,23 @@ def gap_profile(epsilons) -> list[ThresholdReport]:
     """Threshold reports over a grid of noise values, one array call per column."""
     eps = np.asarray(epsilons, dtype=float)
     r_e, r_m = threshold_r_e(eps), threshold_r_m(eps)
-    columns = (eps, threshold_r_l(eps), r_e, r_m, r_m - r_e, *cubic_pq(eps))
+    columns = (eps, threshold_r_l(eps), r_e, r_m, r_m - r_e)
     return [ThresholdReport(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def sweep_profile(r, epsilon: float) -> dict:
+    """Sweep columns by name over the squeezing values ``r``, each an array with the
+    bits of the one-state functions: ``r``, ``mu_pair`` (of the reduced pair, taken as
+    the A-B pair of the final state via A'), ``mu_m``, ``sigma_shared_A`` (the shared
+    state's ``A|(A'B)`` value) and ``class_final`` (the label of the final state via A')."""
+    r = np.asarray(r, dtype=float)
+    _check_domain(r=r)
+    _check_domain(epsilon=epsilon)
+    blocks = _blocks(r, epsilon)
+    sigma_a = _splittings(_shared_matrix(blocks), [0])[0][..., 0]
+    _, pairs, labels = _classify(_final_matrix(blocks, ROUTE_VIA_APRIME))
+    mu_pair = pairs[0][..., 1]
+    return {"r": r, "mu_pair": mu_pair, "mu_m": _mu_m(r, epsilon), "sigma_shared_A": sigma_a, "class_final": labels}
 
 
 def stage_state(params: ProtocolParams, stage: str) -> StageState:

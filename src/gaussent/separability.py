@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _as_even_square, _check_modes, char_poly_invariants, partial_transpose
+from .core import _as_even_square, _check_modes, _quadratures, char_poly_invariants, partial_transpose
 from .errors import ComplexEigenvalueError, DimensionMismatchError, NotBisymmetricError
 from .ops import MeasurementSpec, _measurement_blocks, _schur_complement
 
@@ -41,7 +41,7 @@ _CLASS_BY_COUNT = np.array(
     [CLASS_PPT_ALL, CLASS_TWO_MODE_BISEPARABLE, CLASS_ONE_MODE_BISEPARABLE, CLASS_FULLY_INSEPARABLE]
 )
 #: Quadrature indices of the two-mode reductions, in ``PAIR_MODES`` order.
-_PAIR_QUADS = np.array([[2 * a, 2 * a + 1, 2 * b, 2 * b + 1] for a, b in PAIR_MODES])
+_PAIR_QUADS = np.array([_quadratures(pair) for pair in PAIR_MODES])
 
 
 @dataclass
@@ -112,10 +112,11 @@ class SeparabilityReport:
         return out
 
 
-def _as_three_mode(cm: np.ndarray) -> np.ndarray:
+def _as_modes(cm: np.ndarray, n: int) -> np.ndarray:
+    """Float array of one ``n``-mode matrix, or ``DimensionMismatchError``."""
     cm = _as_even_square(cm, "cm")
-    if cm.shape != (6, 6):
-        raise DimensionMismatchError(f"expected a 3-mode (6x6) matrix, got {cm.shape}")
+    if cm.shape != (2 * n, 2 * n):
+        raise DimensionMismatchError(f"expected a {n}-mode ({2 * n}x{2 * n}) matrix, got {cm.shape}")
     return cm
 
 
@@ -132,7 +133,7 @@ def _splittings(cm: np.ndarray, modes=(0, 1, 2)):
 def splitting_sigma(cm: np.ndarray, mode: int) -> SplittingVerdict:
     """Invariant separability test of one mode against the remaining pair."""
     (mode,) = _check_modes(mode, 3)
-    sigma, entangled, boundary = (x.item() for x in _splittings(_as_three_mode(cm), [mode]))
+    sigma, entangled, boundary = (x.item() for x in _splittings(_as_modes(cm, 3), [mode]))
     return SplittingVerdict(SPLITTING_LABELS[mode], sigma, entangled, boundary)
 
 
@@ -169,10 +170,7 @@ def two_mode_metrics(cm: np.ndarray) -> EntanglementMetrics:
             is negative beyond tolerance, i.e. the partial transpose has no
             real symplectic spectrum (unphysical input).
     """
-    cm = _as_even_square(cm, "cm")
-    if cm.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a 2-mode (4x4) matrix, got {cm.shape}")
-    return _entanglement_metrics(*(x.item() for x in _pairs(cm)))
+    return _entanglement_metrics(*(x.item() for x in _pairs(_as_modes(cm, 2))))
 
 
 def _entanglement_metrics(mu, delta_tilde, det_cm, entangled, boundary) -> EntanglementMetrics:
@@ -208,7 +206,7 @@ def classify_three_mode(cm: np.ndarray) -> SeparabilityReport:
     inseparable, 2: one-mode biseparable, 1: two-mode biseparable,
     0: PPT across all splittings).
     """
-    (sigma, entangled, boundary), pairs, label = _classify(_as_three_mode(cm))
+    (sigma, entangled, boundary), pairs, label = _classify(_as_modes(cm, 3))
     label = label.item()
     verdicts = map(SplittingVerdict, SPLITTING_LABELS, sigma.tolist(), entangled.tolist(), boundary.tolist())
     pairwise = zip(PAIR_LABELS, map(_entanglement_metrics, *(x.tolist() for x in pairs)))
@@ -223,7 +221,7 @@ def _localizable_mu(cm: np.ndarray, measured_mode: int) -> np.ndarray:
     i, j = (m for m in range(3) if m != measured_mode)
     modes = [0, 1, 2]
     modes[i], modes[j] = j, i
-    swap = np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
+    swap = _quadratures(modes)
     dev = np.abs(cm[..., swap[:, None], swap] - cm).max(initial=0.0)
     if dev > BISYMMETRY_TOL:
         raise NotBisymmetricError(f"state deviates by {dev:.3e} under exchange of modes {i} and {j}")
@@ -241,7 +239,7 @@ def localizable_mu(cm: np.ndarray, measured_mode: int) -> float:
     unmeasured modes (otherwise :class:`NotBisymmetricError`).
     """
     (measured_mode,) = _check_modes(measured_mode, 3)
-    return float(_localizable_mu(_as_three_mode(cm), measured_mode))
+    return float(_localizable_mu(_as_modes(cm, 3), measured_mode))
 
 
 def measurement_scan_oracle(cm: np.ndarray, measured_mode: int, n_theta: int = 64, n_t: int = 64) -> float:
@@ -254,7 +252,7 @@ def measurement_scan_oracle(cm: np.ndarray, measured_mode: int, n_theta: int = 6
     evaluated as one stack, with the same per-seed checks as a single
     measurement: physicality of each seed and a non-singular ``B + seed``.
     """
-    cm = _as_three_mode(cm)
+    cm = _as_modes(cm, 3)
     theta = np.linspace(0.0, np.pi, n_theta, endpoint=False)
     cos, sin = np.cos(theta), np.sin(theta)
     # rotations shaped (n_theta, 1, 2, 2) broadcast against the (n_t, 2, 2) squeezes

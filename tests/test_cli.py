@@ -227,6 +227,13 @@ class TestUsageErrors:
             main(["thresholds", "--epsilon", "-1"])
         assert exc.value.code == 2
 
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["montecarlo", "--r", "0.3", "--epsilon", "0.1", "--seed", "-1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--seed" in out.err
+
     @pytest.mark.parametrize("argv", [
         "thresholds --epsilon nan",
         "analyze --r nan --epsilon 0.1 --stage shared",

@@ -1,8 +1,11 @@
 import hashlib
 import json
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaussent import (
     BadModeIndexError,
@@ -10,6 +13,7 @@ from gaussent import (
     GaussianState,
     MeasurementSpec,
     NotBisymmetricError,
+    apply_symplectic,
     char_poly_invariants,
     classify_three_mode,
     condition_on_measurement,
@@ -19,6 +23,7 @@ from gaussent import (
     localizable_mu,
     log_negativity,
     measurement_scan_oracle,
+    mode_permutation,
     mu_m,
     partial_transpose,
     reduce_modes,
@@ -32,6 +37,7 @@ from gaussent.protocol import ROUTE_VIA_A, ROUTE_VIA_APRIME, STAGES, ProtocolPar
 from gaussent.ops import HOMODYNE_SV_CUTOFF
 from gaussent.separability import (
     PAIR_LABELS,
+    PAIR_MODES,
     SPLITTING_LABELS,
     _classify,
     _localizable_mu,
@@ -255,6 +261,31 @@ class TestClassifyThreeMode:
             )
             mu, _, _, pair_entangled, _ = (x.reshape(-1, 3)[k] for x in pairs)
             assert [(m.mu, m.entangled) for _, m in report.pairwise] == list(zip(mu, pair_entangled))
+
+    # derandomized: sigma's relative error under a permutation grows as sigma nears 0,
+    # reaching 2e-10 in 12 000 seeded draws, so a fresh draw could pass 1e-9 rarely
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equivariant_under_mode_permutation(self, seed):
+        cm = random_physical_cm(3, np.random.default_rng(seed))
+        state = GaussianState(0.5 * (cm + cm.T))
+        report = classify_three_mode(state.cm)
+        pair_index = {frozenset(pair): k for k, pair in enumerate(PAIR_MODES)}
+        for perm in permutations(range(3)):
+            # new mode k is old mode perm[k]; a permutation moves entries exactly
+            moved = classify_three_mode(apply_symplectic(state, mode_permutation(3, perm)).cm)
+            verdicts = report.verdicts + moved.verdicts
+            pairs = report.pairwise + moved.pairwise
+            assume(not any(v.boundary for v in verdicts) and not any(m.boundary for _, m in pairs))
+            assert moved.class_label == report.class_label
+            for k, verdict in enumerate(moved.verdicts):
+                old = report.verdicts[perm[k]]
+                assert verdict.entangled == old.entangled
+                assert verdict.sigma == pytest.approx(old.sigma, rel=1e-9, abs=0.0)
+            for (a, b), (_, metrics) in zip(PAIR_MODES, moved.pairwise):
+                old = report.pairwise[pair_index[frozenset((perm[a], perm[b]))]][1]
+                assert metrics.entangled == old.entangled
+                assert metrics.mu == pytest.approx(old.mu, rel=1e-9, abs=0.0)
 
     def test_stacked_labels_run_the_pair_checks(self):
         bad = np.eye(6)
