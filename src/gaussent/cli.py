@@ -16,6 +16,7 @@ or numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -161,7 +162,10 @@ def _nonneg(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gaussent`` argument parser, built on the first call and shared by
+    every later call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="gaussent",
         description="Analyze the three-mode Gaussian entanglement-sharing protocol.",

@@ -249,20 +249,35 @@ def _mu_m(r, epsilon):
 
 _ROOT_R_MAX = 5.0  # upper end of the threshold scan grid
 _ROOT_XTOL = 1e-10  # bracket width at which bisection stops
+_ROOT_LEVELS = 4  # bisection levels evaluated per array call of ``mu``
 
 
-def _bisect_root(f, lo: float, hi: float) -> float:
-    """Plain bisection on a bracketing interval, terminating at width ``_ROOT_XTOL``."""
-    flo = f(lo)
+def _bisect_root(mu, epsilon: float, lo: float, hi: float, flo: float) -> float:
+    """Bisection for ``mu(r, epsilon) = 1`` on ``[lo, hi]``, given ``flo = mu(lo) - 1``.
+
+    Each array call of ``mu`` evaluates the ``2**_ROOT_LEVELS - 1`` midpoints
+    of the next ``_ROOT_LEVELS`` levels of the bisection tree below the
+    bracket, each built as ``0.5 * (lo + hi)`` of its own bracket.  Walking
+    the tree by sign, with the ``fmid == 0.0`` return and the stop at width
+    ``_ROOT_XTOL`` at every node, visits the midpoints of one-midpoint
+    bisection, so the root has its bits.
+    """
     while hi - lo > _ROOT_XTOL:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
+        # sorted edges of the tree: each new edge is the midpoint of its two neighbours
+        edges = [lo, hi]
+        for _ in range(_ROOT_LEVELS):
+            edges = [x for a, b in zip(edges, edges[1:]) for x in (a, 0.5 * (a + b))] + [hi]
+        fnodes = mu(np.array(edges[1:-1]), epsilon) - 1.0
+        i, j = 0, len(edges) - 1  # the bracket is (edges[i], edges[j]), its midpoint edges[(i + j) // 2]
+        while j - i > 1 and hi - lo > _ROOT_XTOL:
+            m = (i + j) // 2
+            mid, fmid = edges[m], fnodes[m - 1]
+            if fmid == 0.0:
+                return mid
+            if np.sign(fmid) == np.sign(flo):
+                i, lo, flo = m, mid, fmid
+            else:
+                j, hi = m, mid
     return 0.5 * (lo + hi)
 
 
@@ -273,12 +288,14 @@ def _threshold_root(mu, epsilon: float) -> float:
     """Locate where ``mu(r, epsilon) - 1`` crosses from positive to negative on [0, ``_ROOT_R_MAX``].
 
     ``mu`` maps an array of ``r`` to an array of ``mu`` values; it evaluates
-    the whole scan grid in one call and each bisection step on a one-element
-    array.  The protocol's mu curves all satisfy mu(0) = 1 exactly (the
-    unsqueezed state sits on the separability boundary), rise for small r,
-    and cross down once at the threshold.  The bracket on a log-augmented
-    scan grid ends at the first value ``<= 0`` after the last one above a
-    small noise floor; curves that never clear the floor resolve to 0.
+    the whole scan grid in one call, and :func:`_bisect_root` then takes
+    ``2**_ROOT_LEVELS - 1`` bisection midpoints per call, starting from the
+    grid value at the bracket's lower end.  The protocol's mu curves all
+    satisfy mu(0) = 1 exactly (the unsqueezed state sits on the separability
+    boundary), rise for small r, and cross down once at the threshold.  The
+    bracket on a log-augmented scan grid ends at the first value ``<= 0``
+    after the last one above a small noise floor; curves that never clear
+    the floor resolve to 0.
     """
     _check_domain(epsilon=epsilon)
     grid = np.concatenate(([0.0], np.logspace(-9.0, np.log10(_ROOT_R_MAX), 120)))
@@ -290,7 +307,7 @@ def _threshold_root(mu, epsilon: float) -> float:
     if not after.size:
         raise NumericalFailureError(f"no threshold crossing found on [0, {_ROOT_R_MAX}]")
     k = above[-1] + after[0]
-    return _bisect_root(lambda r: float(mu(np.array([r]), epsilon)[0]) - 1.0, grid[k - 1], grid[k])
+    return _bisect_root(mu, epsilon, grid[k - 1], grid[k], vals[k - 1])
 
 
 def _pair_mu(r, epsilon: float) -> np.ndarray:

@@ -234,6 +234,29 @@ class TestUsageErrors:
         out = capsys.readouterr()
         assert out.out == "" and "--seed" in out.err
 
+    def test_shared_parser_matches_lone_calls(self, capsys, monkeypatch):
+        # main reuses one parser per process; each call must still print and
+        # exit as the same command run alone in a fresh process
+        usage, valid = "analyze --r 0.4 --epsilon 0.1", "analyze --r 0.4 --epsilon 0.1 --stage shared"
+        env = dict(os.environ, PYTHONPATH=str(Path(gaussent.__file__).parents[1]), COLUMNS="80")
+        monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+        lone = {}
+        for argv in (usage, valid):
+            proc = subprocess.run([sys.executable, "-m", "gaussent", *argv.split()],
+                                  capture_output=True, text=True, env=env)
+            lone[argv] = (proc.returncode, proc.stdout, proc.stderr)
+        assert lone[usage][0] == 2 and lone[valid][0] == 0
+
+        gaussent.cli.build_parser.cache_clear()
+        for argv in (usage, valid, usage):
+            try:
+                code = main(argv.split())
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == lone[argv]
+        assert gaussent.cli.build_parser.cache_info().misses == 1
+
     @pytest.mark.parametrize("argv", [
         "thresholds --epsilon nan",
         "analyze --r nan --epsilon 0.1 --stage shared",

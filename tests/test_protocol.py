@@ -271,6 +271,65 @@ class TestNumericRoots:
             root(5.0)
 
 
+def _one_midpoint_bisect(mu, epsilon, lo, hi, flo):
+    """Reference: one-midpoint bisection, one one-element call of ``mu`` per step."""
+    def f(r):
+        return float(mu(np.array([r]), epsilon)[0]) - 1.0
+
+    flo = f(lo)
+    while hi - lo > protocol._ROOT_XTOL:
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if np.sign(fmid) == np.sign(flo):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBisectionTree:
+    """The tree walk must return the bits of one-midpoint bisection."""
+
+    EPSILONS = [0.0, *np.logspace(-6.0, -4.0, 41).tolist(), *np.random.default_rng(8).uniform(0.0, 4.0, 40).tolist()]
+
+    @pytest.mark.parametrize("mu", [protocol._pair_mu, protocol._homodyne_mu])
+    def test_roots_bitwise_equal_to_one_midpoint_bisection(self, mu, monkeypatch):
+        tree = [protocol._threshold_root(mu, eps) for eps in self.EPSILONS]
+        monkeypatch.setattr(protocol, "_bisect_root", _one_midpoint_bisect)
+        reference = [protocol._threshold_root(mu, eps) for eps in self.EPSILONS]
+        assert [float(x).hex() for x in tree] == [float(x).hex() for x in reference]
+
+    def test_exact_zero_below_the_first_level(self):
+        # 0.375 is the third-level midpoint of [0, 1]: 0.5, then 0.25, then 0.375
+        calls = []
+
+        def mu(r, epsilon):
+            calls.append(r.size)
+            return r + 0.625
+
+        root = protocol._bisect_root(mu, 0.0, 0.0, 1.0, -0.375)
+        assert root == 0.375 == _one_midpoint_bisect(mu, 0.0, 0.0, 1.0, -0.375)
+        assert calls[0] == 2 ** protocol._ROOT_LEVELS - 1
+
+    def test_bracket_already_narrow(self):
+        def mu(r, epsilon):
+            raise AssertionError("no midpoint is needed")
+
+        lo, hi = 0.25, 0.25 + 0.5 * protocol._ROOT_XTOL
+        assert protocol._bisect_root(mu, 0.0, lo, hi, 1.0) == 0.5 * (lo + hi)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(eps=st.floats(0.0, 4.0), r=st.lists(st.floats(0.0, 5.0), min_size=63, max_size=63))
+    def test_array_calls_are_bitwise_per_element(self, eps, r):
+        # the tree evaluates many midpoints per call; each must be the one-element value
+        for mu in (protocol._pair_mu, protocol._homodyne_mu):
+            single = np.array([mu(np.array([x]), eps)[0] for x in r])
+            for n in (15, 63):
+                assert mu(np.array(r[:n]), eps).tobytes() == single[:n].tobytes()
+
+
 class TestMuM:
     def test_cubic_coefficients(self):
         p, q = cubic_pq(0.0)
