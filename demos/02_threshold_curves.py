@@ -9,23 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from gaussent import (
-    ProtocolParams,
-    gap_profile,
-    mu_m,
-    reduced_pair_cm,
-    threshold_report,
-    two_mode_metrics,
-)
+from gaussent import gap_profile, sweep_profile, threshold_report
 
 HERE = Path(__file__).resolve().parent
 EPSILON = 0.1
-
-
-def mu_curves(epsilon, r_grid):
-    pair = [two_mode_metrics(reduced_pair_cm(ProtocolParams(r, epsilon))).mu for r in r_grid]
-    measured = [mu_m(ProtocolParams(r, epsilon)) for r in r_grid]
-    return np.array(pair), np.array(measured)
 
 
 def main():
@@ -37,17 +24,18 @@ def main():
     print(f"  between r_e and r_m the unitary route wins and the measurement route fails\n")
 
     r_grid = np.linspace(0.0, 0.6, 601)
-    mu_pair, mu_meas = mu_curves(EPSILON, r_grid)
+    profile = sweep_profile(r_grid, EPSILON)
+    mu_pair, mu_meas = profile["mu_pair"], profile["mu_m"]
     rows = np.column_stack([r_grid, mu_pair, mu_meas])
     sweep_path = HERE / "sweep_eps0.1.csv"
     np.savetxt(sweep_path, rows, delimiter=",", header="r,mu_pair,mu_m", comments="")
     print(f"wrote {sweep_path}")
 
     eps_grid = np.linspace(0.001, 3.0, 120)
-    reports = gap_profile(eps_grid)
-    gap_rows = np.array([[p.epsilon, p.r_l, p.r_e, p.r_m, p.gap] for p in reports])
+    gaps = gap_profile(eps_grid)
+    gap_rows = np.column_stack(list(gaps.values()))
     gap_path = HERE / "gap_sweep.csv"
-    np.savetxt(gap_path, gap_rows, delimiter=",", header="epsilon,r_l,r_e,r_m,gap", comments="")
+    np.savetxt(gap_path, gap_rows, delimiter=",", header=",".join(gaps), comments="")
     limit = 0.5 * np.log(2 * (8 * np.sqrt(2) - 1) / 11)
     print(f"wrote {gap_path}; final gap {gap_rows[-1, 4]:.6f} vs asymptote {limit:.6f}")
 

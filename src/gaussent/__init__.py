@@ -51,7 +51,6 @@ from .protocol import (
     numeric_threshold_r_e,
     numeric_threshold_r_m,
     reduced_pair_cm,
-    shared_blocks,
     shared_cm,
     stage_state,
     sweep_profile,

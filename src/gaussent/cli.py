@@ -4,13 +4,14 @@ Subcommands: ``thresholds``, ``sweep``, ``gap-sweep``, ``analyze``,
 ``montecarlo``, ``classify``.  Sweeps emit CSV (or JSON rows with
 ``--format json``), everything else emits JSON.  All numbers come straight
 from library calls, rounded to 12 significant digits; identical
-configurations produce byte-identical output.  ``sweep`` prints the
-columns of :func:`gaussent.protocol.sweep_profile`, which has the numbers
-and checks of the one-state functions.  Numeric options must be finite and
+configurations produce byte-identical output.  ``sweep`` and ``gap-sweep``
+print the columns of :func:`gaussent.protocol.sweep_profile` and
+:func:`gaussent.protocol.gap_profile` by name, which have the numbers and
+checks of the one-state functions.  Numeric options must be finite and
 nonnegative, and a non-finite result fails the command rather than print
-``NaN``; so does a floating-point overflow, division by zero or invalid
-operation, with one line on stderr.  Exit codes: 0 success, 1 validation
-or numerical failure, 2 usage error.
+``NaN``, naming its key path (or row and column); so does a floating-point
+overflow, division by zero or invalid operation, with one line on stderr.
+Exit codes: 0 success, 1 validation or numerical failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,51 +31,26 @@ from .errors import GaussentError
 from .ops import sample_preparation
 from .separability import classify_three_mode
 
-_STAGE_ALIASES = {
-    "initial": protocol.STAGE_INITIAL,
-    "shared": protocol.STAGE_SHARED,
-    "final-via-A'": protocol.STAGE_FINAL_VIA_APRIME,
-    "final-via-Aprime": protocol.STAGE_FINAL_VIA_APRIME,
-    "final-via-A": protocol.STAGE_FINAL_VIA_A,
-}
-
-SWEEP_COLUMNS = ("r", "mu_pair", "mu_m", "sigma_shared_A", "class_final")
-GAP_SWEEP_COLUMNS = ("epsilon", "r_l", "r_e", "r_m", "gap")
+# the stage names, plus a spelling without the quote
+_STAGE_ALIASES = {**{stage: stage for stage in protocol.STAGES}, "final-via-Aprime": protocol.STAGE_FINAL_VIA_APRIME}
 
 
-def _round12(value):
-    """Round floats to 12 significant digits, recursing through containers."""
+def _round12(value, path: str = ""):
+    """Round floats to 12 significant digits, recursing through containers; a NaN
+    or infinity raises ``ValueError`` naming its key path in the payload."""
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value in output at {path.lstrip('.') or 'top level'} = {float(value)}")
         return float(f"{float(value):.12g}")
     if isinstance(value, dict):
-        return {k: _round12(v) for k, v in value.items()}
+        return {k: _round12(v, f"{path}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round12(v) for v in value]
+        return [_round12(v, f"{path}[{i}]") for i, v in enumerate(value)]
     return value
-
-
-def _first_non_finite(value, path: str = ""):
-    """``(key path, value)`` of the first NaN or infinity in a JSON payload, or None."""
-    if isinstance(value, (float, np.floating)):
-        return None if math.isfinite(value) else (path.lstrip(".") or "top level", float(value))
-    if isinstance(value, dict):
-        keyed = ((f"{path}.{k}", v) for k, v in value.items())
-    elif isinstance(value, (list, tuple)):
-        keyed = ((f"{path}[{i}]", v) for i, v in enumerate(value))
-    else:
-        return None
-    return next((hit for key, v in keyed if (hit := _first_non_finite(v, key)) is not None), None)
-
-
-def _refuse_non_finite(payload) -> None:
-    """Raise ``ValueError`` naming the key path of the first NaN or infinity in ``payload``, if any."""
-    hit = _first_non_finite(payload)
-    if hit is not None:
-        raise ValueError("non-finite value in output at {} = {}".format(*hit))
 
 
 def _fmt(value) -> str:
@@ -89,23 +65,19 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload, output: str | None) -> None:
-    # allow_nan=False: a non-finite number fails the command instead of printing NaN
-    try:
-        text = json.dumps(_round12(payload), indent=2, allow_nan=False)
-    except ValueError:
-        _refuse_non_finite(payload)
-        raise
-    _emit(text + "\n", output)
+    _emit(json.dumps(_round12(payload), indent=2) + "\n", output)
 
 
-def _emit_rows(columns, rows, fmt: str, output: str | None) -> None:
+def _emit_profile(profile: dict, fmt: str, output: str | None) -> None:
+    """Write columns by name (arrays of one length) as CSV, or as JSON rows."""
+    rows = list(zip(*(col.tolist() for col in profile.values())))
     if fmt == "json":
-        _emit_json([dict(zip(columns, row)) for row in rows], output)
+        _emit_json([dict(zip(profile, row)) for row in rows], output)
         return
-    text = "\n".join([",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
-    # a non-finite cell prints as nan or inf; only then search for its row and column
+    text = "\n".join([",".join(profile)] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+    # a non-finite cell prints as nan or inf; only then walk the rows to name its row and column
     if "nan" in text or "inf" in text:
-        _refuse_non_finite([dict(zip(columns, row)) for row in rows])
+        _round12([dict(zip(profile, row)) for row in rows])
     _emit(text, output)
 
 
@@ -116,15 +88,13 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_sweep(args) -> int:
     profile = protocol.sweep_profile(np.linspace(args.r_min, args.r_max, args.steps), args.epsilon)
-    rows = list(zip(*(profile[col].tolist() for col in SWEEP_COLUMNS)))
-    _emit_rows(SWEEP_COLUMNS, rows, args.format, args.output)
+    _emit_profile(profile, args.format, args.output)
     return 0
 
 
 def _cmd_gap_sweep(args) -> int:
-    grid = np.linspace(args.eps_min, args.eps_max, args.steps)
-    rows = [tuple(getattr(rep, col) for col in GAP_SWEEP_COLUMNS) for rep in protocol.gap_profile(grid)]
-    _emit_rows(GAP_SWEEP_COLUMNS, rows, args.format, args.output)
+    profile = protocol.gap_profile(np.linspace(args.eps_min, args.eps_max, args.steps))
+    _emit_profile(profile, args.format, args.output)
     return 0
 
 

@@ -77,6 +77,13 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     return 0.5 * (nu[0::2] + nu[1::2])
 
 
+def _check_finite(m: np.ndarray) -> None:
+    """Raise ``UnphysicalError`` if an entry of the covariance matrix ``m`` is NaN or infinite."""
+    finite = np.isfinite(m)
+    if not finite.all():
+        raise UnphysicalError(f"covariance matrix has {finite.size - finite.sum()} non-finite entries")
+
+
 def validate_cm(m: np.ndarray) -> np.ndarray:
     """Validate and symmetrize a covariance matrix.
 
@@ -92,9 +99,7 @@ def validate_cm(m: np.ndarray) -> np.ndarray:
         NotSymmetricError: asymmetry exceeds ``TAU_SYM``.
     """
     m = _as_even_square(m, "covariance matrix")
-    finite = np.isfinite(m)
-    if not finite.all():
-        raise UnphysicalError(f"covariance matrix has {finite.size - finite.sum()} non-finite entries")
+    _check_finite(m)
     asym = np.abs(m - m.T).max()
     if asym >= TAU_SYM:
         raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds tolerance {TAU_SYM:.0e}")
@@ -270,11 +275,15 @@ def load_state(path: str | Path) -> GaussianState:
     through :func:`validate_cm`.
     """
     data = json.loads(Path(path).read_text())
-    n = int(data["n_modes"])
+    if not isinstance(data, dict):
+        raise ValueError("a state file must hold a JSON object with 'n_modes' and 'cm'")
+    n = data.get("n_modes")
+    if type(n) is not int or n < 1:  # bool and float are refused too
+        raise DimensionMismatchError(f"'n_modes' must be a positive integer, got {json.dumps(n)}")
     cm = np.asarray(data["cm"], dtype=float)
     if cm.shape != (4 * n * n,):
         raise DimensionMismatchError(
-            f"'cm' must hold {4 * n * n} row-major entries for n_modes={n}, got {cm.shape[0]}"
+            f"'cm' must hold {4 * n * n} row-major entries for n_modes={n}, got shape {cm.shape}"
         )
     cm = validate_cm(cm.reshape(2 * n, 2 * n))
     displacement = data.get("displacement")

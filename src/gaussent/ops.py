@@ -139,20 +139,16 @@ class MeasurementSpec:
         return cls(mode, "general-gaussian", seed_cm)
 
 
-def _measurement_blocks(cm: np.ndarray, mode: int):
-    """Kept block A, measured block B, correlations C and the kept indices,
-    of one matrix or of each matrix of a ``(..., 2n, 2n)`` stack."""
+def _condition(cm: np.ndarray, spec: MeasurementSpec):
+    """``A - C M C^T`` of :func:`condition_on_measurement` and the kept quadrature
+    indices, for one matrix or each matrix of a ``(..., 2n, 2n)`` stack, broadcast
+    over the stacked seeds of ``spec``."""
     n = cm.shape[-1] // 2
-    mode = _check_modes(mode, n)[0]
+    mode = _check_modes(spec.mode, n)[0]
     if n < 2:
         raise DimensionMismatchError("conditioning needs at least two modes")
     ki, mi = _quadratures(m for m in range(n) if m != mode), _quadratures([mode])
-    return cm[..., ki[:, None], ki], cm[..., mi[:, None], mi], cm[..., ki[:, None], mi], ki
-
-
-def _schur_complement(a, b, c, spec: MeasurementSpec) -> np.ndarray:
-    """``A - C M C^T`` of :func:`condition_on_measurement`, broadcast over the
-    stack axes of the blocks and of the seeds of ``spec``."""
+    a, b, c = cm[..., ki[:, None], ki], cm[..., mi[:, None], mi], cm[..., ki[:, None], mi]
     if spec.kind == "general-gaussian":
         total = b + spec.seed_cm
         cond = np.linalg.cond(total)
@@ -171,7 +167,7 @@ def _schur_complement(a, b, c, spec: MeasurementSpec) -> np.ndarray:
     # symmetrize only the correction so an uncorrelated mode (C = 0) leaves
     # the kept block bitwise untouched
     correction = c @ m @ np.swapaxes(c, -1, -2)
-    return a - 0.5 * (correction + np.swapaxes(correction, -1, -2))
+    return a - 0.5 * (correction + np.swapaxes(correction, -1, -2)), ki
 
 
 def condition_on_measurement(state: GaussianState, spec: MeasurementSpec) -> GaussianState:
@@ -186,8 +182,8 @@ def condition_on_measurement(state: GaussianState, spec: MeasurementSpec) -> Gau
     measurement outcome, so the kept displacement entries are returned
     unchanged (outcome-averaged analysis).
     """
-    a, b, c, ki = _measurement_blocks(state.cm, spec.mode)
-    return GaussianState(_schur_complement(a, b, c, spec), state.displacement[ki])
+    cm, kept = _condition(state.cm, spec)
+    return GaussianState(cm, state.displacement[kept])
 
 
 @dataclass
@@ -221,12 +217,15 @@ class SampleBatch:
 
 
 def _preparation_cm(r: float, epsilon: float) -> np.ndarray:
-    """Second moments predicted by the preparation model below."""
+    """Second moments predicted by the preparation model below, which are the
+    initial two-mode state of :func:`gaussent.protocol.initial_cm`."""
     em = np.exp(-2.0 * r)
-    v_disp = (1.0 - em) / 2.0
-    cm = np.diag([np.exp(-2.0 * (r - epsilon)), np.exp(2.0 * r), 1.0, 1.0])
-    spread = np.array([1.0, 0.0, -1.0, 0.0])
-    return cm + 2.0 * v_disp * np.outer(spread, spread)
+    return np.array([
+        [1.0 + em * (np.exp(2.0 * epsilon) - 1.0), 0.0, em - 1.0, 0.0],
+        [0.0, np.exp(2.0 * r), 0.0, 0.0],
+        [em - 1.0, 0.0, 2.0 - em, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
 
 
 def sample_preparation(params: "ProtocolParams", count: int, seed: int) -> SampleBatch:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import GaussianState
 from .errors import DomainError, NumericalFailureError
-from .ops import embed_vacuum
+from .ops import _preparation_cm, embed_vacuum
 from .separability import SeparabilityReport, _classify, _localizable_mu, _pt_metrics, _splittings, classify_three_mode
 
 _SQRT2 = np.sqrt(2.0)
@@ -92,17 +92,10 @@ def initial_cm(params: ProtocolParams) -> GaussianState:
     """Two-mode state shared by Alice and Bob after the correlated displacement.
 
     The off-diagonal block is diag(exp(-2r) - 1, 0); its determinant vanishes,
-    so the state is separable for every parameter choice.
+    so the state is separable for every parameter choice.  It is bit for bit
+    the ``analytic_cm`` of :func:`~gaussent.ops.sample_preparation`.
     """
-    r, eps = params.r, params.epsilon
-    em = np.exp(-2.0 * r)
-    cm = np.array([
-        [1.0 + em * (np.exp(2.0 * eps) - 1.0), 0.0, em - 1.0, 0.0],
-        [0.0, np.exp(2.0 * r), 0.0, 0.0],
-        [em - 1.0, 0.0, 2.0 - em, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-    return GaussianState(cm)
+    return GaussianState(_preparation_cm(params.r, params.epsilon))
 
 
 def _diag2(x, y) -> np.ndarray:
@@ -156,17 +149,13 @@ def _reduced_pair_matrix(b: BlockSet) -> np.ndarray:
     return np.block([[b.alpha, off], [off, corner]])
 
 
-def shared_blocks(params: ProtocolParams) -> BlockSet:
-    return _blocks(params.r, params.epsilon)
-
-
 def shared_cm(params: ProtocolParams) -> tuple[GaussianState, BlockSet]:
     """Three-mode state after Alice splits her mode with a vacuum ancilla.
 
     Equals the transform pipeline (vacuum embedding at slot A', then the
     'plus' beam splitter on (A, A')) applied to :func:`initial_cm`.
     """
-    b = shared_blocks(params)
+    b = _blocks(params.r, params.epsilon)
     return GaussianState(_shared_matrix(b)), b
 
 
@@ -177,7 +166,7 @@ def final_cm(params: ProtocolParams, route: str = ROUTE_VIA_APRIME) -> GaussianS
     splitter on (B, A')).  ``via-A``: Bob mixes the received mode A with B
     ('minus' splitter on (A, B)).
     """
-    return GaussianState(_final_matrix(shared_blocks(params), route))
+    return GaussianState(_final_matrix(_blocks(params.r, params.epsilon), route))
 
 
 def reduced_pair_cm(params: ProtocolParams) -> np.ndarray:
@@ -185,7 +174,7 @@ def reduced_pair_cm(params: ProtocolParams) -> np.ndarray:
 
     Both final routes reduce to the same matrix.
     """
-    return _reduced_pair_matrix(shared_blocks(params))
+    return _reduced_pair_matrix(_blocks(params.r, params.epsilon))
 
 
 def threshold_r_e(epsilon):
@@ -243,7 +232,7 @@ def mu_m(params: ProtocolParams) -> float:
 def _mu_m(r, epsilon):
     """:func:`mu_m` at squeezing ``r`` and noise ``epsilon``, floats or arrays that broadcast."""
     em = np.exp(-2.0 * r)
-    homodyne = np.sqrt(1.0 + em * (np.exp(2.0 * epsilon) - 1.0) - (em - 1.0) ** 2 / (2.0 - em))
+    homodyne = np.sqrt(1.0 + em * (np.exp(2.0 * epsilon) - 1.0) - np.square(em - 1.0) / (2.0 - em))
     return np.where(r < threshold_r_l(epsilon), np.exp(r), homodyne)
 
 
@@ -329,15 +318,16 @@ def numeric_threshold_r_m(epsilon: float) -> float:
 
 
 def threshold_report(epsilon: float) -> ThresholdReport:
-    return gap_profile([epsilon])[0]
+    """The one row of :func:`gap_profile` at ``epsilon``."""
+    return ThresholdReport(**{name: col.item() for name, col in gap_profile([epsilon]).items()})
 
 
-def gap_profile(epsilons) -> list[ThresholdReport]:
-    """Threshold reports over a grid of noise values, one array call per column."""
+def gap_profile(epsilons) -> dict:
+    """Threshold columns by name over a grid of noise values, one array call per
+    column: ``epsilon``, ``r_l``, ``r_e``, ``r_m`` and ``gap`` (``r_m - r_e``)."""
     eps = np.asarray(epsilons, dtype=float)
     r_e, r_m = threshold_r_e(eps), threshold_r_m(eps)
-    columns = (eps, threshold_r_l(eps), r_e, r_m, r_m - r_e)
-    return [ThresholdReport(*row) for row in zip(*(c.tolist() for c in columns))]
+    return {"epsilon": eps, "r_l": threshold_r_l(eps), "r_e": r_e, "r_m": r_m, "gap": r_m - r_e}
 
 
 def sweep_profile(r, epsilon: float) -> dict:

@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _as_even_square, _check_modes, _quadratures, char_poly_invariants, partial_transpose
+from .core import _as_even_square, _check_finite, _check_modes, _quadratures, char_poly_invariants, partial_transpose
 from .errors import ComplexEigenvalueError, DimensionMismatchError, NotBisymmetricError
-from .ops import MeasurementSpec, _measurement_blocks, _schur_complement
+from .ops import MeasurementSpec, _condition
 
 #: Pair verdicts with ``|mu - 1|`` within this band are reported as boundary cases.
 BOUNDARY_TOL = 1e-12
@@ -113,10 +113,12 @@ class SeparabilityReport:
 
 
 def _as_modes(cm: np.ndarray, n: int) -> np.ndarray:
-    """Float array of one ``n``-mode matrix, or ``DimensionMismatchError``."""
+    """Float array of one ``n``-mode matrix, or ``DimensionMismatchError``; an
+    entry that is NaN or infinite raises ``UnphysicalError``, as in ``validate_cm``."""
     cm = _as_even_square(cm, "cm")
     if cm.shape != (2 * n, 2 * n):
         raise DimensionMismatchError(f"expected a {n}-mode ({2 * n}x{2 * n}) matrix, got {cm.shape}")
+    _check_finite(cm)
     return cm
 
 
@@ -145,7 +147,8 @@ def _pt_metrics(cm: np.ndarray):
     block_det = np.linalg.det(blocks)
     delta_tilde = block_det[..., 0, 0] + block_det[..., 1, 1] - 2.0 * block_det[..., 0, 1]
     det_cm = np.linalg.det(cm)
-    disc = delta_tilde**2 - 4.0 * det_cm
+    # a product, not **: a float64 scalar's ** rounds through pow, an array's does not
+    disc = delta_tilde * delta_tilde - 4.0 * det_cm
     # initial=0.0 makes each check's test value the most negative entry, if any
     if (worst := disc.min(initial=0.0)) < -1e-9:
         raise ComplexEigenvalueError(f"discriminant {worst:.3e} is negative: unphysical input")
@@ -181,7 +184,7 @@ def _entanglement_metrics(mu, delta_tilde, det_cm, entangled, boundary) -> Entan
 
 def log_negativity(mu: float) -> float:
     """Logarithmic negativity ``max(0, -log2 mu)`` of a PT lower eigenvalue."""
-    if mu < 0:
+    if not mu >= 0:  # NaN fails too
         raise ValueError(f"mu must be nonnegative, got {mu}")
     if mu == 0:
         return float("inf")
@@ -225,9 +228,7 @@ def _localizable_mu(cm: np.ndarray, measured_mode: int) -> np.ndarray:
     dev = np.abs(cm[..., swap[:, None], swap] - cm).max(initial=0.0)
     if dev > BISYMMETRY_TOL:
         raise NotBisymmetricError(f"state deviates by {dev:.3e} under exchange of modes {i} and {j}")
-    a, b, c, _ = _measurement_blocks(cm, measured_mode)
-    mu, _, _ = _pt_metrics(_schur_complement(a, b, c, MeasurementSpec.homodyne_x(measured_mode)))
-    return mu
+    return _pt_metrics(_condition(cm, MeasurementSpec.homodyne_x(measured_mode))[0])[0]
 
 
 def localizable_mu(cm: np.ndarray, measured_mode: int) -> float:
@@ -251,8 +252,11 @@ def measurement_scan_oracle(cm: np.ndarray, measured_mode: int, n_theta: int = 6
     scanned Gaussian measurement beats the homodyne-x route.  All seeds are
     evaluated as one stack, with the same per-seed checks as a single
     measurement: physicality of each seed and a non-singular ``B + seed``.
+    An empty grid raises ``ValueError``.
     """
     cm = _as_modes(cm, 3)
+    if n_theta < 1 or n_t < 1:
+        raise ValueError(f"the measurement grid is empty: n_theta={n_theta}, n_t={n_t}")
     theta = np.linspace(0.0, np.pi, n_theta, endpoint=False)
     cos, sin = np.cos(theta), np.sin(theta)
     # rotations shaped (n_theta, 1, 2, 2) broadcast against the (n_t, 2, 2) squeezes
@@ -261,6 +265,4 @@ def measurement_scan_oracle(cm: np.ndarray, measured_mode: int, n_theta: int = 6
     squeeze = np.zeros((n_t, 2, 2))
     squeeze[:, 0, 0], squeeze[:, 1, 1] = t, 1.0 / t
     spec = MeasurementSpec.general_gaussian(measured_mode, rot @ squeeze @ np.swapaxes(rot, -1, -2))
-    a, b, c, _ = _measurement_blocks(cm, measured_mode)
-    mu, _, _ = _pt_metrics(_schur_complement(a, b, c, spec))
-    return float(mu.min(initial=np.inf))
+    return float(_pt_metrics(_condition(cm, spec)[0])[0].min())

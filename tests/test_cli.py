@@ -15,6 +15,7 @@ from gaussent import (
     mu_m,
     reduced_pair_cm,
     sample_preparation,
+    save_state,
     shared_cm,
     splitting_sigma,
     threshold_r_e,
@@ -22,7 +23,7 @@ from gaussent import (
     threshold_r_m,
     two_mode_metrics,
 )
-from gaussent.cli import GAP_SWEEP_COLUMNS, SWEEP_COLUMNS, _emit_json, _emit_rows, main
+from gaussent.cli import _emit_json, _emit_profile, main
 from gaussent.protocol import ROUTE_VIA_APRIME, ProtocolParams
 
 
@@ -73,7 +74,7 @@ class TestSweepCommand:
         )
         assert code == 0
         lines = out.out.strip().split("\n")
-        assert lines[0] == ",".join(SWEEP_COLUMNS)
+        assert lines[0] == ",".join(("r", "mu_pair", "mu_m", "sigma_shared_A", "class_final"))
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 600
         rs = np.array([float(row[0]) for row in rows])
@@ -109,7 +110,7 @@ class TestSweepCommand:
         _, out = run_cli(capsys, "sweep", "--epsilon", "0.1", "--steps", "3", "--format", "json")
         payload = json.loads(out.out)
         assert len(payload) == 3
-        assert list(payload[0]) == list(SWEEP_COLUMNS)
+        assert list(payload[0]) == ["r", "mu_pair", "mu_m", "sigma_shared_A", "class_final"]
 
     def test_bounds_violation_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -126,7 +127,7 @@ class TestGapSweepCommand:
                             "--steps", "60")
         assert code == 0
         lines = out.out.strip().split("\n")
-        assert lines[0] == ",".join(GAP_SWEEP_COLUMNS)
+        assert lines[0] == ",".join(("epsilon", "r_l", "r_e", "r_m", "gap"))
         gaps = [float(line.split(",")[4]) for line in lines[1:]]
         assert len(gaps) == 60
         assert all(b >= a for a, b in zip(gaps, gaps[1:]))
@@ -206,6 +207,22 @@ class TestClassifyCommand:
         assert code == 1
         assert out.out == "" and "non-finite" in out.err
 
+    @pytest.mark.parametrize("record,field", [
+        ([], "JSON object"),
+        ("x", "JSON object"),
+        ({"n_modes": None, "cm": []}, "'n_modes'"),
+        ({"n_modes": -1, "cm": [1.0, 0.0, 0.0, 1.0]}, "'n_modes'"),
+        ({"n_modes": True, "cm": [1.0, 0.0, 0.0, 1.0]}, "'n_modes'"),
+        ({"n_modes": 1.0, "cm": [1.0, 0.0, 0.0, 1.0]}, "'n_modes'"),
+        ({"n_modes": 3, "cm": None}, "'cm'"),
+    ])
+    def test_malformed_record_exits_1(self, tmp_path, capsys, record, field):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record))
+        code, out = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 1 and out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ") and field in out.err
+
     def test_missing_file_exits_1(self, capsys):
         code, out = run_cli(capsys, "classify", "--input", "/nonexistent.json")
         assert code == 1
@@ -276,7 +293,7 @@ class TestNonFiniteOutput:
         with pytest.raises(ValueError):
             _emit_json({"x": float("nan")}, None)
         with pytest.raises(ValueError):
-            _emit_rows(("x",), [(float("inf"),)], "json", None)
+            _emit_profile({"x": np.array([np.inf])}, "json", None)
         assert capsys.readouterr().out == ""
 
     def test_json_error_names_the_key_path(self, capsys):
@@ -284,7 +301,7 @@ class TestNonFiniteOutput:
         with pytest.raises(ValueError, match=r"at a\.b\[2\]\.c = nan$"):
             _emit_json({"a": {"b": [1.0, {"c": 2.0}, {"c": nan}]}}, None)
         with pytest.raises(ValueError, match=r"at \[1\]\.x = inf$"):
-            _emit_rows(("x",), [(1.0,), (float("inf"),)], "json", None)
+            _emit_profile({"x": np.array([1.0, np.inf])}, "json", None)
         assert capsys.readouterr().out == ""
 
     def test_infinite_log_negativity_is_named(self, capsys):
@@ -309,9 +326,9 @@ class TestNonFiniteOutput:
 
     def test_csv_refuses_nan(self, capsys):
         with pytest.raises(ValueError, match=r"^non-finite value in output at \[1\]\.x = nan$"):
-            _emit_rows(("r", "x"), [(0.0, 1.0), (0.1, float("nan"))], "csv", None)
+            _emit_profile({"r": np.array([0.0, 0.1]), "x": np.array([1.0, np.nan])}, "csv", None)
         with pytest.raises(ValueError, match=r"at \[0\]\.r = -inf$"):
-            _emit_rows(("r", "x"), [(float("-inf"), 1.0)], "csv", None)
+            _emit_profile({"r": np.array([-np.inf]), "x": np.array([1.0])}, "csv", None)
         assert capsys.readouterr().out == ""
 
 
@@ -331,3 +348,19 @@ class TestReferenceOutput:
         code, out = run_cli(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+    def test_montecarlo_digest(self, capsys):
+        code, out = run_cli(capsys, *"montecarlo --r 0.3 --epsilon 0.1 --samples 10000 --seed 42".split())
+        assert code == 0
+        assert hashlib.sha256(out.out.encode()).hexdigest() == (
+            "848b00f0313c4291c1984e6bb574fa130bfc555d91b1e91cd718a54411b31cab"
+        )
+
+    def test_classify_saved_shared_state_digest(self, tmp_path, capsys):
+        path = tmp_path / "shared.json"
+        save_state(shared_cm(ProtocolParams(0.4, 0.1))[0], path)
+        code, out = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.out.encode()).hexdigest() == (
+            "7f0bfdfd7687fa57d626035f3a19cd520d3f64f42f709b5447e63c8a141df51d"
+        )

@@ -24,7 +24,7 @@ from gaussent import (
     symplectic_form,
     two_mode_metrics,
 )
-from gaussent.ops import HOMODYNE_SV_CUTOFF, _measurement_blocks, _preparation_cm, _schur_complement
+from gaussent.ops import HOMODYNE_SV_CUTOFF, _condition, _preparation_cm
 from gaussent.protocol import ProtocolParams
 
 from helpers import pt_mu_oracle, random_physical_cm
@@ -183,16 +183,14 @@ class TestConditioning:
             condition_on_measurement(
                 state, MeasurementSpec.general_gaussian(2, np.diag([1e-14, 1e14]))
             )
-        a, b, c, _ = _measurement_blocks(cm, 2)
         seeds = np.stack([np.diag([2.0, 0.5]), np.diag([1e-14, 1e14])])
         with pytest.raises(SingularConditioningError):
-            _schur_complement(a, b, c, MeasurementSpec.general_gaussian(2, seeds))
+            _condition(cm, MeasurementSpec.general_gaussian(2, seeds))
 
     def test_stacked_seeds_match_one_at_a_time(self):
         state, _ = shared_cm(ProtocolParams(0.4, 0.1))
         seeds = np.stack([np.diag([1e-3, 1e3]), np.eye(2), [[2.0, 0.5], [0.5, 1.0]]])
-        a, b, c, _ = _measurement_blocks(state.cm, 2)
-        stacked = _schur_complement(a, b, c, MeasurementSpec.general_gaussian(2, seeds))
+        stacked, _ = _condition(state.cm, MeasurementSpec.general_gaussian(2, seeds))
         for seed, out in zip(seeds, stacked):
             one = condition_on_measurement(state, MeasurementSpec.general_gaussian(2, seed))
             assert np.array_equal(out, one.cm)
@@ -211,7 +209,7 @@ class TestConditioning:
         below[0, 4] = below[4, 0] = below[1, 5] = below[5, 1] = 0.3
         cms = np.stack([shared_cm(ProtocolParams(0.4, 0.1))[0].cm, below, shared_cm(ProtocolParams(1.1, 0.7))[0].cm])
         spec = MeasurementSpec(2, kind)
-        stacked = _schur_complement(*_measurement_blocks(cms, 2)[:3], spec)
+        stacked, _ = _condition(cms, spec)
         for cm, out in zip(cms, stacked):
             assert np.array_equal(out, condition_on_measurement(GaussianState(cm), spec).cm)
         assert np.array_equal(stacked[1], below[:4, :4])
@@ -227,6 +225,11 @@ class TestSamplePreparation:
             model = _preparation_cm(r, eps)
             closed = initial_cm(ProtocolParams(r, eps)).cm
             assert np.abs(model - closed).max() < 1e-14
+
+    def test_analytic_cm_is_bitwise_the_initial_stage(self):
+        for r, eps in np.random.default_rng(61).uniform(0.0, 3.0, (200, 2)).tolist():
+            params = ProtocolParams(r, eps)
+            assert np.array_equal(sample_preparation(params, 2, 0).analytic_cm, initial_cm(params).cm)
 
     def test_zero_squeezing_targets_vacuum(self):
         batch = sample_preparation(ProtocolParams(0.0, 0.0), 50_000, 7)

@@ -134,6 +134,20 @@ class TestClosedFormsMatchPipeline:
             assert profile["sigma_shared_A"][k] == splitting_sigma(shared_cm(params)[0].cm, 0).sigma
             assert profile["class_final"][k] == classify_three_mode(final_cm(params, ROUTE_VIA_APRIME).cm).class_label
 
+    def test_sweep_profile_is_bitwise_the_one_state_functions_on_a_fine_grid(self):
+        # at r = 0.156 a float64 scalar's ** (C pow) rounds delta_tilde^2 one ulp
+        # away from the product an array's ** forms, so the kernel squares by product
+        rs = np.linspace(0.0, 0.6, 601)
+        profile = sweep_profile(rs, 0.1)
+        pair = [two_mode_metrics(reduced_pair_cm(ProtocolParams(r, 0.1))).mu for r in rs.tolist()]
+        assert np.array_equal(profile["mu_pair"], pair)
+        assert np.array_equal(profile["mu_m"], [mu_m(ProtocolParams(r, 0.1)) for r in rs.tolist()])
+
+    def test_mu_m_is_bitwise_the_sweep_column_where_pow_rounded_apart(self):
+        # here a float64 scalar's ** rounds (exp(-2r) - 1)^2 one ulp away from an array's product
+        r, eps = 1.4135713244209003, 0.9045877914410432
+        assert sweep_profile([r], eps)["mu_m"][0] == mu_m(ProtocolParams(r, eps)) == 0.9198272463370877
+
     @pytest.mark.parametrize("r,eps", [([0.1, float("nan")], 0.1), ([0.1, -0.2], 0.1), ([0.1], float("inf"))])
     def test_sweep_profile_rejects_bad_input(self, r, eps):
         with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -367,15 +381,15 @@ class TestMuM:
 
 class TestGapProfile:
     def test_gap_positive_and_monotone(self):
-        reports = gap_profile(np.linspace(0.001, 3.0, 60))
-        gaps = [rep.gap for rep in reports]
+        gaps = gap_profile(np.linspace(0.001, 3.0, 60))["gap"].tolist()
         assert all(g > 0 for g in gaps)
         assert all(b >= a for a, b in zip(gaps, gaps[1:]))
 
     def test_report_is_the_profile_entry(self):
         grid = np.linspace(0.0, 5.0, 23)
-        for eps, entry in zip(grid.tolist(), gap_profile(grid)):
-            assert threshold_report(eps) == entry
+        profile = gap_profile(grid)
+        for k, eps in enumerate(grid.tolist()):
+            assert threshold_report(eps).to_json_dict() == {name: col[k] for name, col in profile.items()}
 
     def test_gap_at_zero_noise_vanishes(self):
         assert threshold_report(0.0).gap == pytest.approx(0.0, abs=1e-12)

@@ -13,6 +13,7 @@ from gaussent import (
     GaussianState,
     MeasurementSpec,
     NotBisymmetricError,
+    UnphysicalError,
     apply_symplectic,
     char_poly_invariants,
     classify_three_mode,
@@ -208,6 +209,37 @@ class TestLogNegativity:
         with pytest.raises(ValueError):
             log_negativity(-0.1)
 
+    def test_nan_mu_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            log_negativity(float("nan"))
+
+
+def _with_nan_pair(n_modes):
+    cm = np.eye(2 * n_modes)
+    cm[0, 1] = cm[1, 0] = np.nan
+    return cm
+
+
+class TestNonFiniteInput:
+    # under the suite's error::RuntimeWarning filter, a NaN that reached the
+    # arithmetic would raise RuntimeWarning instead of a verdict or an error
+    @pytest.mark.parametrize("call", [
+        lambda: classify_three_mode(_with_nan_pair(3)),
+        lambda: splitting_sigma(_with_nan_pair(3), 0),
+        lambda: two_mode_metrics(_with_nan_pair(2)),
+        lambda: localizable_mu(_with_nan_pair(3), 2),
+        lambda: measurement_scan_oracle(_with_nan_pair(3), 2, n_theta=4, n_t=4),
+    ], ids=["classify_three_mode", "splitting_sigma", "two_mode_metrics", "localizable_mu", "measurement_scan_oracle"])
+    def test_entry_points_refuse_nan(self, call):
+        with pytest.raises(UnphysicalError, match="^covariance matrix has 2 non-finite entries$"):
+            call()
+
+    def test_infinite_entry_refused(self):
+        cm = np.eye(6)
+        cm[4, 4] = np.inf
+        with pytest.raises(UnphysicalError, match="1 non-finite"):
+            classify_three_mode(cm)
+
 
 class TestClassifyThreeMode:
     def test_triple_vacuum(self):
@@ -379,6 +411,12 @@ class TestMeasurementScanOracle:
     def test_product_state_minimum_at_least_one(self):
         embedded = embed_vacuum(initial_cm(ProtocolParams(0.3, 0.1)), 1)
         assert measurement_scan_oracle(embedded.cm, 2, n_theta=12, n_t=13) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("n_theta,n_t", [(0, 8), (8, 0), (0, 0)])
+    def test_empty_grid_rejected(self, n_theta, n_t):
+        state, _ = shared_cm(ProtocolParams(0.3, 0.1))
+        with pytest.raises(ValueError, match="grid is empty"):
+            measurement_scan_oracle(state.cm, 2, n_theta=n_theta, n_t=n_t)
 
     def test_grid_refinement_never_raises_minimum(self):
         state, _ = shared_cm(ProtocolParams(0.35, 0.1))
