@@ -53,10 +53,6 @@ def _round12(value, path: str = ""):
     return value
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.12g}" if isinstance(value, (float, np.floating)) else str(value)
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -69,15 +65,17 @@ def _emit_json(payload, output: str | None) -> None:
 
 
 def _emit_profile(profile: dict, fmt: str, output: str | None) -> None:
-    """Write columns by name (arrays of one length) as CSV, or as JSON rows."""
-    rows = list(zip(*(col.tolist() for col in profile.values())))
+    """Write columns by name (arrays of one length) as CSV, floats to 12 significant digits, or as JSON rows."""
+    columns = [col.tolist() for col in profile.values()]
     if fmt == "json":
-        _emit_json([dict(zip(profile, row)) for row in rows], output)
+        _emit_json([dict(zip(profile, row)) for row in zip(*columns)], output)
         return
-    text = "\n".join([",".join(profile)] + [",".join(map(_fmt, row)) for row in rows]) + "\n"
+    kinds = (col.dtype.kind for col in profile.values())
+    cells = ([f"{v:.12g}" for v in col] if kind == "f" else map(str, col) for kind, col in zip(kinds, columns))
+    text = "\n".join([",".join(profile)] + list(map(",".join, zip(*cells)))) + "\n"
     # a non-finite cell prints as nan or inf; only then walk the rows to name its row and column
     if "nan" in text or "inf" in text:
-        _round12([dict(zip(profile, row)) for row in rows])
+        _round12([dict(zip(profile, row)) for row in zip(*columns)])
     _emit(text, output)
 
 

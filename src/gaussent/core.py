@@ -164,6 +164,23 @@ class InvariantTriple(NamedTuple):
 #: of its 15 principal 4x4 minors, in ``combinations`` order.
 _PAIRS = np.array(list(combinations(range(6), 2))).T
 _QUADS = np.array(list(combinations(range(6), 4)))
+#: Sign that the partial transpose of mode k puts on each principal 2x2 and 4x4 minor of ``Omega @ cm``
+#: (``[k, 0]`` and ``[k, 1]``; mode 3 is absent, so row 3 flips none): one per x or p of mode k it holds.
+_PT_SIGNS = np.array([[[(-1.0) ** len({*s} & {*_quadratures([k])}) for s in q.tolist()] for q in (_PAIRS.T, _QUADS)]
+                      for k in range(4)])
+
+
+def _pt_invariants(cm: np.ndarray, rows) -> InvariantTriple:
+    """Invariants of ``(..., 6, 6)`` stacks after each partial transpose in ``rows`` of ``_PT_SIGNS``, shaped
+    ``(..., len(rows))`` (``i3``, unchanged by all, ``(..., 1)``), from one set of signed minors of ``Omega @ cm``."""
+    m = symplectic_form(3) @ cm
+    a, b = _PAIRS
+    minors = (m[..., a, a] * m[..., b, b] - m[..., a, b] * m[..., b, a])[..., None, :] * _PT_SIGNS[rows, 0]
+    # builtin sum adds the minors left to right; np.sum's pairwise order differs in the last bits
+    i1 = sum(np.moveaxis(minors, -1, 0))
+    # fancy indexing leaves the stack axis innermost; a contiguous copy sums each matrix in pairwise order
+    det4 = np.ascontiguousarray(np.linalg.det(m[..., _QUADS[:, :, None], _QUADS[:, None, :]]))
+    return InvariantTriple(i1, (det4[..., None, :] * _PT_SIGNS[rows, 1]).sum(-1), np.linalg.det(m)[..., None])
 
 
 def char_poly_invariants(cm: np.ndarray) -> InvariantTriple:
@@ -179,17 +196,8 @@ def char_poly_invariants(cm: np.ndarray) -> InvariantTriple:
     cm = _as_even_square(cm, "cm", stack=True)
     if cm.shape[-2:] != (6, 6):
         raise DimensionMismatchError(f"expected a 6x6 matrix, got {cm.shape}")
-    m = symplectic_form(3) @ cm
-    a, b = _PAIRS
-    # builtin sum adds the minors left to right; np.sum's pairwise order differs in the last bits
-    i1 = sum(np.moveaxis(m[..., a, a] * m[..., b, b] - m[..., a, b] * m[..., b, a], -1, 0))
-    # fancy indexing puts the stack axis innermost; summing along a contiguous axis
-    # gives each matrix numpy's pairwise order, as for a single matrix
-    i2 = np.ascontiguousarray(np.linalg.det(m[..., _QUADS[:, :, None], _QUADS[:, None, :]])).sum(-1)
-    i3 = np.linalg.det(m)
-    if cm.ndim == 2:
-        return InvariantTriple(float(i1), float(i2), float(i3))
-    return InvariantTriple(i1, i2, i3)
+    triple = InvariantTriple(*(x[..., 0] for x in _pt_invariants(cm, [3])))
+    return InvariantTriple(*map(float, triple)) if cm.ndim == 2 else triple
 
 
 def reduce_modes(cm: np.ndarray, modes: Sequence[int] | int) -> np.ndarray:
@@ -280,16 +288,21 @@ def load_state(path: str | Path) -> GaussianState:
     n = data.get("n_modes")
     if type(n) is not int or n < 1:  # bool and float are refused too
         raise DimensionMismatchError(f"'n_modes' must be a positive integer, got {json.dumps(n)}")
-    cm = np.asarray(data["cm"], dtype=float)
+    cm = _float_field(data, "cm")
     if cm.shape != (4 * n * n,):
         raise DimensionMismatchError(
             f"'cm' must hold {4 * n * n} row-major entries for n_modes={n}, got shape {cm.shape}"
         )
     cm = validate_cm(cm.reshape(2 * n, 2 * n))
-    displacement = data.get("displacement")
-    if displacement is not None:
-        displacement = np.asarray(displacement, dtype=float)
-    return GaussianState(cm, displacement)
+    return GaussianState(cm, None if data.get("displacement") is None else _float_field(data, "displacement"))
+
+
+def _float_field(data: dict, key: str) -> np.ndarray:
+    """``data[key]`` as a float array; an entry numpy cannot read as a number raises ``ValueError`` naming it."""
+    try:
+        return np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'{key}' must hold numbers only: {exc}") from None
 
 
 def save_state(state: GaussianState, path: str | Path) -> None:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _as_even_square, _check_finite, _check_modes, _quadratures, char_poly_invariants, partial_transpose
+from .core import _as_even_square, _check_finite, _check_modes, _pt_invariants, _quadratures
 from .errors import ComplexEigenvalueError, DimensionMismatchError, NotBisymmetricError
 from .ops import MeasurementSpec, _condition
 
@@ -125,8 +125,7 @@ def _as_modes(cm: np.ndarray, n: int) -> np.ndarray:
 def _splittings(cm: np.ndarray, modes=(0, 1, 2)):
     """``sigma`` of the splittings of ``modes`` from the rest, with its entangled
     and boundary masks, for ``(..., 6, 6)`` stacks; each shaped ``(..., len(modes))``."""
-    pt = np.stack([partial_transpose(cm, mode) for mode in modes], axis=-3)
-    i1, i2, i3 = char_poly_invariants(pt)
+    i1, i2, i3 = _pt_invariants(cm, modes)
     sigma = i3 - i2 + i1 - 1.0
     band = SPLITTING_BAND * (1.0 + np.abs(i1) + np.abs(i2) + np.abs(i3))
     return sigma, sigma < -band, np.abs(sigma) <= band

@@ -215,6 +215,12 @@ class TestClassifyCommand:
         ({"n_modes": True, "cm": [1.0, 0.0, 0.0, 1.0]}, "'n_modes'"),
         ({"n_modes": 1.0, "cm": [1.0, 0.0, 0.0, 1.0]}, "'n_modes'"),
         ({"n_modes": 3, "cm": None}, "'cm'"),
+        ({"n_modes": 3, "cm": {"x": 1}}, "'cm'"),
+        ({"n_modes": 3, "cm": [1.0] * 35 + [{"x": 1}]}, "'cm'"),
+        ({"n_modes": 3, "cm": "abc"}, "'cm'"),
+        ({"n_modes": 3, "cm": np.eye(6).ravel().tolist(), "displacement": {"a": 1}}, "'displacement'"),
+        ({"n_modes": 3, "cm": np.eye(6).ravel().tolist(), "displacement": [0.0] * 5 + [{"a": 1}]}, "'displacement'"),
+        ({"n_modes": 3, "cm": np.eye(6).ravel().tolist(), "displacement": "abc"}, "'displacement'"),
     ])
     def test_malformed_record_exits_1(self, tmp_path, capsys, record, field):
         path = tmp_path / "record.json"

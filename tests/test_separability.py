@@ -34,11 +34,13 @@ from gaussent import (
     threshold_r_m,
     two_mode_metrics,
 )
+from gaussent.core import _pt_invariants
 from gaussent.protocol import ROUTE_VIA_A, ROUTE_VIA_APRIME, STAGES, ProtocolParams, stage_state
 from gaussent.ops import HOMODYNE_SV_CUTOFF
 from gaussent.separability import (
     PAIR_LABELS,
     PAIR_MODES,
+    SPLITTING_BAND,
     SPLITTING_LABELS,
     _classify,
     _localizable_mu,
@@ -48,6 +50,30 @@ from gaussent.separability import (
 )
 
 from helpers import pt_mu_oracle, random_physical_cm
+
+
+def assert_shared_minors_match_each_transpose(cm):
+    """The shared-minor kernel and ``_splittings`` give, byte for byte, what the
+    invariants of each partially transposed matrix itself give."""
+    i1, i2, i3 = _pt_invariants(cm, [0, 1, 2])
+    splits = _splittings(cm)
+    for mode in range(3):
+        w1, w2, w3 = (np.asarray(x) for x in char_poly_invariants(partial_transpose(cm, mode)))
+        for got, want in zip((i1[..., mode], i2[..., mode], i3[..., 0]), (w1, w2, w3)):
+            assert got.tobytes() == want.tobytes()
+        sigma = w3 - w2 + w1 - 1.0
+        band = SPLITTING_BAND * (1.0 + np.abs(w1) + np.abs(w2) + np.abs(w3))
+        for got, want in zip(splits, (sigma, sigma < -band, np.abs(sigma) <= band)):
+            assert got[..., mode].tobytes() == np.asarray(want).tobytes()
+
+
+#: every stage on a grid reaching large squeezing; the initial stage has exact zeros
+LADDER_CMS = np.array([
+    stage_state(ProtocolParams(r, eps), stage).state.cm
+    for r in (0.0, 0.3, 1.5, 4.0, 8.0, 12.0, 16.0)
+    for eps in (0.0, 0.001, 0.1, 1.0, 3.0)
+    for stage in STAGES
+])
 
 
 def sigma_closed_form(r, eps):
@@ -122,6 +148,20 @@ class TestSplittingSigma:
                 verdict = splitting_sigma(cm, mode)
                 assert sigma[k, mode] == verdict.sigma == i3 - i2 + i1 - 1.0
                 assert (entangled[k, mode], boundary[k, mode]) == (verdict.entangled, verdict.boundary)
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6))
+    def test_shared_minors_are_bitwise_each_transpose_on_random_states(self, seeds):
+        cms = np.stack([random_physical_cm(3, np.random.default_rng(seed)) for seed in seeds])
+        for cm in cms:
+            assert_shared_minors_match_each_transpose(cm)
+        assert_shared_minors_match_each_transpose(cms.reshape(2, 3, 6, 6))
+
+    def test_shared_minors_are_bitwise_each_transpose_on_every_stage(self):
+        for cm in LADDER_CMS:
+            assert_shared_minors_match_each_transpose(cm)
+        assert_shared_minors_match_each_transpose(LADDER_CMS.reshape(7, -1, 6, 6))
 
 
 class TestFinalStateSigmas:
@@ -221,7 +261,7 @@ def _with_nan_pair(n_modes):
 
 
 class TestNonFiniteInput:
-    # under the suite's error::RuntimeWarning filter, a NaN that reached the
+    # under the suite's filter that makes every warning an error, a NaN that reached the
     # arithmetic would raise RuntimeWarning instead of a verdict or an error
     @pytest.mark.parametrize("call", [
         lambda: classify_three_mode(_with_nan_pair(3)),
