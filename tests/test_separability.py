@@ -149,7 +149,6 @@ class TestSplittingSigma:
                 assert sigma[k, mode] == verdict.sigma == i3 - i2 + i1 - 1.0
                 assert (entangled[k, mode], boundary[k, mode]) == (verdict.entangled, verdict.boundary)
 
-
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6))
     def test_shared_minors_are_bitwise_each_transpose_on_random_states(self, seeds):
