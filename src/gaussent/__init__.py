@@ -17,7 +17,6 @@ from .core import (
 from .errors import (
     BadCountError,
     BadModeIndexError,
-    ComplexEigenvalueError,
     DimensionMismatchError,
     DomainError,
     GaussentError,

@@ -22,13 +22,12 @@ from .errors import (
     BadModeIndexError,
     DimensionMismatchError,
     NotSymmetricError,
-    NumericalFailureError,
     UnphysicalError,
 )
 
 #: Maximum tolerated asymmetry |m - m^T| before a matrix is rejected.
 TAU_SYM = 1e-10
-#: Slack on the physicality bound: symplectic eigenvalues must be >= 1 - TAU_PSD.
+#: Fixed part of the physicality slack: symplectic eigenvalues must be >= 1 - (TAU_PSD + 8 eps ||cm||_F).
 TAU_PSD = 1e-9
 
 
@@ -52,36 +51,43 @@ def _as_even_square(m: np.ndarray, what: str = "matrix", stack: bool = False) ->
     return m
 
 
-def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a symmetric matrix, ascending.
-
-    Computed as square roots of the eigenvalue moduli of ``-(Omega cm)^2``,
-    which pairs up exactly; each pair is averaged into one of the n returned
-    values.  Physicality is *not* required, so the routine is safe to use on
-    partial transposes.
-
-    Args:
-        cm: symmetric 2n x 2n matrix.
-
-    Returns:
-        Array of n nonnegative reals, sorted ascending.
-    """
-    cm = _as_even_square(cm, "cm")
-    n = cm.shape[0] // 2
-    m = symplectic_form(n) @ cm
-    try:
-        ev = np.linalg.eigvals(-m @ m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
-    nu = np.sort(np.sqrt(np.abs(ev)))
-    return 0.5 * (nu[0::2] + nu[1::2])
-
-
 def _check_finite(m: np.ndarray) -> None:
     """Raise ``UnphysicalError`` if an entry of the covariance matrix ``m`` is NaN or infinite."""
     finite = np.isfinite(m)
     if not finite.all():
         raise UnphysicalError(f"covariance matrix has {finite.size - finite.sum()} non-finite entries")
+
+
+def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
+    """Williamson spectrum of a positive-definite 2n x 2n matrix: n values, ascending.
+
+    With ``cm = L L^T`` by Cholesky (only the lower triangle is read),
+    ``i L^T Omega L`` is Hermitian and similar to ``i Omega cm``, with
+    eigenvalues ``+-nu_k``; the positive half is the spectrum.  Every
+    physical matrix, and every partial transpose of one, is positive
+    definite; any other matrix, or one with a NaN or infinite entry, raises
+    ``UnphysicalError``.
+    """
+    cm = _as_even_square(cm, "cm")
+    _check_finite(cm)
+    try:
+        chol = np.linalg.cholesky(cm)
+    except np.linalg.LinAlgError:
+        raise UnphysicalError("covariance matrix is not positive definite") from None
+    n = cm.shape[0] // 2
+    return np.linalg.eigvalsh(1j * (chol.T @ symplectic_form(n) @ chol))[n:]
+
+
+def _check_physical(m: np.ndarray) -> None:
+    """Raise ``UnphysicalError`` unless every entry of ``m`` is finite, ``m`` is
+    positive definite and its smallest symplectic eigenvalue is at least
+    ``1 - (TAU_PSD + 8 eps ||m||_F)``, a slack scaled to the rounding error of ``m``."""
+    smallest = symplectic_eigenvalues(m)[0]
+    if smallest < 1.0 - (TAU_PSD + 8.0 * np.finfo(float).eps * np.linalg.norm(m)):
+        raise UnphysicalError(
+            f"smallest symplectic eigenvalue {float(smallest)!r} violates the uncertainty bound",
+            smallest_eigenvalue=float(smallest),
+        )
 
 
 def validate_cm(m: np.ndarray) -> np.ndarray:
@@ -94,8 +100,9 @@ def validate_cm(m: np.ndarray) -> np.ndarray:
         The symmetrized matrix as a fresh float array.
 
     Raises:
-        UnphysicalError: an entry is NaN or infinite, or the smallest
-            symplectic eigenvalue is below ``1 - TAU_PSD``.
+        UnphysicalError: an entry is NaN or infinite, the matrix is not
+            positive definite, or its smallest symplectic eigenvalue is below
+            ``1 - (TAU_PSD + 8 eps ||m||_F)``.
         NotSymmetricError: asymmetry exceeds ``TAU_SYM``.
     """
     m = _as_even_square(m, "covariance matrix")
@@ -104,12 +111,7 @@ def validate_cm(m: np.ndarray) -> np.ndarray:
     if asym >= TAU_SYM:
         raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds tolerance {TAU_SYM:.0e}")
     m = 0.5 * (m + m.T)
-    smallest = symplectic_eigenvalues(m)[0]
-    if smallest < 1.0 - TAU_PSD:
-        raise UnphysicalError(
-            f"smallest symplectic eigenvalue {smallest!r} violates the uncertainty bound",
-            smallest_eigenvalue=float(smallest),
-        )
+    _check_physical(m)
     return m
 
 
@@ -298,11 +300,15 @@ def load_state(path: str | Path) -> GaussianState:
 
 
 def _float_field(data: dict, key: str) -> np.ndarray:
-    """``data[key]`` as a float array; an entry numpy cannot read as a number raises ``ValueError`` naming it."""
+    """``data[key]`` as a float array; anything but a list of JSON numbers (``int``
+    or ``float``, not ``bool``) raises ``ValueError`` naming the field."""
+    value = data[key]
+    if not isinstance(value, list) or not all(type(x) in (int, float) for x in value):
+        raise ValueError(f"'{key}' must be a list of numbers, got {json.dumps(value)[:80]}")
     try:
-        return np.asarray(data[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"'{key}' must hold numbers only: {exc}") from None
+        return np.array(value, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"'{key}' must hold float-range numbers: {exc}") from None
 
 
 def save_state(state: GaussianState, path: str | Path) -> None:

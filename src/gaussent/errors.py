@@ -13,7 +13,8 @@ class UnphysicalError(GaussentError):
     """Covariance matrix violates the uncertainty principle.
 
     Carries the offending (smallest) symplectic eigenvalue in
-    ``smallest_eigenvalue``.
+    ``smallest_eigenvalue``, or ``None`` when the matrix has a non-finite
+    entry or is not positive definite.
     """
 
     def __init__(self, message, smallest_eigenvalue=None):
@@ -43,10 +44,6 @@ class SingularConditioningError(GaussentError):
 
 class BadCountError(GaussentError):
     """Sample count below the minimum required for covariance estimates."""
-
-
-class ComplexEigenvalueError(GaussentError):
-    """Partial-transpose symplectic spectrum is not real (unphysical input)."""
 
 
 class NotBisymmetricError(GaussentError):

@@ -118,7 +118,7 @@ class MeasurementSpec:
             # the determinant of a strongly squeezed seed carries an absolute
             # float error of order eps * |seed|^2, so the bound scales with it
             det = np.linalg.det(seed)
-            tol = TAU_PSD * np.maximum(1.0, np.abs(seed).max(axis=(-2, -1)) ** 2)
+            tol = TAU_PSD + 8.0 * np.finfo(float).eps * np.abs(seed).max(axis=(-2, -1)) ** 2
             bad = (det < 1.0 - tol) | (seed[..., 0, 0] <= 0)
             if bad.any():
                 raise UnphysicalError(f"seed_cm is unphysical (det {det[bad].flat[0]:.6g} < 1)")

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _as_even_square, _check_finite, _check_modes, _pt_invariants, _quadratures
-from .errors import ComplexEigenvalueError, DimensionMismatchError, NotBisymmetricError
+from .core import _as_even_square, _check_modes, _check_physical, _pt_invariants, _quadratures
+from .errors import DimensionMismatchError, NotBisymmetricError
 from .ops import MeasurementSpec, _condition
 
 #: Pair verdicts with ``|mu - 1|`` within this band are reported as boundary cases.
@@ -114,11 +114,12 @@ class SeparabilityReport:
 
 def _as_modes(cm: np.ndarray, n: int) -> np.ndarray:
     """Float array of one ``n``-mode matrix, or ``DimensionMismatchError``; an
-    entry that is NaN or infinite raises ``UnphysicalError``, as in ``validate_cm``."""
+    unphysical matrix raises ``UnphysicalError``, as in ``validate_cm``, which
+    unlike here also symmetrizes."""
     cm = _as_even_square(cm, "cm")
     if cm.shape != (2 * n, 2 * n):
         raise DimensionMismatchError(f"expected a {n}-mode ({2 * n}x{2 * n}) matrix, got {cm.shape}")
-    _check_finite(cm)
+    _check_physical(cm)
     return cm
 
 
@@ -148,12 +149,7 @@ def _pt_metrics(cm: np.ndarray):
     det_cm = np.linalg.det(cm)
     # a product, not **: a float64 scalar's ** rounds through pow, an array's does not
     disc = delta_tilde * delta_tilde - 4.0 * det_cm
-    # initial=0.0 makes each check's test value the most negative entry, if any
-    if (worst := disc.min(initial=0.0)) < -1e-9:
-        raise ComplexEigenvalueError(f"discriminant {worst:.3e} is negative: unphysical input")
     mu_sq = 0.5 * (delta_tilde - np.sqrt(np.maximum(disc, 0.0)))
-    if (worst := mu_sq.min(initial=0.0)) < -1e-9:
-        raise ComplexEigenvalueError(f"squared eigenvalue {worst:.3e} is negative: unphysical input")
     return np.sqrt(np.maximum(mu_sq, 0.0)), delta_tilde, det_cm
 
 
@@ -168,9 +164,7 @@ def two_mode_metrics(cm: np.ndarray) -> EntanglementMetrics:
     """Partial-transpose entanglement metrics of a two-mode state.
 
     Raises:
-        ComplexEigenvalueError: the discriminant ``delta_tilde^2 - 4 det cm``
-            is negative beyond tolerance, i.e. the partial transpose has no
-            real symplectic spectrum (unphysical input).
+        UnphysicalError: the matrix is not physical (see ``validate_cm``).
     """
     return _entanglement_metrics(*(x.item() for x in _pairs(_as_modes(cm, 2))))
 
@@ -193,7 +187,7 @@ def log_negativity(mu: float) -> float:
 def _classify(cm: np.ndarray):
     """Splitting results and pair results (:func:`_splittings` and :func:`_pairs`
     of the ``PAIR_MODES`` reductions) and the class label of ``(..., 6, 6)``
-    stacks; the pair checks raise ``ComplexEigenvalueError`` as for one matrix."""
+    stacks; physicality is the caller's to check."""
     splits = _splittings(cm)
     pairs = _pairs(cm[..., _PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]])
     return splits, pairs, _CLASS_BY_COUNT[splits[1].sum(-1)]

@@ -1,9 +1,9 @@
 """Shared test utilities: independent oracle routes and random-state generators.
 
 The oracle functions here deliberately avoid the library's computation
-paths (complex eigensolve instead of the squared-form route, explicit
-2x2-block determinants instead of the invariant machinery) so that
-agreement between the two is a real check.
+paths (a general complex eigensolve of ``i Omega cm`` instead of the
+Cholesky-based Hermitian route, explicit 2x2-block determinants instead of
+the invariant machinery) so that agreement between the two is a real check.
 """
 
 import numpy as np

@@ -24,7 +24,7 @@ from gaussent import (
     two_mode_metrics,
 )
 from gaussent.cli import _emit_json, _emit_profile, main
-from gaussent.protocol import ROUTE_VIA_APRIME, ProtocolParams
+from gaussent.protocol import ROUTE_VIA_APRIME, STAGE_FINAL_VIA_A, STAGE_FINAL_VIA_APRIME, ProtocolParams, stage_state
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +221,11 @@ class TestClassifyCommand:
         ({"n_modes": 3, "cm": np.eye(6).ravel().tolist(), "displacement": {"a": 1}}, "'displacement'"),
         ({"n_modes": 3, "cm": np.eye(6).ravel().tolist(), "displacement": [0.0] * 5 + [{"a": 1}]}, "'displacement'"),
         ({"n_modes": 3, "cm": np.eye(6).ravel().tolist(), "displacement": "abc"}, "'displacement'"),
+        ({"n_modes": 1, "cm": [1.0, 0.0, 0.0, 1.0], "displacement": ["1", 0.0]}, "'displacement'"),
+        ({"n_modes": 1, "cm": [1.0, 0.0, 0.0, 1.0], "displacement": [0.0, True]}, "'displacement'"),
+        ({"n_modes": 1, "cm": ["1", "0", "0", "1"]}, "'cm'"),
+        ({"n_modes": 1, "cm": [True, False, False, True]}, "'cm'"),
+        ({"n_modes": 1, "cm": [1, 0, 0, 10 ** 400]}, "'cm'"),
     ])
     def test_malformed_record_exits_1(self, tmp_path, capsys, record, field):
         path = tmp_path / "record.json"
@@ -228,6 +233,19 @@ class TestClassifyCommand:
         code, out = run_cli(capsys, "classify", "--input", str(path))
         assert code == 1 and out.out == ""
         assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ") and field in out.err
+
+    @pytest.mark.parametrize("stage", [STAGE_FINAL_VIA_APRIME, STAGE_FINAL_VIA_A])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("r", [9.0, 12.0, 16.0])
+    def test_saved_stage_state_round_trips(self, tmp_path, capsys, r, eps, stage):
+        # a full-precision record of a physical stage matrix classifies as analyze reports it
+        state = stage_state(ProtocolParams(r, eps), stage)
+        path = tmp_path / "stage.json"
+        save_state(state.state, path)
+        code, out = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 0, out.err
+        _, want = run_cli(capsys, "analyze", "--r", str(r), "--epsilon", str(eps), "--stage", stage)
+        assert json.loads(out.out) == json.loads(want.out)["report"]
 
     def test_missing_file_exits_1(self, capsys):
         code, out = run_cli(capsys, "classify", "--input", "/nonexistent.json")
@@ -312,10 +330,14 @@ class TestNonFiniteOutput:
 
     def test_infinite_log_negativity_is_named(self, capsys):
         # the pair's mu cancels to 0 at this squeezing, so its log negativity is inf
-        code, out = run_cli(capsys, "analyze", "--r", "25", "--epsilon", "0.1", "--stage", "final-via-A")
+        code, out = run_cli(capsys, "analyze", "--r", "25", "--epsilon", "0.1", "--stage", "initial")
         assert code == 1
         assert out.out == ""
-        assert "at report.pairwise[1].log_negativity = inf" in out.err
+        assert "at report.pairwise[0].log_negativity = inf" in out.err
+        # the final stage's rounded matrix is no longer positive definite at this squeezing
+        code, out = run_cli(capsys, "analyze", "--r", "25", "--epsilon", "0.1", "--stage", "final-via-A")
+        assert code == 1 and out.out == ""
+        assert out.err == "error: covariance matrix is not positive definite\n"
 
     @pytest.mark.parametrize("argv", [
         "sweep --epsilon 400 --steps 3",

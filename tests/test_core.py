@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussent import (
     BadModeIndexError,
@@ -97,6 +99,24 @@ class TestValidateCm:
             with pytest.raises(UnphysicalError, match="non-finite"):
                 validate_cm(m)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 3),
+           nu_min=st.just(1.0) | st.floats(1.0, 3.0) | st.floats(1e-3, 1.0 - 1e-6))
+    def test_accepts_exactly_the_physical_williamson_forms(self, seed, n_modes, nu_min):
+        # S diag(nu) S^T is physical exactly when its smallest Williamson value is >= 1
+        rng = np.random.default_rng(seed)
+        nu = np.concatenate(([nu_min], rng.uniform(1.0, 3.0, n_modes - 1)))
+        s = random_symplectic(n_modes, rng)
+        cm = s @ np.diag(np.repeat(nu, 2)) @ s.T
+        cm = 0.5 * (cm + cm.T)
+        assert np.allclose(symplectic_eigenvalues(cm), sympl_eigs_oracle(cm), rtol=1e-9, atol=1e-9)
+        assert np.allclose(symplectic_eigenvalues(cm), np.sort(nu), rtol=1e-9, atol=1e-9)
+        if nu_min >= 1.0:
+            assert np.array_equal(validate_cm(cm), cm)
+        else:
+            with pytest.raises(UnphysicalError):
+                validate_cm(cm)
+
 
 class TestSymplecticEigenvalues:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -114,8 +134,22 @@ class TestSymplecticEigenvalues:
     def test_matches_direct_eigensolve_on_random_symmetric(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            m = random_symmetric(6, rng)
+            a = rng.normal(size=(6, 6))
+            m = a @ a.T + 0.1 * np.eye(6)  # positive definite, not necessarily physical
             assert np.allclose(symplectic_eigenvalues(m), sympl_eigs_oracle(m), atol=1e-8)
+        indefinite = random_symmetric(6, rng)
+        assert np.linalg.eigvalsh(indefinite).min() < 0
+        with pytest.raises(UnphysicalError, match="not positive definite"):
+            symplectic_eigenvalues(indefinite)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_raise_without_warnings(self, value):
+        m = np.eye(4)
+        m[0, 1] = m[1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnphysicalError, match="non-finite"):
+                symplectic_eigenvalues(m)
 
     def test_physical_states_bounded_below_by_one(self):
         rng = np.random.default_rng(5)

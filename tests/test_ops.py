@@ -118,6 +118,10 @@ class TestMeasurementSpec:
         MeasurementSpec.general_gaussian(0, seeds[:2])
         with pytest.raises(UnphysicalError):
             MeasurementSpec.general_gaussian(0, seeds)
+        # strongly squeezed seeds whose det (1e-3, 1e-2) is far below 1, not rounding error
+        for seed in (np.diag([1e6, 1e-9]), np.diag([1e5, 1e-7])):
+            with pytest.raises(UnphysicalError):
+                MeasurementSpec.general_gaussian(0, np.stack([np.eye(2), seed]))
 
 
 class TestConditioning:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gaussent import (
     BadModeIndexError,
-    ComplexEigenvalueError,
     GaussianState,
     MeasurementSpec,
     NotBisymmetricError,
@@ -86,8 +85,8 @@ def tmsv_cm(r):
     return np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
 
 
-# symmetric 4x4 with delta_tilde^2 - 4 det < 0 (no real PT symplectic
-# spectrum); found by random search, frozen here
+# symmetric indefinite 4x4 with delta_tilde^2 - 4 det < 0 (no real PT
+# symplectic spectrum); found by random search, frozen here
 INDEFINITE_CM = np.array([
     [0.125730221093393, -0.333887118226206, -0.031656292681855, -1.110065328742897],
     [-0.333887118226206, 0.361595054909485, 0.019289287042042, 0.364144649598348],
@@ -217,10 +216,8 @@ class TestTwoModeMetrics:
             assert two_mode_metrics(cm).mu == pytest.approx(pt_mu_oracle(cm), abs=1e-8)
 
     def test_unphysical_input_raises(self):
-        with pytest.raises(ComplexEigenvalueError):
+        with pytest.raises(UnphysicalError, match="not positive definite"):
             two_mode_metrics(INDEFINITE_CM)
-        with pytest.raises(ComplexEigenvalueError):
-            _pt_metrics(np.stack([np.eye(4), INDEFINITE_CM]))
 
     def test_stack_matches_one_at_a_time(self):
         rng = np.random.default_rng(33)
@@ -259,19 +256,34 @@ def _with_nan_pair(n_modes):
     return cm
 
 
+#: the five public entry points: the mode count each takes and a call on one matrix
+ENTRY_POINTS = {
+    "classify_three_mode": (3, classify_three_mode),
+    "splitting_sigma": (3, lambda cm: splitting_sigma(cm, 0)),
+    "two_mode_metrics": (2, two_mode_metrics),
+    "localizable_mu": (3, lambda cm: localizable_mu(cm, 2)),
+    "measurement_scan_oracle": (3, lambda cm: measurement_scan_oracle(cm, 2, n_theta=4, n_t=4)),
+}
+
+
 class TestNonFiniteInput:
     # under the suite's filter that makes every warning an error, a NaN that reached the
     # arithmetic would raise RuntimeWarning instead of a verdict or an error
-    @pytest.mark.parametrize("call", [
-        lambda: classify_three_mode(_with_nan_pair(3)),
-        lambda: splitting_sigma(_with_nan_pair(3), 0),
-        lambda: two_mode_metrics(_with_nan_pair(2)),
-        lambda: localizable_mu(_with_nan_pair(3), 2),
-        lambda: measurement_scan_oracle(_with_nan_pair(3), 2, n_theta=4, n_t=4),
-    ], ids=["classify_three_mode", "splitting_sigma", "two_mode_metrics", "localizable_mu", "measurement_scan_oracle"])
+    @pytest.mark.parametrize("call", ENTRY_POINTS)
     def test_entry_points_refuse_nan(self, call):
+        n, entry = ENTRY_POINTS[call]
         with pytest.raises(UnphysicalError, match="^covariance matrix has 2 non-finite entries$"):
-            call()
+            entry(_with_nan_pair(n))
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS)
+    @pytest.mark.parametrize("diagonal,match", [((0.5, 0.5), "smallest symplectic eigenvalue 0.5"),
+                                                ((1.0, -1.0), "not positive definite")],
+                             ids=["below-vacuum", "negative-diagonal"])
+    def test_entry_points_refuse_unphysical_input(self, call, diagonal, match):
+        # 0.5 * I is positive definite with nu = 0.5; a negative variance fails the Cholesky factor
+        n, entry = ENTRY_POINTS[call]
+        with pytest.raises(UnphysicalError, match=match):
+            entry(np.diag(np.resize(diagonal, 2 * n)))
 
     def test_infinite_entry_refused(self):
         cm = np.eye(6)
@@ -358,13 +370,11 @@ class TestClassifyThreeMode:
                 assert metrics.entangled == old.entangled
                 assert metrics.mu == pytest.approx(old.mu, rel=1e-9, abs=0.0)
 
-    def test_stacked_labels_run_the_pair_checks(self):
+    def test_indefinite_pair_block_is_refused(self):
         bad = np.eye(6)
         bad[:4, :4] = INDEFINITE_CM
-        with pytest.raises(ComplexEigenvalueError):
+        with pytest.raises(UnphysicalError, match="not positive definite"):
             classify_three_mode(bad)
-        with pytest.raises(ComplexEigenvalueError):
-            _classify(np.stack([np.eye(6), bad]))
 
 
 class TestLocalizableMu:
