@@ -58,36 +58,74 @@ def _check_finite(m: np.ndarray) -> None:
         raise UnphysicalError(f"covariance matrix has {finite.size - finite.sum()} non-finite entries")
 
 
-def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
-    """Williamson spectrum of a positive-definite 2n x 2n matrix: n values, ascending.
+def _check_symmetric(m: np.ndarray) -> None:
+    """Raise ``NotSymmetricError`` if ``|m - m^T|`` reaches ``TAU_SYM``; ``m`` is not changed."""
+    if (asym := np.abs(m - m.T).max()) >= TAU_SYM:
+        raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds tolerance {TAU_SYM:.0e}")
 
-    With ``cm = L L^T`` by Cholesky (only the lower triangle is read),
-    ``i L^T Omega L`` is Hermitian and similar to ``i Omega cm``, with
-    eigenvalues ``+-nu_k``; the positive half is the spectrum.  Every
-    physical matrix, and every partial transpose of one, is positive
-    definite; any other matrix, or one with a NaN or infinite entry, raises
-    ``UnphysicalError``.
-    """
-    cm = _as_even_square(cm, "cm")
-    _check_finite(cm)
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Cholesky factor of ``m`` or of each matrix of a stack; ``UnphysicalError`` if one is not positive definite."""
     try:
-        chol = np.linalg.cholesky(cm)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise UnphysicalError("covariance matrix is not positive definite") from None
-    n = cm.shape[0] // 2
-    return np.linalg.eigvalsh(1j * (chol.T @ symplectic_form(n) @ chol))[n:]
+
+
+def _williamson_form(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian ``i L^T Omega L`` and ``L`` for ``cm = L L^T``, once ``cm`` is finite, symmetric and positive definite."""
+    cm = _as_even_square(cm, "cm")
+    _check_finite(cm)
+    _check_symmetric(cm)
+    chol = _cholesky(cm)
+    return 1j * (chol.T @ symplectic_form(cm.shape[0] // 2) @ chol), chol
+
+
+def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
+    """Williamson spectrum of a symmetric positive-definite 2n x 2n matrix: n values, ascending.
+
+    ``i L^T Omega L``, with ``cm = L L^T`` by Cholesky, is similar to ``i Omega cm``
+    and has eigenvalues ``+-nu_k``; the positive half is the spectrum.  Every
+    physical matrix, and every partial transpose of one, is positive definite.
+    Any other matrix, or a non-finite entry, raises ``UnphysicalError``, and an
+    asymmetry of ``TAU_SYM`` or more ``NotSymmetricError``.
+    """
+    form, _ = _williamson_form(cm)
+    return np.linalg.eigvalsh(form)[form.shape[0] // 2:]
 
 
 def _check_physical(m: np.ndarray) -> None:
-    """Raise ``UnphysicalError`` unless every entry of ``m`` is finite, ``m`` is
-    positive definite and its smallest symplectic eigenvalue is at least
-    ``1 - (TAU_PSD + 8 eps ||m||_F)``, a slack scaled to the rounding error of ``m``."""
+    """Raise ``UnphysicalError`` unless ``m`` is finite, symmetric, positive definite and physical.
+
+    A smallest symplectic eigenvalue below ``1 - TAU_PSD`` is refused if it is
+    below ``1 - (TAU_PSD + 8 eps ||m||_F)``, the kernel's own rounding, or if
+    :func:`_rayleigh_bound` keeps ``nu_min`` below ``1 - TAU_PSD``.  That bound
+    is local to the modes its vectors span, so a large mode does not hide a
+    violation in another.
+    """
     smallest = symplectic_eigenvalues(m)[0]
-    if smallest < 1.0 - (TAU_PSD + 8.0 * np.finfo(float).eps * np.linalg.norm(m)):
+    if smallest < 1.0 - TAU_PSD and (
+        smallest < 1.0 - (TAU_PSD + 8.0 * np.finfo(float).eps * np.linalg.norm(m))
+        or _rayleigh_bound(m) < 1.0 - TAU_PSD
+    ):
         raise UnphysicalError(
             f"smallest symplectic eigenvalue {float(smallest)!r} violates the uncertainty bound",
             smallest_eigenvalue=float(smallest),
         )
+
+
+def _rayleigh_bound(m: np.ndarray) -> float:
+    """Upper bound on ``nu_min`` that rounding cannot lower: ``nu_min <= x^H m x / |x^H Omega x|``
+    for every ``x``, here each Williamson vector with a value below ``1 - TAU_PSD``, and each
+    form is widened by its own rounding bound ``16 n eps |x|^T |.| |x|``."""
+    form, chol = _williamson_form(m)
+    n = form.shape[0] // 2
+    nu, vectors = np.linalg.eigh(form)
+    x = np.linalg.solve(chol.T, vectors[:, n:][:, nu[n:] < 1.0 - TAU_PSD])
+    omega, ax, gamma = symplectic_form(n), np.abs(x), 16 * n * np.finfo(float).eps
+    upper = (x.conj() * (m @ x)).sum(0).real + gamma * (ax * (np.abs(m) @ ax)).sum(0)
+    lower = np.abs((x.conj() * (omega @ x)).sum(0)) - gamma * (ax * (np.abs(omega) @ ax)).sum(0)
+    return np.divide(upper, lower, out=np.full_like(upper, np.inf), where=lower > 0).min(initial=np.inf)
 
 
 def validate_cm(m: np.ndarray) -> np.ndarray:
@@ -101,15 +139,13 @@ def validate_cm(m: np.ndarray) -> np.ndarray:
 
     Raises:
         UnphysicalError: an entry is NaN or infinite, the matrix is not
-            positive definite, or its smallest symplectic eigenvalue is below
-            ``1 - (TAU_PSD + 8 eps ||m||_F)``.
+            positive definite, or its smallest symplectic eigenvalue is
+            below ``1 - TAU_PSD`` (see :func:`_check_physical`).
         NotSymmetricError: asymmetry exceeds ``TAU_SYM``.
     """
     m = _as_even_square(m, "covariance matrix")
     _check_finite(m)
-    asym = np.abs(m - m.T).max()
-    if asym >= TAU_SYM:
-        raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds tolerance {TAU_SYM:.0e}")
+    _check_symmetric(m)
     m = 0.5 * (m + m.T)
     _check_physical(m)
     return m

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import GaussianState
+from .core import GaussianState, _cholesky
 from .errors import DomainError, NumericalFailureError
 from .ops import _preparation_cm, embed_vacuum
 from .separability import SeparabilityReport, _classify, _localizable_mu, _pt_metrics, _splittings, classify_three_mode
@@ -334,13 +334,18 @@ def sweep_profile(r, epsilon: float) -> dict:
     """Sweep columns by name over the squeezing values ``r``, each an array with the
     bits of the one-state functions: ``r``, ``mu_pair`` (of the reduced pair, taken as
     the A-B pair of the final state via A'), ``mu_m``, ``sigma_shared_A`` (the shared
-    state's ``A|(A'B)`` value) and ``class_final`` (the label of the final state via A')."""
+    state's ``A|(A'B)`` value) and ``class_final`` (the label of the final state via A').
+    A row whose shared or final matrix is not positive definite raises ``UnphysicalError``."""
     r = np.asarray(r, dtype=float)
     _check_domain(r=r)
     _check_domain(epsilon=epsilon)
     blocks = _blocks(r, epsilon)
-    sigma_a = _splittings(_shared_matrix(blocks), [0])[0][..., 0]
-    _, pairs, labels = _classify(_final_matrix(blocks, ROUTE_VIA_APRIME))
+    shared, final = _shared_matrix(blocks), _final_matrix(blocks, ROUTE_VIA_APRIME)
+    # from r ~ 18.4 the entries (exp(2r) +- 1)/2 lose the +-1; analyze refuses those states too
+    _cholesky(shared)
+    _cholesky(final)
+    sigma_a = _splittings(shared, [0])[0][..., 0]
+    _, pairs, labels = _classify(final)
     mu_pair = pairs[0][..., 1]
     return {"r": r, "mu_pair": mu_pair, "mu_m": _mu_m(r, epsilon), "sigma_shared_A": sigma_a, "class_final": labels}
 

@@ -112,6 +112,12 @@ class TestSweepCommand:
         assert len(payload) == 3
         assert list(payload[0]) == ["r", "mu_pair", "mu_m", "sigma_shared_A", "class_final"]
 
+    def test_rows_beyond_double_precision_exit_1(self, capsys):
+        # from r of about 18.4 the stage entries (exp(2r) +- 1)/2 lose the +-1; analyze refuses those states too
+        code, out = run_cli(capsys, "sweep", "--epsilon", "0.1", "--r-min", "18", "--r-max", "40")
+        assert (code, out.out, out.err) == (1, "", "error: covariance matrix is not positive definite\n")
+        assert run_cli(capsys, "sweep", "--epsilon", "0.1", "--r-min", "16", "--r-max", "18")[0] == 0
+
     def test_bounds_violation_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--epsilon", "0.1", "--r-min", "0.5", "--r-max", "0.1"])

@@ -27,6 +27,7 @@ from gaussent import (
     symplectic_form,
     validate_cm,
 )
+from gaussent.core import _rayleigh_bound
 from gaussent.protocol import ProtocolParams
 
 from helpers import (
@@ -86,6 +87,42 @@ class TestValidateCm:
         with pytest.raises(DimensionMismatchError):
             validate_cm(np.eye(5))
 
+    @pytest.mark.parametrize("coupling", [0.0, 1e-3])
+    def test_large_mode_does_not_hide_a_violation_in_another(self, coupling):
+        # ||m||_F is about 1e15, so the norm-scaled slack alone is about 1.8 and would pass nu = 0.5
+        m = np.diag([1e15, 1.0, 0.5, 0.5, 1.0, 1.0])
+        m[0, 2] = m[2, 0] = coupling
+        with pytest.raises(UnphysicalError) as exc:
+            validate_cm(m)
+        assert exc.value.smallest_eigenvalue == pytest.approx(0.5, abs=1e-9)
+
+    def test_violation_beside_a_rounded_stage_state_is_refused(self):
+        # at r = 18 the shared stage's own computed nu_min is about 0.87 (the true value is 1) and
+        # ||m||_F is about 4e15, so only the Rayleigh bound of the second Williamson vector sees 0.9
+        m = np.eye(8)
+        m[:6, :6] = shared_cm(ProtocolParams(18.0, 0.1))[0].cm
+        assert np.array_equal(validate_cm(m), m)
+        m[6, 6] = m[7, 7] = 0.9
+        with pytest.raises(UnphysicalError):
+            validate_cm(m)
+
+    def test_norm_scaled_slack_refuses_what_the_rayleigh_bound_leaves_open(self):
+        # mixed into modes with nu ~ 1e7, the violation cancels inside x^H m x, beyond the bound's
+        # resolution, but nu_min is 1e-5 below 1 and ||m||_F ~ 2e8 puts the kernel's rounding at 3e-7
+        s = random_symplectic(3, np.random.default_rng(29))
+        m = s @ np.diag(np.repeat([1.0 - 1e-5, 2e7, 3e7], 2)) @ s.T
+        m = 0.5 * (m + m.T)
+        assert _rayleigh_bound(m) > 1.0
+        with pytest.raises(UnphysicalError, match="smallest symplectic eigenvalue 0.99998"):
+            validate_cm(m)
+
+    def test_large_mode_keeps_the_absolute_slack_of_the_others(self):
+        m = np.diag([2.0**50, 2.0**-50, 1.0, 1.0, 1.0, 1.0])
+        assert np.array_equal(validate_cm(m), m)
+        m[2, 2] = m[3, 3] = 1.0 - 1e-7
+        with pytest.raises(UnphysicalError, match="smallest symplectic eigenvalue 0.9999999"):
+            validate_cm(m)
+
     @pytest.mark.parametrize("entries", [
         {(0, 1): np.nan, (1, 0): np.nan},  # a symmetric NaN pair
         {(3, 3): np.inf},
@@ -122,6 +159,15 @@ class TestSymplecticEigenvalues:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_vacuum_eigenvalues_are_one(self, n):
         assert np.allclose(symplectic_eigenvalues(np.eye(2 * n)), 1.0, atol=1e-12)
+
+    def test_one_sided_entry_raises_not_symmetric(self):
+        # the Cholesky factor reads one triangle only, so an asymmetric matrix must not pass as its symmetrization
+        m = np.eye(6)
+        m[0, 3] = 5.0
+        with pytest.raises(NotSymmetricError, match="asymmetry 5.000e\\+00"):
+            symplectic_eigenvalues(m)
+        m[0, 3] = 1e-11  # below TAU_SYM
+        assert np.allclose(symplectic_eigenvalues(m), 1.0, atol=1e-10)
 
     def test_single_mode_is_sqrt_det(self):
         assert symplectic_eigenvalues(np.diag([4.0, 1.0]))[0] == pytest.approx(2.0, abs=1e-12)

@@ -12,6 +12,7 @@ from gaussent import (
     GaussianState,
     MeasurementSpec,
     NotBisymmetricError,
+    NotSymmetricError,
     UnphysicalError,
     apply_symplectic,
     char_poly_invariants,
@@ -277,13 +278,23 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("call", ENTRY_POINTS)
     @pytest.mark.parametrize("diagonal,match", [((0.5, 0.5), "smallest symplectic eigenvalue 0.5"),
-                                                ((1.0, -1.0), "not positive definite")],
-                             ids=["below-vacuum", "negative-diagonal"])
+                                                ((1.0, -1.0), "not positive definite"),
+                                                ((1e15, 1.0, 0.5, 0.5), "smallest symplectic eigenvalue 0.5")],
+                             ids=["below-vacuum", "negative-diagonal", "below-vacuum-beside-a-large-mode"])
     def test_entry_points_refuse_unphysical_input(self, call, diagonal, match):
         # 0.5 * I is positive definite with nu = 0.5; a negative variance fails the Cholesky factor
         n, entry = ENTRY_POINTS[call]
         with pytest.raises(UnphysicalError, match=match):
             entry(np.diag(np.resize(diagonal, 2 * n)))
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS)
+    def test_entry_points_refuse_asymmetric_input(self, call):
+        # no symmetrizing here: a one-sided entry is refused, not read from one triangle
+        n, entry = ENTRY_POINTS[call]
+        cm = np.eye(2 * n)
+        cm[0, 3] = 5.0
+        with pytest.raises(NotSymmetricError, match="asymmetry 5.000e\\+00"):
+            entry(cm)
 
     def test_infinite_entry_refused(self):
         cm = np.eye(6)
