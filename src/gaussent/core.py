@@ -27,7 +27,7 @@ from .errors import (
 
 #: Maximum tolerated asymmetry |m - m^T| before a matrix is rejected.
 TAU_SYM = 1e-10
-#: Fixed part of the physicality slack: symplectic eigenvalues must be >= 1 - (TAU_PSD + 8 eps ||cm||_F).
+#: Fixed part of the physicality slack: symplectic eigenvalues must be >= 1 - TAU_PSD, up to rounding.
 TAU_PSD = 1e-9
 
 
@@ -72,13 +72,15 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
         raise UnphysicalError("covariance matrix is not positive definite") from None
 
 
-def _williamson_form(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian ``i L^T Omega L`` and ``L`` for ``cm = L L^T``, once ``cm`` is finite, symmetric and positive definite."""
+def _williamson(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Williamson values ``nu`` (ascending), the eigenvectors ``v`` of ``i L^T Omega L`` that carry them, and
+    ``L``: one factor ``cm = L L^T`` and one ``eigh``, once ``cm`` is finite and symmetric."""
     cm = _as_even_square(cm, "cm")
     _check_finite(cm)
     _check_symmetric(cm)
-    chol = _cholesky(cm)
-    return 1j * (chol.T @ symplectic_form(cm.shape[0] // 2) @ chol), chol
+    chol, n = _cholesky(cm), cm.shape[0] // 2
+    nu, v = np.linalg.eigh(1j * (chol.T @ symplectic_form(n) @ chol))
+    return nu[n:], v[:, n:], chol
 
 
 def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
@@ -90,42 +92,27 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     Any other matrix, or a non-finite entry, raises ``UnphysicalError``, and an
     asymmetry of ``TAU_SYM`` or more ``NotSymmetricError``.
     """
-    form, _ = _williamson_form(cm)
-    return np.linalg.eigvalsh(form)[form.shape[0] // 2:]
+    return _williamson(cm)[0]
 
 
 def _check_physical(m: np.ndarray) -> None:
     """Raise ``UnphysicalError`` unless ``m`` is finite, symmetric, positive definite and physical.
 
-    A smallest symplectic eigenvalue below ``1 - TAU_PSD`` is refused if it is
-    below ``1 - (TAU_PSD + 8 eps ||m||_F)``, the kernel's own rounding, or if
-    :func:`_rayleigh_bound` keeps ``nu_min`` below ``1 - TAU_PSD``.  That bound
-    is local to the modes its vectors span, so a large mode does not hide a
-    violation in another.
+    A Williamson value ``nu_k`` is refused when, widened by ``8 eps`` times the smaller of the
+    kernel's global rounding scale ``||m||_F`` and its local one ``nu_max + |x_k|^T |m| |x_k| /
+    |x_k^H Omega x_k|`` (``x_k = L^-T v_k``), it stays below ``1 - TAU_PSD``.  The local scale
+    spans only the modes of ``x_k``, so a large mode does not hide a violation in another.
     """
-    smallest = symplectic_eigenvalues(m)[0]
-    if smallest < 1.0 - TAU_PSD and (
-        smallest < 1.0 - (TAU_PSD + 8.0 * np.finfo(float).eps * np.linalg.norm(m))
-        or _rayleigh_bound(m) < 1.0 - TAU_PSD
-    ):
-        raise UnphysicalError(
-            f"smallest symplectic eigenvalue {float(smallest)!r} violates the uncertainty bound",
-            smallest_eigenvalue=float(smallest),
-        )
-
-
-def _rayleigh_bound(m: np.ndarray) -> float:
-    """Upper bound on ``nu_min`` that rounding cannot lower: ``nu_min <= x^H m x / |x^H Omega x|``
-    for every ``x``, here each Williamson vector with a value below ``1 - TAU_PSD``, and each
-    form is widened by its own rounding bound ``16 n eps |x|^T |.| |x|``."""
-    form, chol = _williamson_form(m)
-    n = form.shape[0] // 2
-    nu, vectors = np.linalg.eigh(form)
-    x = np.linalg.solve(chol.T, vectors[:, n:][:, nu[n:] < 1.0 - TAU_PSD])
-    omega, ax, gamma = symplectic_form(n), np.abs(x), 16 * n * np.finfo(float).eps
-    upper = (x.conj() * (m @ x)).sum(0).real + gamma * (ax * (np.abs(m) @ ax)).sum(0)
-    lower = np.abs((x.conj() * (omega @ x)).sum(0)) - gamma * (ax * (np.abs(omega) @ ax)).sum(0)
-    return np.divide(upper, lower, out=np.full_like(upper, np.inf), where=lower > 0).min(initial=np.inf)
+    nu, v, chol = _williamson(m)
+    low = nu < 1.0 - TAU_PSD
+    if low.any():
+        x = np.linalg.solve(chol.T, v[:, low])
+        x /= np.abs(x).max(0)  # the local scale is unchanged by scaling x; this keeps a tiny m's products finite
+        ax = np.abs(x)
+        local = nu[-1] + (ax * (np.abs(m) @ ax)).sum(0) / np.abs((x.conj() * (symplectic_form(len(nu)) @ x)).sum(0))
+        if (nu[low] + 8.0 * np.finfo(float).eps * np.minimum(np.linalg.norm(m), local) < 1.0 - TAU_PSD).any():
+            raise UnphysicalError(f"smallest symplectic eigenvalue {float(nu[0])!r} violates the uncertainty bound",
+                                  smallest_eigenvalue=float(nu[0]))
 
 
 def validate_cm(m: np.ndarray) -> np.ndarray:

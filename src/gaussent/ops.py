@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import GaussianState, TAU_PSD, _as_even_square, _check_modes, _quadratures, symplectic_form
+from .core import GaussianState, TAU_PSD, TAU_SYM, _as_even_square, _check_modes, _quadratures, symplectic_form
 from .errors import (
     BadCountError,
     BadModeIndexError,
@@ -113,12 +113,12 @@ class MeasurementSpec:
             seed = np.asarray(self.seed_cm, dtype=float)
             if seed.shape[-2:] != (2, 2):
                 raise DimensionMismatchError(f"seed_cm must be 2x2 or (..., 2, 2), got {seed.shape}")
-            if np.abs(seed - np.swapaxes(seed, -1, -2)).max(initial=0.0) > 1e-10:
+            # a squeezed seed R diag(t, 1/t) R^T rounds to an asymmetry of order eps t, its det to eps t^2
+            size = np.abs(seed).max(axis=(-2, -1))
+            if (np.abs(seed - np.swapaxes(seed, -1, -2)).max(axis=(-2, -1)) > TAU_SYM * np.maximum(1.0, size)).any():
                 raise UnphysicalError("seed_cm is not symmetric")
-            # the determinant of a strongly squeezed seed carries an absolute
-            # float error of order eps * |seed|^2, so the bound scales with it
             det = np.linalg.det(seed)
-            tol = TAU_PSD + 8.0 * np.finfo(float).eps * np.abs(seed).max(axis=(-2, -1)) ** 2
+            tol = TAU_PSD + 8.0 * np.finfo(float).eps * size**2
             bad = (det < 1.0 - tol) | (seed[..., 0, 0] <= 0)
             if bad.any():
                 raise UnphysicalError(f"seed_cm is unphysical (det {det[bad].flat[0]:.6g} < 1)")

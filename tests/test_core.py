@@ -27,7 +27,6 @@ from gaussent import (
     symplectic_form,
     validate_cm,
 )
-from gaussent.core import _rayleigh_bound
 from gaussent.protocol import ProtocolParams
 
 from helpers import (
@@ -98,7 +97,7 @@ class TestValidateCm:
 
     def test_violation_beside_a_rounded_stage_state_is_refused(self):
         # at r = 18 the shared stage's own computed nu_min is about 0.87 (the true value is 1) and
-        # ||m||_F is about 4e15, so only the Rayleigh bound of the second Williamson vector sees 0.9
+        # ||m||_F is about 4e15, so only the local bound of the second Williamson vector sees 0.9
         m = np.eye(8)
         m[:6, :6] = shared_cm(ProtocolParams(18.0, 0.1))[0].cm
         assert np.array_equal(validate_cm(m), m)
@@ -106,14 +105,27 @@ class TestValidateCm:
         with pytest.raises(UnphysicalError):
             validate_cm(m)
 
-    def test_norm_scaled_slack_refuses_what_the_rayleigh_bound_leaves_open(self):
-        # mixed into modes with nu ~ 1e7, the violation cancels inside x^H m x, beyond the bound's
-        # resolution, but nu_min is 1e-5 below 1 and ||m||_F ~ 2e8 puts the kernel's rounding at 3e-7
+    def test_violation_mixed_into_large_modes_is_refused(self):
+        # mixed into modes with nu ~ 1e7, nu_min is 1e-5 below 1: outside both rounding bounds,
+        # 8 eps ||m||_F ~ 3e-7 and the local 2e-6
         s = random_symplectic(3, np.random.default_rng(29))
         m = s @ np.diag(np.repeat([1.0 - 1e-5, 2e7, 3e7], 2)) @ s.T
         m = 0.5 * (m + m.T)
-        assert _rayleigh_bound(m) > 1.0
         with pytest.raises(UnphysicalError, match="smallest symplectic eigenvalue 0.99998"):
+            validate_cm(m)
+
+    @pytest.mark.parametrize("draw,printed", [(41, "0.99999935"), (109, "0.99999954")])
+    def test_small_violation_beside_modes_up_to_1e8_is_refused(self, draw, printed):
+        # a seeded battery of S diag(nu, nu) S^T with nu_min just below 1 and the other modes up to 1e8;
+        # these two violations (6.5e-7, 4.5e-7) exceed the smaller rounding bound of their Williamson value
+        rng = np.random.default_rng(7)
+        for _ in range(draw + 1):
+            n = rng.integers(1, 4)
+            s = random_symplectic(n, rng, max_squeeze=0.8)
+            nu = np.concatenate(([1.0 - 10 ** rng.uniform(-12, -6)], rng.uniform(1.0, 1e8, n - 1)))
+        m = s @ np.diag(np.repeat(nu, 2)) @ s.T
+        m = 0.5 * (m + m.T)
+        with pytest.raises(UnphysicalError, match=f"smallest symplectic eigenvalue {printed}"):
             validate_cm(m)
 
     def test_large_mode_keeps_the_absolute_slack_of_the_others(self):
@@ -135,6 +147,12 @@ class TestValidateCm:
             warnings.simplefilter("error")
             with pytest.raises(UnphysicalError, match="non-finite"):
                 validate_cm(m)
+
+    def test_subnormal_matrix_is_refused_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnphysicalError, match="smallest symplectic eigenvalue 1e-310 "):
+                validate_cm(1e-310 * np.eye(4))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(1, 3),

@@ -123,6 +123,16 @@ class TestMeasurementSpec:
             with pytest.raises(UnphysicalError):
                 MeasurementSpec.general_gaussian(0, np.stack([np.eye(2), seed]))
 
+    def test_seed_symmetry_is_judged_relative_to_its_entries(self):
+        # a seed of the measurement scan's grid: entries of order 1e6, rounded to an asymmetry above 1e-10
+        theta = 37 * np.pi / 200
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        seed = rot @ np.diag([1e-6, 1e6]) @ rot.T
+        assert np.abs(seed - seed.T).max() > 1e-10
+        MeasurementSpec.general_gaussian(0, np.stack([np.eye(2), seed]))
+        with pytest.raises(UnphysicalError, match="not symmetric"):
+            MeasurementSpec.general_gaussian(0, np.array([[1.0, 1e-3], [0.0, 1.0]]))
+
 
 class TestConditioning:
     def test_product_state_is_untouched(self):

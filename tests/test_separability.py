@@ -49,7 +49,7 @@ from gaussent.separability import (
     _splittings,
 )
 
-from helpers import pt_mu_oracle, random_physical_cm
+from helpers import pt_mu_oracle, random_physical_cm, rotation
 
 
 def assert_shared_minors_match_each_transpose(cm):
@@ -74,6 +74,15 @@ LADDER_CMS = np.array([
     for eps in (0.0, 0.001, 0.1, 1.0, 3.0)
     for stage in STAGES
 ])
+
+
+def local_image(cm, theta, z):
+    """``cm`` with each mode k squeezed by ``z[k]`` and then rotated by ``theta[k]``, symmetrized."""
+    s = np.zeros((6, 6))
+    for k in range(3):
+        s[2 * k:2 * k + 2, 2 * k:2 * k + 2] = rotation(theta[k]) @ np.diag([np.exp(z[k]), np.exp(-z[k])])
+    image = s @ cm @ s.T
+    return 0.5 * (image + image.T)
 
 
 def sigma_closed_form(r, eps):
@@ -381,6 +390,26 @@ class TestClassifyThreeMode:
                 assert metrics.entangled == old.entangled
                 assert metrics.mu == pytest.approx(old.mu, rel=1e-9, abs=0.0)
 
+    # derandomized, so that every run checks the same 240 images
+    @settings(max_examples=240, deadline=None, derandomize=True)
+    @given(r=st.sampled_from([0.3, 1.0, 1.5]), eps=st.sampled_from([0.0, 0.1, 1.0]), stage=st.sampled_from(STAGES),
+           theta=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
+           z=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    def test_resolved_splitting_verdicts_survive_local_squeezing(self, r, eps, stage, theta, z):
+        # local symplectic maps leave every splitting's separability unchanged
+        state = stage_state(ProtocolParams(r, eps), stage)
+        image = classify_three_mode(local_image(state.state.cm, theta, z))
+        for before, after in zip(state.report.verdicts, image.verdicts):
+            if not before.boundary:
+                assert (after.entangled, after.boundary) == (before.entangled, False)
+
+    @pytest.mark.xfail(strict=True, reason="the splitting band does not widen with local squeezing (ROADMAP item 3)")
+    def test_class_is_unchanged_by_local_squeezing(self):
+        # about 17 dB on each mode: the shared stage's B|(AA') sigma is 0, its image's -6.5e-11, outside the band
+        cm = shared_cm(ProtocolParams(1.0, 0.1))[0].cm
+        image = local_image(cm, (0.3, 1.1, 2.0), (2.0, 2.0, 2.0))
+        assert classify_three_mode(image).class_label == classify_three_mode(cm).class_label
+
     def test_indefinite_pair_block_is_refused(self):
         bad = np.eye(6)
         bad[:4, :4] = INDEFINITE_CM
@@ -450,6 +479,12 @@ class TestMeasurementScanOracle:
         target = localizable_mu(state.cm, 2)
         assert best >= target - 1e-4
         assert abs(best - target) < 1e-4
+
+    def test_fine_grid_accepts_its_own_strongly_squeezed_seeds(self):
+        # the grid's most squeezed seeds, with entries of order 1e6, carry a rounding asymmetry above 1e-10
+        state, _ = shared_cm(ProtocolParams(0.4, 0.1))
+        best = measurement_scan_oracle(state.cm, 2, n_theta=200, n_t=200)
+        assert abs(best - localizable_mu(state.cm, 2)) < 1e-4
 
     def test_minimum_attained_at_x_homodyne_corner(self):
         # under the seed convention diag(t, 1/t), homodyne-x is theta = 0,
