@@ -51,15 +51,12 @@ def _as_even_square(m: np.ndarray, what: str = "matrix", stack: bool = False) ->
     return m
 
 
-def _check_finite(m: np.ndarray) -> None:
-    """Raise ``UnphysicalError`` if an entry of the covariance matrix ``m`` is NaN or infinite."""
+def _check_entries(m: np.ndarray) -> None:
+    """Raise ``UnphysicalError`` if an entry of the covariance matrix ``m`` is NaN or infinite, then
+    ``NotSymmetricError`` if ``|m - m^T|`` reaches ``TAU_SYM``; ``m`` is not changed."""
     finite = np.isfinite(m)
     if not finite.all():
         raise UnphysicalError(f"covariance matrix has {finite.size - finite.sum()} non-finite entries")
-
-
-def _check_symmetric(m: np.ndarray) -> None:
-    """Raise ``NotSymmetricError`` if ``|m - m^T|`` reaches ``TAU_SYM``; ``m`` is not changed."""
     if (asym := np.abs(m - m.T).max()) >= TAU_SYM:
         raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds tolerance {TAU_SYM:.0e}")
 
@@ -73,13 +70,11 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
 
 
 def _williamson(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Williamson values ``nu`` (ascending), the eigenvectors ``v`` of ``i L^T Omega L`` that carry them, and
-    ``L``: one factor ``cm = L L^T`` and one ``eigh``, once ``cm`` is finite and symmetric."""
-    cm = _as_even_square(cm, "cm")
-    _check_finite(cm)
-    _check_symmetric(cm)
+    """Williamson values ``nu`` (ascending) of a finite symmetric ``cm``, the eigenvectors ``v`` of
+    ``i L^T Omega L`` that carry them, and ``L``: one factor ``cm = L L^T`` and one ``eigh``."""
     chol, n = _cholesky(cm), cm.shape[0] // 2
-    nu, v = np.linalg.eigh(1j * (chol.T @ symplectic_form(n) @ chol))
+    a = chol[0::2].T @ chol[1::2]  # L^T Omega L = a - a^T: Omega swaps each (x, p) row pair of L, negating one
+    nu, v = np.linalg.eigh(1j * (a - a.T))
     return nu[n:], v[:, n:], chol
 
 
@@ -92,27 +87,34 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     Any other matrix, or a non-finite entry, raises ``UnphysicalError``, and an
     asymmetry of ``TAU_SYM`` or more ``NotSymmetricError``.
     """
+    cm = _as_even_square(cm, "cm")
+    _check_entries(cm)
     return _williamson(cm)[0]
 
 
-def _check_physical(m: np.ndarray) -> None:
-    """Raise ``UnphysicalError`` unless ``m`` is finite, symmetric, positive definite and physical.
+def _check_physical(m: np.ndarray) -> np.ndarray:
+    """Symmetrized copy of ``m``, once ``m`` is finite, symmetric, positive definite and physical.
 
-    A Williamson value ``nu_k`` is refused when, widened by ``8 eps`` times the smaller of the
-    kernel's global rounding scale ``||m||_F`` and its local one ``nu_max + |x_k|^T |m| |x_k| /
-    |x_k^H Omega x_k|`` (``x_k = L^-T v_k``), it stays below ``1 - TAU_PSD``.  The local scale
-    spans only the modes of ``x_k``, so a large mode does not hide a violation in another.
+    The finite test comes first, then the symmetry test; ``UnphysicalError`` or ``NotSymmetricError``
+    otherwise.  A Williamson value ``nu_k`` below ``1 - TAU_PSD`` is refused when the smaller of two
+    upper bounds on it stays below ``1 - TAU_PSD``: ``nu_k + 8 eps ||m||_F``, the kernel's global
+    rounding, and the Rayleigh quotient ``x_k^H m x_k / |x_k^H Omega x_k| >= nu_min`` of ``x_k =
+    L^-T v_k``, widened by its own rounding ``8 eps |x_k|^T |m| |x_k| / |x_k^H Omega x_k|``.  The
+    quotient reads only the modes ``x_k`` spans, so a large mode does not hide a violation in another.
     """
+    _check_entries(m)
+    m = 0.5 * (m + m.T)
     nu, v, chol = _williamson(m)
-    low = nu < 1.0 - TAU_PSD
+    low, eps = nu < 1.0 - TAU_PSD, np.finfo(float).eps
     if low.any():
         x = np.linalg.solve(chol.T, v[:, low])
-        x /= np.abs(x).max(0)  # the local scale is unchanged by scaling x; this keeps a tiny m's products finite
-        ax = np.abs(x)
-        local = nu[-1] + (ax * (np.abs(m) @ ax)).sum(0) / np.abs((x.conj() * (symplectic_form(len(nu)) @ x)).sum(0))
-        if (nu[low] + 8.0 * np.finfo(float).eps * np.minimum(np.linalg.norm(m), local) < 1.0 - TAU_PSD).any():
+        x /= np.abs(x).max(0)  # the quotients are unchanged by scaling x; this keeps a tiny m's products finite
+        ax, omega_x = np.abs(x), np.abs((x.conj() * (symplectic_form(len(nu)) @ x)).sum(0))
+        rayleigh = ((x.conj() * (m @ x)).sum(0).real + 8.0 * eps * (ax * (np.abs(m) @ ax)).sum(0)) / omega_x
+        if (np.minimum(nu[low] + 8.0 * eps * np.linalg.norm(m), rayleigh) < 1.0 - TAU_PSD).any():
             raise UnphysicalError(f"smallest symplectic eigenvalue {float(nu[0])!r} violates the uncertainty bound",
                                   smallest_eigenvalue=float(nu[0]))
+    return m
 
 
 def validate_cm(m: np.ndarray) -> np.ndarray:
@@ -130,12 +132,7 @@ def validate_cm(m: np.ndarray) -> np.ndarray:
             below ``1 - TAU_PSD`` (see :func:`_check_physical`).
         NotSymmetricError: asymmetry exceeds ``TAU_SYM``.
     """
-    m = _as_even_square(m, "covariance matrix")
-    _check_finite(m)
-    _check_symmetric(m)
-    m = 0.5 * (m + m.T)
-    _check_physical(m)
-    return m
+    return _check_physical(_as_even_square(m, "covariance matrix"))
 
 
 def _check_modes(modes: Iterable[int] | int, n_modes: int) -> list[int]:

@@ -115,7 +115,7 @@ class SeparabilityReport:
 def _as_modes(cm: np.ndarray, n: int) -> np.ndarray:
     """Float array of one ``n``-mode matrix, or ``DimensionMismatchError``; an
     unphysical matrix raises ``UnphysicalError``, as in ``validate_cm``, which
-    unlike here also symmetrizes."""
+    unlike here returns the symmetrized copy."""
     cm = _as_even_square(cm, "cm")
     if cm.shape != (2 * n, 2 * n):
         raise DimensionMismatchError(f"expected a {n}-mode ({2 * n}x{2 * n}) matrix, got {cm.shape}")

@@ -86,10 +86,11 @@ class TestValidateCm:
         with pytest.raises(DimensionMismatchError):
             validate_cm(np.eye(5))
 
-    @pytest.mark.parametrize("coupling", [0.0, 1e-3])
-    def test_large_mode_does_not_hide_a_violation_in_another(self, coupling):
-        # ||m||_F is about 1e15, so the norm-scaled slack alone is about 1.8 and would pass nu = 0.5
-        m = np.diag([1e15, 1.0, 0.5, 0.5, 1.0, 1.0])
+    @pytest.mark.parametrize("coupling,p_variance", [(0.0, 1.0), (1e-3, 1.0), (0.0, 1e15)], ids=["0.0", "0.001", "hot"])
+    def test_large_mode_does_not_hide_a_violation_in_another(self, coupling, p_variance):
+        # ||m||_F is about 1e15, so the norm-scaled slack alone is about 1.8 and would pass nu = 0.5; a hot
+        # first mode also has nu = 1e15, which a slack read from the eigensolver's rounding eps nu_max would pass
+        m = np.diag([1e15, p_variance, 0.5, 0.5, 1.0, 1.0])
         m[0, 2] = m[2, 0] = coupling
         with pytest.raises(UnphysicalError) as exc:
             validate_cm(m)
@@ -97,7 +98,7 @@ class TestValidateCm:
 
     def test_violation_beside_a_rounded_stage_state_is_refused(self):
         # at r = 18 the shared stage's own computed nu_min is about 0.87 (the true value is 1) and
-        # ||m||_F is about 4e15, so only the local bound of the second Williamson vector sees 0.9
+        # ||m||_F is about 4e15, so only the Rayleigh quotient of the second Williamson vector sees 0.9
         m = np.eye(8)
         m[:6, :6] = shared_cm(ProtocolParams(18.0, 0.1))[0].cm
         assert np.array_equal(validate_cm(m), m)
@@ -107,7 +108,7 @@ class TestValidateCm:
 
     def test_violation_mixed_into_large_modes_is_refused(self):
         # mixed into modes with nu ~ 1e7, nu_min is 1e-5 below 1: outside both rounding bounds,
-        # 8 eps ||m||_F ~ 3e-7 and the local 2e-6
+        # 8 eps ||m||_F ~ 3e-7 and the Rayleigh quotient's 2e-6
         s = random_symplectic(3, np.random.default_rng(29))
         m = s @ np.diag(np.repeat([1.0 - 1e-5, 2e7, 3e7], 2)) @ s.T
         m = 0.5 * (m + m.T)
