@@ -10,8 +10,9 @@ print the columns of :func:`gaussent.protocol.sweep_profile` and
 checks of the one-state functions.  Numeric options must be finite and
 nonnegative, and a non-finite result fails the command rather than print
 ``NaN``, naming its key path (or row and column); so does a floating-point
-overflow, division by zero or invalid operation, with one line on stderr.
-Exit codes: 0 success, 1 validation or numerical failure, 2 usage error.
+overflow, division by zero, invalid operation or array too large to
+allocate, with one line on stderr.  Exit codes: 0 success, 1 validation or
+numerical failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
-    except (GaussentError, ValueError, OSError, KeyError, ArithmeticError) as exc:
+    except (GaussentError, ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ from .errors import (
     UnphysicalError,
 )
 
-#: Maximum tolerated asymmetry |m - m^T| before a matrix is rejected.
+#: Maximum tolerated asymmetry |m - m^T|, relative to max(1, max|m|), before a matrix is rejected.
 TAU_SYM = 1e-10
 #: Fixed part of the physicality slack: symplectic eigenvalues must be >= 1 - TAU_PSD, up to rounding.
 TAU_PSD = 1e-9
@@ -52,13 +52,14 @@ def _as_even_square(m: np.ndarray, what: str = "matrix", stack: bool = False) ->
 
 
 def _check_entries(m: np.ndarray) -> None:
-    """Raise ``UnphysicalError`` if an entry of the covariance matrix ``m`` is NaN or infinite, then
-    ``NotSymmetricError`` if ``|m - m^T|`` reaches ``TAU_SYM``; ``m`` is not changed."""
+    """``UnphysicalError`` if an entry of ``m``, one matrix or a ``(..., k, k)`` stack, is NaN or infinite, then
+    ``NotSymmetricError`` if a matrix's ``max|m - m^T|`` reaches ``TAU_SYM max(1, max|m|)``, its rounding's scale."""
     finite = np.isfinite(m)
     if not finite.all():
         raise UnphysicalError(f"covariance matrix has {finite.size - finite.sum()} non-finite entries")
-    if (asym := np.abs(m - m.T).max()) >= TAU_SYM:
-        raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds tolerance {TAU_SYM:.0e}")
+    asym, tol = np.abs(m - np.swapaxes(m, -1, -2)).max((-2, -1)), TAU_SYM * np.maximum(1.0, np.abs(m).max((-2, -1)))
+    if (bad := asym >= tol).any():
+        raise NotSymmetricError(f"asymmetry {asym[bad].flat[0]:.3e} exceeds tolerance {tol[bad].flat[0]:.1e}")
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -85,7 +86,7 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     and has eigenvalues ``+-nu_k``; the positive half is the spectrum.  Every
     physical matrix, and every partial transpose of one, is positive definite.
     Any other matrix, or a non-finite entry, raises ``UnphysicalError``, and an
-    asymmetry of ``TAU_SYM`` or more ``NotSymmetricError``.
+    asymmetry of ``TAU_SYM max(1, max|cm|)`` or more ``NotSymmetricError``.
     """
     cm = _as_even_square(cm, "cm")
     _check_entries(cm)
@@ -130,7 +131,7 @@ def validate_cm(m: np.ndarray) -> np.ndarray:
         UnphysicalError: an entry is NaN or infinite, the matrix is not
             positive definite, or its smallest symplectic eigenvalue is
             below ``1 - TAU_PSD`` (see :func:`_check_physical`).
-        NotSymmetricError: asymmetry exceeds ``TAU_SYM``.
+        NotSymmetricError: asymmetry reaches ``TAU_SYM max(1, max|m|)``.
     """
     return _check_physical(_as_even_square(m, "covariance matrix"))
 
@@ -231,11 +232,12 @@ def reduce_modes(cm: np.ndarray, modes: Sequence[int] | int) -> np.ndarray:
 
 
 def is_classical(cm: np.ndarray) -> bool:
-    """Whether the normally ordered matrix ``cm - I`` is positive semidefinite.
+    """Whether the normally ordered ``cm - I`` is positive semidefinite; a non-finite or asymmetric ``cm`` raises.
 
     Classical states remain separable under passive mixing with vacuum.
     """
     cm = _as_even_square(cm, "cm")
+    _check_entries(cm)
     return bool(np.linalg.eigvalsh(cm - np.eye(cm.shape[0])).min() >= -TAU_PSD)
 
 
@@ -320,9 +322,9 @@ def load_state(path: str | Path) -> GaussianState:
 
 
 def _float_field(data: dict, key: str) -> np.ndarray:
-    """``data[key]`` as a float array; anything but a list of JSON numbers (``int``
-    or ``float``, not ``bool``) raises ``ValueError`` naming the field."""
-    value = data[key]
+    """``data[key]`` as a float array; a missing field or anything but a list of JSON numbers
+    (``int`` or ``float``, not ``bool``) raises ``ValueError`` naming the field."""
+    value = data.get(key)
     if not isinstance(value, list) or not all(type(x) in (int, float) for x in value):
         raise ValueError(f"'{key}' must be a list of numbers, got {json.dumps(value)[:80]}")
     try:

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import GaussianState, TAU_PSD, TAU_SYM, _as_even_square, _check_modes, _quadratures, symplectic_form
+from .core import GaussianState, TAU_PSD, _as_even_square, _check_entries, _check_modes, _quadratures, symplectic_form
 from .errors import (
     BadCountError,
     BadModeIndexError,
@@ -113,12 +113,9 @@ class MeasurementSpec:
             seed = np.asarray(self.seed_cm, dtype=float)
             if seed.shape[-2:] != (2, 2):
                 raise DimensionMismatchError(f"seed_cm must be 2x2 or (..., 2, 2), got {seed.shape}")
-            # a squeezed seed R diag(t, 1/t) R^T rounds to an asymmetry of order eps t, its det to eps t^2
-            size = np.abs(seed).max(axis=(-2, -1))
-            if (np.abs(seed - np.swapaxes(seed, -1, -2)).max(axis=(-2, -1)) > TAU_SYM * np.maximum(1.0, size)).any():
-                raise UnphysicalError("seed_cm is not symmetric")
-            det = np.linalg.det(seed)
-            tol = TAU_PSD + 8.0 * np.finfo(float).eps * size**2
+            _check_entries(seed)
+            det = np.linalg.det(seed)  # a squeezed seed R diag(t, 1/t) R^T rounds its det to eps t^2
+            tol = TAU_PSD + 8.0 * np.finfo(float).eps * np.abs(seed).max(axis=(-2, -1)) ** 2
             bad = (det < 1.0 - tol) | (seed[..., 0, 0] <= 0)
             if bad.any():
                 raise UnphysicalError(f"seed_cm is unphysical (det {det[bad].flat[0]:.6g} < 1)")
@@ -171,7 +168,7 @@ def _condition(cm: np.ndarray, spec: MeasurementSpec):
 
 
 def condition_on_measurement(state: GaussianState, spec: MeasurementSpec) -> GaussianState:
-    """Condition a state on a Gaussian measurement of one mode.
+    """Condition a state on a Gaussian measurement of one mode; a non-finite or asymmetric ``state.cm`` raises.
 
     With the covariance matrix partitioned around the measured mode into
     kept block A, measured block B and correlation block C, the conditional
@@ -182,6 +179,7 @@ def condition_on_measurement(state: GaussianState, spec: MeasurementSpec) -> Gau
     measurement outcome, so the kept displacement entries are returned
     unchanged (outcome-averaged analysis).
     """
+    _check_entries(state.cm)
     cm, kept = _condition(state.cm, spec)
     return GaussianState(cm, state.displacement[kept])
 

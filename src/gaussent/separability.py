@@ -27,7 +27,6 @@ SPLITTING_BAND = 1e-13
 #: Tolerated asymmetry under exchange of the two unmeasured modes.
 BISYMMETRY_TOL = 1e-8
 
-MODE_NAMES = ("A", "A'", "B")
 SPLITTING_LABELS = ("A|(A'B)", "A'|(AB)", "B|(AA')")
 PAIR_LABELS = ("A-A'", "A-B", "A'-B")
 PAIR_MODES = ((0, 1), (0, 2), (1, 2))

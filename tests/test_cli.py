@@ -128,6 +128,12 @@ class TestSweepCommand:
 
 
 class TestGapSweepCommand:
+    def test_bounds_violation_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gap-sweep", "--eps-min", "1", "--eps-max", "0.5"])
+        assert exc.value.code == 2
+        assert "--eps-min must be below --eps-max" in capsys.readouterr().err
+
     def test_gap_approaches_limit(self, capsys):
         code, out = run_cli(capsys, "gap-sweep", "--eps-min", "0.001", "--eps-max", "3",
                             "--steps", "60")
@@ -221,6 +227,7 @@ class TestClassifyCommand:
         ({"n_modes": True, "cm": [1.0, 0.0, 0.0, 1.0]}, "'n_modes'"),
         ({"n_modes": 1.0, "cm": [1.0, 0.0, 0.0, 1.0]}, "'n_modes'"),
         ({"n_modes": 3, "cm": None}, "'cm'"),
+        ({"n_modes": 3}, "'cm' must be a list of numbers, got null"),
         ({"n_modes": 3, "cm": {"x": 1}}, "'cm'"),
         ({"n_modes": 3, "cm": [1.0] * 35 + [{"x": 1}]}, "'cm'"),
         ({"n_modes": 3, "cm": "abc"}, "'cm'"),
@@ -357,6 +364,17 @@ class TestNonFiniteOutput:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.splitlines() == ["error: overflow encountered in exp"]
+
+    # petabytes of rows or samples: numpy refuses the allocation before it takes any memory
+    @pytest.mark.parametrize("argv", [
+        "sweep --epsilon 0.1 --steps 1000000000000000",
+        "gap-sweep --steps 1000000000000000",
+        "montecarlo --r 0.3 --epsilon 0.1 --samples 1000000000000000",
+    ])
+    def test_unallocatable_size_fails_with_one_error_line(self, capsys, argv):
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 1 and out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: Unable to allocate")
 
     def test_csv_refuses_nan(self, capsys):
         with pytest.raises(ValueError, match=r"^non-finite value in output at \[1\]\.x = nan$"):

@@ -34,6 +34,7 @@ from helpers import (
     random_pure_cm,
     random_symmetric,
     random_symplectic,
+    rotation,
     sympl_eigs_oracle,
 )
 
@@ -81,6 +82,17 @@ class TestValidateCm:
         m[0, 1] = 1e-11
         out = validate_cm(m)
         assert np.array_equal(out, out.T)
+
+    def test_symmetry_is_judged_relative_to_the_entries(self):
+        # a hot rotated squeezed mode: entries of order 1e7 round to an asymmetry above 1e-10
+        m = 3.0 * rotation(0.5) @ np.diag([1e7, 1e-7]) @ rotation(0.5).T
+        assert np.abs(m - m.T).max() > 1e-10
+        out = validate_cm(m)
+        assert np.array_equal(out, out.T)
+        m = np.diag([3e6, 1e-6])
+        m[0, 1] = 1e-3  # at 3e6, the tolerance is 3e-4
+        with pytest.raises(NotSymmetricError, match="asymmetry 1.000e-03 exceeds tolerance 3.0e-04"):
+            validate_cm(m)
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(DimensionMismatchError):
@@ -349,6 +361,16 @@ class TestIsClassical:
         # mode-A marginal of the initial state at (r, eps) = (0.3, 0.1)
         cm = np.diag([1 + np.exp(-0.6) * (np.exp(0.2) - 1), np.exp(0.6)])
         assert is_classical(cm)
+
+    def test_one_sided_entry_raises_not_symmetric(self):
+        # eigvalsh reads one triangle, which here is the vacuum's
+        with pytest.raises(NotSymmetricError, match="asymmetry 5.000e\\+00"):
+            is_classical(np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, value):
+        with pytest.raises(UnphysicalError, match="1 non-finite"):
+            is_classical(np.diag([1.0, value]))
 
 
 class TestApplySymplectic:

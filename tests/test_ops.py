@@ -6,8 +6,10 @@ import pytest
 from gaussent import (
     BadCountError,
     BadModeIndexError,
+    DimensionMismatchError,
     GaussianState,
     MeasurementSpec,
+    NotSymmetricError,
     NotSymplecticError,
     SingularConditioningError,
     SymplecticTransform,
@@ -130,8 +132,21 @@ class TestMeasurementSpec:
         seed = rot @ np.diag([1e-6, 1e6]) @ rot.T
         assert np.abs(seed - seed.T).max() > 1e-10
         MeasurementSpec.general_gaussian(0, np.stack([np.eye(2), seed]))
-        with pytest.raises(UnphysicalError, match="not symmetric"):
+        with pytest.raises(NotSymmetricError, match="asymmetry 1.000e-03"):
             MeasurementSpec.general_gaussian(0, np.array([[1.0, 1e-3], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_seed_is_refused_at_construction(self, value):
+        # refused before the det rule, so no numpy warning reaches the suite's error filter
+        seed = np.eye(2)
+        seed[1, 1] = value
+        for seeds in (seed, np.stack([np.eye(2), seed])):
+            with pytest.raises(UnphysicalError, match="^covariance matrix has 1 non-finite entries$"):
+                MeasurementSpec.general_gaussian(0, seeds)
+
+    def test_seed_must_be_two_by_two(self):
+        with pytest.raises(DimensionMismatchError, match="seed_cm must be 2x2"):
+            MeasurementSpec.general_gaussian(0, np.eye(3))
 
 
 class TestConditioning:
@@ -227,6 +242,22 @@ class TestConditioning:
         for cm, out in zip(cms, stacked):
             assert np.array_equal(out, condition_on_measurement(GaussianState(cm), spec).cm)
         assert np.array_equal(stacked[1], below[:4, :4])
+
+    def test_one_mode_state_is_refused(self):
+        with pytest.raises(DimensionMismatchError, match="at least two modes"):
+            condition_on_measurement(GaussianState.vacuum(1), MeasurementSpec.homodyne_x(0))
+
+    def test_non_finite_state_is_refused(self):
+        state = GaussianState(np.diag([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(UnphysicalError, match="1 non-finite"):
+            condition_on_measurement(state, MeasurementSpec.homodyne_x(2))
+
+    def test_one_sided_state_is_refused(self):
+        # the kept block would read one triangle's correlation and print it as a symmetric result
+        cm = np.eye(6)
+        cm[0, 4] = 0.5
+        with pytest.raises(NotSymmetricError, match="asymmetry 5.000e-01"):
+            condition_on_measurement(GaussianState(cm), MeasurementSpec.homodyne_x(2))
 
 
 class TestSamplePreparation:

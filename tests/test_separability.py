@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gaussent import (
     BadModeIndexError,
+    DimensionMismatchError,
     GaussianState,
     MeasurementSpec,
     NotBisymmetricError,
@@ -304,6 +305,13 @@ class TestNonFiniteInput:
         cm[0, 3] = 5.0
         with pytest.raises(NotSymmetricError, match="asymmetry 5.000e\\+00"):
             entry(cm)
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS)
+    def test_entry_points_refuse_the_wrong_mode_count(self, call):
+        # a two-mode matrix where three modes are expected, and a three-mode one where two are
+        n, entry = ENTRY_POINTS[call]
+        with pytest.raises(DimensionMismatchError, match=f"expected a {n}-mode"):
+            entry(np.eye(2 * (5 - n)))
 
     def test_infinite_entry_refused(self):
         cm = np.eye(6)
