@@ -80,48 +80,35 @@ def _emit_profile(profile: dict, fmt: str, output: str | None) -> None:
     _emit(text, output)
 
 
-def _cmd_thresholds(args) -> int:
-    _emit_json(protocol.threshold_report(args.epsilon).to_json_dict(), args.output)
-    return 0
+def _cmd_thresholds(args) -> dict:
+    return protocol.threshold_report(args.epsilon).to_json_dict()
 
 
-def _cmd_sweep(args) -> int:
-    profile = protocol.sweep_profile(np.linspace(args.r_min, args.r_max, args.steps), args.epsilon)
-    _emit_profile(profile, args.format, args.output)
-    return 0
+def _cmd_sweep(args) -> dict:
+    return protocol.sweep_profile(np.linspace(args.r_min, args.r_max, args.steps), args.epsilon)
 
 
-def _cmd_gap_sweep(args) -> int:
-    profile = protocol.gap_profile(np.linspace(args.eps_min, args.eps_max, args.steps))
-    _emit_profile(profile, args.format, args.output)
-    return 0
+def _cmd_gap_sweep(args) -> dict:
+    return protocol.gap_profile(np.linspace(args.eps_min, args.eps_max, args.steps))
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     stage = protocol.stage_state(protocol.ProtocolParams(args.r, args.epsilon), _STAGE_ALIASES[args.stage])
-    payload = {
+    return {
         "stage": stage.stage,
         "r": args.r,
         "epsilon": args.epsilon,
         "state": stage.state.to_json_dict(),
         "report": stage.report.to_json_dict(),
     }
-    _emit_json(payload, args.output)
-    return 0
 
 
-def _cmd_montecarlo(args) -> int:
-    batch = sample_preparation(
-        protocol.ProtocolParams(args.r, args.epsilon), args.samples, args.seed
-    )
-    _emit_json(batch.to_json_dict(), args.output)
-    return 0
+def _cmd_montecarlo(args) -> dict:
+    return sample_preparation(protocol.ProtocolParams(args.r, args.epsilon), args.samples, args.seed).to_json_dict()
 
 
-def _cmd_classify(args) -> int:
-    state = load_state(args.input)
-    _emit_json(classify_three_mode(state.cm).to_json_dict(), args.output)
-    return 0
+def _cmd_classify(args) -> dict:
+    return classify_three_mode(load_state(args.input).cm).to_json_dict()
 
 
 def _nonneg(text: str) -> float:
@@ -208,10 +195,15 @@ def main(argv=None) -> int:
     _validate(args, parser)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            result = args.func(args)
+            if "format" in args:  # sweep and gap-sweep print columns
+                _emit_profile(result, args.format, args.output)
+            else:
+                _emit_json(result, args.output)
     except (GaussentError, ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run() -> None:

@@ -232,13 +232,15 @@ def reduce_modes(cm: np.ndarray, modes: Sequence[int] | int) -> np.ndarray:
 
 
 def is_classical(cm: np.ndarray) -> bool:
-    """Whether the normally ordered ``cm - I`` is positive semidefinite; a non-finite or asymmetric ``cm`` raises.
+    """Whether the normally ordered ``cm - I`` is positive semidefinite, up to ``TAU_PSD + 8 eps ||cm||_F``;
+    a non-finite or asymmetric ``cm`` raises.
 
     Classical states remain separable under passive mixing with vacuum.
     """
     cm = _as_even_square(cm, "cm")
     _check_entries(cm)
-    return bool(np.linalg.eigvalsh(cm - np.eye(cm.shape[0])).min() >= -TAU_PSD)
+    tol = TAU_PSD + 8.0 * np.finfo(float).eps * np.linalg.norm(cm)  # the physicality gate's global term
+    return bool(np.linalg.eigvalsh(cm - np.eye(cm.shape[0])).min() >= -tol)
 
 
 @dataclass
@@ -303,7 +305,7 @@ def load_state(path: str | Path) -> GaussianState:
     """Read a state from the JSON covariance-matrix file format.
 
     The schema is ``{"n_modes": int, "cm": [4 n^2 numbers, row-major],
-    "displacement": [2 n numbers, optional]}``.  The matrix is passed
+    "displacement": [2 n finite numbers, optional]}``.  The matrix is passed
     through :func:`validate_cm`.
     """
     data = json.loads(Path(path).read_text())
@@ -318,7 +320,10 @@ def load_state(path: str | Path) -> GaussianState:
             f"'cm' must hold {4 * n * n} row-major entries for n_modes={n}, got shape {cm.shape}"
         )
     cm = validate_cm(cm.reshape(2 * n, 2 * n))
-    return GaussianState(cm, None if data.get("displacement") is None else _float_field(data, "displacement"))
+    d = None if data.get("displacement") is None else _float_field(data, "displacement")
+    if d is not None and not np.isfinite(d).all():
+        raise ValueError(f"'displacement' must hold finite numbers, got {json.dumps(data['displacement'])[:80]}")
+    return GaussianState(cm, d)
 
 
 def _float_field(data: dict, key: str) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import (
 if TYPE_CHECKING:  # pragma: no cover
     from .protocol import ProtocolParams
 
-#: Tolerated violation of S Omega S^T = Omega at construction.
+#: Fixed part of the tolerated violation of S Omega S^T = Omega; the rest is its rounding, 8 eps max|S|^2.
 TAU_SYMPLECTIC = 1e-10
 #: A measured-quadrature variance at or below this conditions nothing in homodyne.
 HOMODYNE_SV_CUTOFF = 1e-12
@@ -36,7 +36,7 @@ class SymplecticTransform:
         self.matrix = _as_even_square(self.matrix, "symplectic matrix")
         omega = symplectic_form(self.n_modes)
         dev = np.abs(self.matrix @ omega @ self.matrix.T - omega).max()
-        if dev > TAU_SYMPLECTIC:
+        if dev > TAU_SYMPLECTIC + 8.0 * np.finfo(float).eps * np.abs(self.matrix).max() ** 2:
             raise NotSymplecticError(f"S Omega S^T deviates from Omega by {dev:.3e}")
 
     @property

@@ -23,14 +23,14 @@ from .separability import SeparabilityReport, _classify, _localizable_mu, _pt_me
 _SQRT2 = np.sqrt(2.0)
 _C8 = 8.0 * _SQRT2  # recurring constant in the pair-entanglement threshold
 
-STAGE_INITIAL = "initial"
-STAGE_SHARED = "shared"
-STAGE_FINAL_VIA_APRIME = "final-via-A'"
-STAGE_FINAL_VIA_A = "final-via-A"
-STAGES = (STAGE_INITIAL, STAGE_SHARED, STAGE_FINAL_VIA_APRIME, STAGE_FINAL_VIA_A)
-
 ROUTE_VIA_APRIME = "via-A'"
 ROUTE_VIA_A = "via-A"
+
+STAGE_INITIAL = "initial"
+STAGE_SHARED = "shared"
+STAGE_FINAL_VIA_APRIME = "final-" + ROUTE_VIA_APRIME
+STAGE_FINAL_VIA_A = "final-" + ROUTE_VIA_A
+STAGES = (STAGE_INITIAL, STAGE_SHARED, STAGE_FINAL_VIA_APRIME, STAGE_FINAL_VIA_A)
 
 
 @dataclass(frozen=True)
@@ -118,29 +118,24 @@ def _blocks(r, epsilon: float) -> BlockSet:
     )
 
 
-def _shared_matrix(b: BlockSet) -> np.ndarray:
-    return np.block([
-        [b.alpha, b.delta, b.tau],
-        [b.delta, b.alpha, b.tau],
-        [b.tau, b.tau, b.beta],
-    ])
-
-
-def _final_matrix(b: BlockSet, route: str) -> np.ndarray:
+def _stage_matrix(b: BlockSet, stage: str) -> np.ndarray:
+    """The shared or a final stage's matrix, or its ``(..., 6, 6)`` stack, from the four blocks."""
     al, be, ta, de = b.alpha, b.beta, b.tau, b.delta
-    if route == ROUTE_VIA_APRIME:
+    if stage == STAGE_SHARED:
+        return np.block([[al, de, ta], [de, al, ta], [ta, ta, be]])
+    if stage == STAGE_FINAL_VIA_APRIME:
         return np.block([
             [al, (ta - de) / _SQRT2, (ta + de) / _SQRT2],
             [(ta - de) / _SQRT2, (al + be - 2.0 * ta) / 2.0, (be - al) / 2.0],
             [(ta + de) / _SQRT2, (be - al) / 2.0, (al + be + 2.0 * ta) / 2.0],
         ])
-    if route == ROUTE_VIA_A:
+    if stage == STAGE_FINAL_VIA_A:
         return np.block([
             [(al + be - 2.0 * ta) / 2.0, (de - ta) / _SQRT2, (al - be) / 2.0],
             [(de - ta) / _SQRT2, al, (de + ta) / _SQRT2],
             [(al - be) / 2.0, (de + ta) / _SQRT2, (al + be + 2.0 * ta) / 2.0],
         ])
-    raise ValueError(f"route must be {ROUTE_VIA_APRIME!r} or {ROUTE_VIA_A!r}, got {route!r}")
+    raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
 
 
 def _reduced_pair_matrix(b: BlockSet) -> np.ndarray:
@@ -156,7 +151,7 @@ def shared_cm(params: ProtocolParams) -> tuple[GaussianState, BlockSet]:
     'plus' beam splitter on (A, A')) applied to :func:`initial_cm`.
     """
     b = _blocks(params.r, params.epsilon)
-    return GaussianState(_shared_matrix(b)), b
+    return GaussianState(_stage_matrix(b, STAGE_SHARED)), b
 
 
 def final_cm(params: ProtocolParams, route: str = ROUTE_VIA_APRIME) -> GaussianState:
@@ -166,7 +161,9 @@ def final_cm(params: ProtocolParams, route: str = ROUTE_VIA_APRIME) -> GaussianS
     splitter on (B, A')).  ``via-A``: Bob mixes the received mode A with B
     ('minus' splitter on (A, B)).
     """
-    return GaussianState(_final_matrix(_blocks(params.r, params.epsilon), route))
+    if route not in (ROUTE_VIA_APRIME, ROUTE_VIA_A):
+        raise ValueError(f"route must be {ROUTE_VIA_APRIME!r} or {ROUTE_VIA_A!r}, got {route!r}")
+    return GaussianState(_stage_matrix(_blocks(params.r, params.epsilon), "final-" + route))
 
 
 def reduced_pair_cm(params: ProtocolParams) -> np.ndarray:
@@ -304,7 +301,7 @@ def _pair_mu(r, epsilon: float) -> np.ndarray:
 
 
 def _homodyne_mu(r, epsilon: float) -> np.ndarray:
-    return _localizable_mu(_shared_matrix(_blocks(r, epsilon)), 2)
+    return _localizable_mu(_stage_matrix(_blocks(r, epsilon), STAGE_SHARED), 2)
 
 
 def numeric_threshold_r_e(epsilon: float) -> float:
@@ -340,7 +337,7 @@ def sweep_profile(r, epsilon: float) -> dict:
     _check_domain(r=r)
     _check_domain(epsilon=epsilon)
     blocks = _blocks(r, epsilon)
-    shared, final = _shared_matrix(blocks), _final_matrix(blocks, ROUTE_VIA_APRIME)
+    shared, final = _stage_matrix(blocks, STAGE_SHARED), _stage_matrix(blocks, STAGE_FINAL_VIA_APRIME)
     # from r ~ 18.4 the entries (exp(2r) +- 1)/2 lose the +-1; analyze refuses those states too
     _cholesky(shared)
     _cholesky(final)
@@ -358,12 +355,6 @@ def stage_state(params: ProtocolParams, stage: str) -> StageState:
     """
     if stage == STAGE_INITIAL:
         state = embed_vacuum(initial_cm(params), 1)
-    elif stage == STAGE_SHARED:
-        state, _ = shared_cm(params)
-    elif stage == STAGE_FINAL_VIA_APRIME:
-        state = final_cm(params, ROUTE_VIA_APRIME)
-    elif stage == STAGE_FINAL_VIA_A:
-        state = final_cm(params, ROUTE_VIA_A)
     else:
-        raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
+        state = GaussianState(_stage_matrix(_blocks(params.r, params.epsilon), stage))
     return StageState(stage, state, classify_three_mode(state.cm))

@@ -236,6 +236,7 @@ class TestClassifyCommand:
         ({"n_modes": 3, "cm": np.eye(6).ravel().tolist(), "displacement": "abc"}, "'displacement'"),
         ({"n_modes": 1, "cm": [1.0, 0.0, 0.0, 1.0], "displacement": ["1", 0.0]}, "'displacement'"),
         ({"n_modes": 1, "cm": [1.0, 0.0, 0.0, 1.0], "displacement": [0.0, True]}, "'displacement'"),
+        ({"n_modes": 3, "cm": np.eye(6).ravel().tolist(), "displacement": [np.nan, 0, 0, np.inf, 0, 0]}, "'displacement'"),
         ({"n_modes": 1, "cm": ["1", "0", "0", "1"]}, "'cm'"),
         ({"n_modes": 1, "cm": [True, False, False, True]}, "'cm'"),
         ({"n_modes": 1, "cm": [1, 0, 0, 10 ** 400]}, "'cm'"),

@@ -362,6 +362,13 @@ class TestIsClassical:
         cm = np.diag([1 + np.exp(-0.6) * (np.exp(0.2) - 1), np.exp(0.6)])
         assert is_classical(cm)
 
+    @pytest.mark.parametrize("vx,accepted", [(1.0, True), (1.0 - 1e-6, False)])
+    def test_rotated_large_variance(self, vx, accepted):
+        # eigvalsh rounds the unit eigenvalue of cm - I by about eps ||cm||, far above TAU_PSD at 1e8
+        for theta in np.random.default_rng(3).uniform(0.0, np.pi, 200):
+            cm = rotation(theta) @ np.diag([vx, 1e8]) @ rotation(theta).T
+            assert is_classical(0.5 * (cm + cm.T)) is accepted
+
     def test_one_sided_entry_raises_not_symmetric(self):
         # eigvalsh reads one triangle, which here is the vacuum's
         with pytest.raises(NotSymmetricError, match="asymmetry 5.000e\\+00"):

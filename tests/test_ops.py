@@ -29,7 +29,7 @@ from gaussent import (
 from gaussent.ops import HOMODYNE_SV_CUTOFF, _condition, _preparation_cm
 from gaussent.protocol import ProtocolParams
 
-from helpers import pt_mu_oracle, random_physical_cm
+from helpers import pt_mu_oracle, random_physical_cm, rotation
 
 
 class TestBeamSplitter:
@@ -65,6 +65,14 @@ class TestBeamSplitter:
     def test_constructor_rejects_non_symplectic(self):
         with pytest.raises(NotSymplecticError):
             SymplecticTransform(np.diag([2.0, 2.0]))
+
+    @pytest.mark.parametrize("z", [0.0, 4.0, 8.0, 10.0])
+    def test_constructor_tolerance_scales_with_the_matrix(self, z):
+        # S Omega S^T rounds to 1.6e-10 at z = 8 and 1.5e-8 at z = 10, above the fixed 1e-10
+        s = rotation(-0.3) @ np.diag([np.exp(z), np.exp(-z)]) @ rotation(-1.1)
+        SymplecticTransform(s)
+        with pytest.raises(NotSymplecticError):
+            SymplecticTransform((1.0 + 1e-6) * s)
 
 
 class TestModePermutation:
