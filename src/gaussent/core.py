@@ -93,16 +93,29 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     return _williamson(cm)[0]
 
 
-def _check_physical(m: np.ndarray) -> np.ndarray:
-    """Symmetrized copy of ``m``, once ``m`` is finite, symmetric, positive definite and physical.
+def validate_cm(m: np.ndarray) -> np.ndarray:
+    """Validate and symmetrize a covariance matrix: the physicality gate.
 
-    The finite test comes first, then the symmetry test; ``UnphysicalError`` or ``NotSymmetricError``
-    otherwise.  A Williamson value ``nu_k`` below ``1 - TAU_PSD`` is refused when the smaller of two
-    upper bounds on it stays below ``1 - TAU_PSD``: ``nu_k + 8 eps ||m||_F``, the kernel's global
-    rounding, and the Rayleigh quotient ``x_k^H m x_k / |x_k^H Omega x_k| >= nu_min`` of ``x_k =
-    L^-T v_k``, widened by its own rounding ``8 eps |x_k|^T |m| |x_k| / |x_k^H Omega x_k|``.  The
-    quotient reads only the modes ``x_k`` spans, so a large mode does not hide a violation in another.
+    The finite test comes first, then the symmetry test, then positive definiteness.  A Williamson value
+    ``nu_k`` below ``1 - TAU_PSD`` is refused when the smaller of two upper bounds on it stays below
+    ``1 - TAU_PSD``: ``nu_k + 8 eps ||m||_F``, the kernel's global rounding, and the Rayleigh quotient
+    ``x_k^H m x_k / |x_k^H Omega x_k| >= nu_min`` of ``x_k = L^-T v_k``, widened by its own rounding
+    ``8 eps |x_k|^T |m| |x_k| / |x_k^H Omega x_k|``.  The quotient reads only the modes ``x_k`` spans,
+    so a large mode does not hide a violation in another.
+
+    Args:
+        m: candidate 2n x 2n matrix.
+
+    Returns:
+        The symmetrized matrix as a fresh float array.
+
+    Raises:
+        UnphysicalError: an entry is NaN or infinite, the matrix is not
+            positive definite, or a symplectic eigenvalue is refused by
+            the two bounds above.
+        NotSymmetricError: asymmetry reaches ``TAU_SYM max(1, max|m|)``.
     """
+    m = _as_even_square(m, "covariance matrix")
     _check_entries(m)
     m = 0.5 * (m + m.T)
     nu, v, chol = _williamson(m)
@@ -116,24 +129,6 @@ def _check_physical(m: np.ndarray) -> np.ndarray:
             raise UnphysicalError(f"smallest symplectic eigenvalue {float(nu[0])!r} violates the uncertainty bound",
                                   smallest_eigenvalue=float(nu[0]))
     return m
-
-
-def validate_cm(m: np.ndarray) -> np.ndarray:
-    """Validate and symmetrize a covariance matrix.
-
-    Args:
-        m: candidate 2n x 2n matrix.
-
-    Returns:
-        The symmetrized matrix as a fresh float array.
-
-    Raises:
-        UnphysicalError: an entry is NaN or infinite, the matrix is not
-            positive definite, or its smallest symplectic eigenvalue is
-            below ``1 - TAU_PSD`` (see :func:`_check_physical`).
-        NotSymmetricError: asymmetry reaches ``TAU_SYM max(1, max|m|)``.
-    """
-    return _check_physical(_as_even_square(m, "covariance matrix"))
 
 
 def _check_modes(modes: Iterable[int] | int, n_modes: int) -> list[int]:

@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import GaussianState, _cholesky
+from .core import GaussianState, _cholesky, _quadratures
 from .errors import DomainError, NumericalFailureError
 from .ops import _preparation_cm, embed_vacuum
-from .separability import SeparabilityReport, _classify, _localizable_mu, _pt_metrics, _splittings, classify_three_mode
+from .separability import SeparabilityReport, _localizable_mu, _pt_metrics, _splittings, classify_three_mode
 
 _SQRT2 = np.sqrt(2.0)
 _C8 = 8.0 * _SQRT2  # recurring constant in the pair-entanglement threshold
@@ -210,9 +210,9 @@ def threshold_r_l(epsilon):
     # -(q/2) sqrt(-27/p^3) written so p^3 is never formed (overflows early);
     # np.power, unlike a float64 scalar's **, rounds a float as it does an array
     arg = -(q / 2.0) * np.sqrt(27.0) * np.power(-p, -1.5)
-    if (~(np.abs(arg) <= 1.0 + 1e-12)).any():  # NaN fails too
+    if (~(np.abs(arg) <= 1.0)).any():  # NaN, from overflow at large epsilon, fails too
         raise DomainError(f"arccos argument {arg} outside [-1, 1]")
-    root = 2.0 * np.sqrt(-p / 3.0) * np.cos(np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0)
+    root = 2.0 * np.sqrt(-p / 3.0) * np.cos(np.arccos(arg) / 3.0)
     return 0.5 * np.log(1.0 / 3.0 + root)
 
 
@@ -341,10 +341,9 @@ def sweep_profile(r, epsilon: float) -> dict:
     # from r ~ 18.4 the entries (exp(2r) +- 1)/2 lose the +-1; analyze refuses those states too
     _cholesky(shared)
     _cholesky(final)
-    sigma_a = _splittings(shared, [0])[0][..., 0]
-    _, pairs, labels = _classify(final)
-    mu_pair = pairs[0][..., 1]
-    return {"r": r, "mu_pair": mu_pair, "mu_m": _mu_m(r, epsilon), "sigma_shared_A": sigma_a, "class_final": labels}
+    ab = _quadratures([0, 2])
+    return {"r": r, "mu_pair": _pt_metrics(final[..., ab[:, None], ab])[0], "mu_m": _mu_m(r, epsilon),
+            "sigma_shared_A": _splittings(shared)[0][..., 0], "class_final": _splittings(final)[3]}
 
 
 def stage_state(params: ProtocolParams, stage: str) -> StageState:

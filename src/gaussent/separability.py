@@ -6,7 +6,7 @@ splitting is judged by the sign of the invariant combination
 means entangled.  Two-mode states are judged by the lower symplectic
 eigenvalue ``mu`` of the partial transpose: below 1 means entangled.  Each
 verdict is decided once, by the stacked kernels ``_splittings`` and
-``_pairs``; the records below only carry their results.
+``_pt_metrics``; the records below only carry their results.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _as_even_square, _check_modes, _check_physical, _pt_invariants, _quadratures
+from .core import _as_even_square, _check_modes, _pt_invariants, _quadratures, validate_cm
 from .errors import DimensionMismatchError, NotBisymmetricError
 from .ops import MeasurementSpec, _condition
 
@@ -24,7 +24,7 @@ BOUNDARY_TOL = 1e-12
 #: Splitting verdicts with ``|sigma|`` within this multiple of ``1 + |i1| + |i2| + |i3|``
 #: are reported as boundary cases; the band scales with the terms ``sigma`` cancels.
 SPLITTING_BAND = 1e-13
-#: Tolerated asymmetry under exchange of the two unmeasured modes.
+#: Tolerated asymmetry under exchange of the two unmeasured modes, relative to max(1, max|m|) of each matrix.
 BISYMMETRY_TOL = 1e-8
 
 SPLITTING_LABELS = ("A|(A'B)", "A'|(AB)", "B|(AA')")
@@ -113,34 +113,35 @@ class SeparabilityReport:
 
 def _as_modes(cm: np.ndarray, n: int) -> np.ndarray:
     """Float array of one ``n``-mode matrix, or ``DimensionMismatchError``; an
-    unphysical matrix raises ``UnphysicalError``, as in ``validate_cm``, which
-    unlike here returns the symmetrized copy."""
+    unphysical matrix raises as in ``validate_cm``, whose symmetrized copy is
+    dropped: the verdicts read ``cm`` as given."""
     cm = _as_even_square(cm, "cm")
     if cm.shape != (2 * n, 2 * n):
         raise DimensionMismatchError(f"expected a {n}-mode ({2 * n}x{2 * n}) matrix, got {cm.shape}")
-    _check_physical(cm)
+    validate_cm(cm)
     return cm
 
 
-def _splittings(cm: np.ndarray, modes=(0, 1, 2)):
-    """``sigma`` of the splittings of ``modes`` from the rest, with its entangled
-    and boundary masks, for ``(..., 6, 6)`` stacks; each shaped ``(..., len(modes))``."""
-    i1, i2, i3 = _pt_invariants(cm, modes)
+def _splittings(cm: np.ndarray):
+    """``sigma`` of the three 1x2 splittings of ``(..., 6, 6)`` stacks, with its entangled and
+    boundary masks, each shaped ``(..., 3)``, and the class label their entangled count implies."""
+    i1, i2, i3 = _pt_invariants(cm, [0, 1, 2])
     sigma = i3 - i2 + i1 - 1.0
     band = SPLITTING_BAND * (1.0 + np.abs(i1) + np.abs(i2) + np.abs(i3))
-    return sigma, sigma < -band, np.abs(sigma) <= band
+    entangled = sigma < -band
+    return sigma, entangled, np.abs(sigma) <= band, _CLASS_BY_COUNT[entangled.sum(-1)]
 
 
 def splitting_sigma(cm: np.ndarray, mode: int) -> SplittingVerdict:
     """Invariant separability test of one mode against the remaining pair."""
     (mode,) = _check_modes(mode, 3)
-    sigma, entangled, boundary = (x.item() for x in _splittings(_as_modes(cm, 3), [mode]))
+    sigma, entangled, boundary = (x[mode].item() for x in _splittings(_as_modes(cm, 3))[:3])
     return SplittingVerdict(SPLITTING_LABELS[mode], sigma, entangled, boundary)
 
 
 def _pt_metrics(cm: np.ndarray):
-    """PT lower eigenvalue ``mu``, ``delta_tilde`` and ``det cm`` of two-mode
-    matrices stacked as ``(..., 4, 4)``."""
+    """PT lower eigenvalue ``mu``, ``delta_tilde`` and ``det cm`` of two-mode matrices
+    stacked as ``(..., 4, 4)``, followed by the entangled and boundary masks of ``mu``."""
     # block (i, j) of each matrix sits at [..., i, j, :, :]
     blocks = np.swapaxes(cm.reshape(cm.shape[:-2] + (2, 2, 2, 2)), -3, -2)
     block_det = np.linalg.det(blocks)
@@ -148,14 +149,7 @@ def _pt_metrics(cm: np.ndarray):
     det_cm = np.linalg.det(cm)
     # a product, not **: a float64 scalar's ** rounds through pow, an array's does not
     disc = delta_tilde * delta_tilde - 4.0 * det_cm
-    mu_sq = 0.5 * (delta_tilde - np.sqrt(np.maximum(disc, 0.0)))
-    return np.sqrt(np.maximum(mu_sq, 0.0)), delta_tilde, det_cm
-
-
-def _pairs(cm: np.ndarray):
-    """:func:`_pt_metrics` of ``(..., 4, 4)`` stacks, followed by the entangled
-    and boundary masks of ``mu``."""
-    mu, delta_tilde, det_cm = _pt_metrics(cm)
+    mu = np.sqrt(np.maximum(0.5 * (delta_tilde - np.sqrt(np.maximum(disc, 0.0))), 0.0))
     return mu, delta_tilde, det_cm, mu < 1.0 - BOUNDARY_TOL, np.abs(mu - 1.0) <= BOUNDARY_TOL
 
 
@@ -165,7 +159,7 @@ def two_mode_metrics(cm: np.ndarray) -> EntanglementMetrics:
     Raises:
         UnphysicalError: the matrix is not physical (see ``validate_cm``).
     """
-    return _entanglement_metrics(*(x.item() for x in _pairs(_as_modes(cm, 2))))
+    return _entanglement_metrics(*(x.item() for x in _pt_metrics(_as_modes(cm, 2))))
 
 
 def _entanglement_metrics(mu, delta_tilde, det_cm, entangled, boundary) -> EntanglementMetrics:
@@ -183,15 +177,6 @@ def log_negativity(mu: float) -> float:
     return max(0.0, float(-np.log2(mu)))
 
 
-def _classify(cm: np.ndarray):
-    """Splitting results and pair results (:func:`_splittings` and :func:`_pairs`
-    of the ``PAIR_MODES`` reductions) and the class label of ``(..., 6, 6)``
-    stacks; physicality is the caller's to check."""
-    splits = _splittings(cm)
-    pairs = _pairs(cm[..., _PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]])
-    return splits, pairs, _CLASS_BY_COUNT[splits[1].sum(-1)]
-
-
 def classify_three_mode(cm: np.ndarray) -> SeparabilityReport:
     """Full separability report of a three-mode state.
 
@@ -201,7 +186,9 @@ def classify_three_mode(cm: np.ndarray) -> SeparabilityReport:
     inseparable, 2: one-mode biseparable, 1: two-mode biseparable,
     0: PPT across all splittings).
     """
-    (sigma, entangled, boundary), pairs, label = _classify(_as_modes(cm, 3))
+    cm = _as_modes(cm, 3)
+    sigma, entangled, boundary, label = _splittings(cm)
+    pairs = _pt_metrics(cm[_PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]])
     label = label.item()
     verdicts = map(SplittingVerdict, SPLITTING_LABELS, sigma.tolist(), entangled.tolist(), boundary.tolist())
     pairwise = zip(PAIR_LABELS, map(_entanglement_metrics, *(x.tolist() for x in pairs)))
@@ -217,9 +204,9 @@ def _localizable_mu(cm: np.ndarray, measured_mode: int) -> np.ndarray:
     modes = [0, 1, 2]
     modes[i], modes[j] = j, i
     swap = _quadratures(modes)
-    dev = np.abs(cm[..., swap[:, None], swap] - cm).max(initial=0.0)
-    if dev > BISYMMETRY_TOL:
-        raise NotBisymmetricError(f"state deviates by {dev:.3e} under exchange of modes {i} and {j}")
+    dev = np.abs(cm[..., swap[:, None], swap] - cm).max((-2, -1))
+    if (bad := dev > BISYMMETRY_TOL * np.maximum(1.0, np.abs(cm).max((-2, -1)))).any():
+        raise NotBisymmetricError(f"state deviates by {dev[bad].flat[0]:.3e} under exchange of modes {i} and {j}")
     return _pt_metrics(_condition(cm, MeasurementSpec.homodyne_x(measured_mode))[0])[0]
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import gaussent
 from gaussent import (
+    GaussianState,
     classify_three_mode,
     final_cm,
     mu_m,
@@ -261,6 +262,21 @@ class TestClassifyCommand:
         _, want = run_cli(capsys, "analyze", "--r", str(r), "--epsilon", str(eps), "--stage", stage)
         assert json.loads(out.out) == json.loads(want.out)["report"]
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="sigma is 0 on every pure state, so every splitting reads boundary (ROADMAP item 8)")
+    def test_two_mode_squeezed_vacuum_beside_vacuum(self, tmp_path, capsys):
+        # squeezing r = 0.5 on A-A', B in vacuum: A|(A'B) and A'|(AB) are entangled, B|(AA') is not
+        ch, sh, z = np.cosh(1.0), np.sinh(1.0), np.diag([1.0, -1.0])
+        cm = np.eye(6)
+        cm[:4, :4] = np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
+        path = tmp_path / "tmsv.json"
+        save_state(GaussianState(cm), path)
+        code, out = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 0
+        report = json.loads(out.out)
+        assert report["pairwise"][0]["entangled"]
+        assert (report["class"], report.get("separable_splitting")) == ("one-mode-biseparable", "B|(AA')")
+
     def test_missing_file_exits_1(self, capsys):
         code, out = run_cli(capsys, "classify", "--input", "/nonexistent.json")
         assert code == 1
@@ -395,6 +411,12 @@ class TestReferenceOutput:
         ("gap-sweep", "8e6746fb195e5155db72b5b0e487d7b37a5cb0830226e6b99bd1e2f491f35669"),
         ("analyze --r 0.4 --epsilon 0.1 --stage shared",
          "4f20387a9322f425c7fbcb4a2f603f21ea8c0e38044a46ab044d3382913ed15a"),
+        ("analyze --r 0.4 --epsilon 0.1 --stage initial",
+         "2ba337aee2b10e57182d89cb5050e716aec18661b420b98ec56a2bed3b920877"),
+        ("analyze --r 0.4 --epsilon 0.1 --stage final-via-A'",
+         "d13cbcb0d71744ee8c13855c4345ccae3cfa7fda2bea8683edcb54b0172cfde9"),
+        ("analyze --r 0.4 --epsilon 0.1 --stage final-via-A",
+         "759c572033126bd7ae159512463fcc43e64a8ee785a847abda14564279b6caae"),
         ("thresholds --epsilon 0.1", "d76da4df06499e26e7003d0467dcc3c759c6d251c12ebd043dc923be66ddec62"),
     ])
     def test_stdout_digest(self, capsys, argv, digest):

@@ -47,7 +47,7 @@ from gaussent.protocol import (
     ProtocolParams,
     cubic_pq,
 )
-from gaussent.separability import _classify
+from gaussent.separability import _splittings
 
 from helpers import random_pure_cm
 
@@ -444,7 +444,7 @@ class TestStageLadder:
     def test_shared_stage_at_high_noise_is_ppt(self):
         # sigma_B is 0 analytically and A|(A'B) is separable for r < epsilon
         r = np.linspace(0.0, 1.5, 6000)
-        (_, entangled, boundary), _, labels = _classify(protocol._stage_matrix(protocol._blocks(r, 3.0), STAGE_SHARED))
+        _, entangled, boundary, labels = _splittings(protocol._stage_matrix(protocol._blocks(r, 3.0), STAGE_SHARED))
         assert (labels == "ppt-all-splittings").all()
         assert not entangled.any()
         assert boundary[:, 2].all() and not boundary[1:, :2].any()  # sigma_A is 0 at r = 0 only

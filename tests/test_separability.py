@@ -16,6 +16,7 @@ from gaussent import (
     NotSymmetricError,
     UnphysicalError,
     apply_symplectic,
+    beam_splitter,
     char_poly_invariants,
     classify_three_mode,
     condition_on_measurement,
@@ -39,25 +40,25 @@ from gaussent.core import _pt_invariants
 from gaussent.protocol import ROUTE_VIA_A, ROUTE_VIA_APRIME, STAGES, ProtocolParams, stage_state
 from gaussent.ops import HOMODYNE_SV_CUTOFF
 from gaussent.separability import (
+    BISYMMETRY_TOL,
     PAIR_LABELS,
     PAIR_MODES,
     SPLITTING_BAND,
     SPLITTING_LABELS,
-    _classify,
+    _PAIR_QUADS,
     _localizable_mu,
-    _pairs,
     _pt_metrics,
     _splittings,
 )
 
-from helpers import pt_mu_oracle, random_physical_cm, rotation
+from helpers import pt_mu_oracle, random_physical_cm, random_pure_cm, rotation, sympl_eigs_oracle
 
 
 def assert_shared_minors_match_each_transpose(cm):
     """The shared-minor kernel and ``_splittings`` give, byte for byte, what the
     invariants of each partially transposed matrix itself give."""
     i1, i2, i3 = _pt_invariants(cm, [0, 1, 2])
-    splits = _splittings(cm)
+    splits = _splittings(cm)[:3]
     for mode in range(3):
         w1, w2, w3 = (np.asarray(x) for x in char_poly_invariants(partial_transpose(cm, mode)))
         for got, want in zip((i1[..., mode], i2[..., mode], i3[..., 0]), (w1, w2, w3)):
@@ -147,10 +148,8 @@ class TestSplittingSigma:
         cms = [random_physical_cm(3, rng) for _ in range(12)]
         cms += [final_cm(ProtocolParams(r, 0.4), ROUTE_VIA_APRIME).cm for r in (0.0, 0.2, 0.9, 1.5)]
         stack = np.stack(cms).reshape(4, 4, 6, 6)
-        results = _splittings(stack)
+        results = _splittings(stack)[:3]
         assert [x.shape for x in results] == [(4, 4, 3)] * 3
-        for x, y in zip(_splittings(stack, [2, 0]), results):
-            assert np.array_equal(x, y[..., [2, 0]])
         sigma, entangled, boundary = (x.reshape(-1, 3) for x in results)
         for k, cm in enumerate(cms):
             for mode in range(3):
@@ -233,9 +232,8 @@ class TestTwoModeMetrics:
     def test_stack_matches_one_at_a_time(self):
         rng = np.random.default_rng(33)
         cms = [random_physical_cm(2, rng) for _ in range(18)] + [np.eye(4), tmsv_cm(0.5)]
-        results = _pairs(np.stack(cms).reshape(4, 5, 4, 4))
+        results = _pt_metrics(np.stack(cms).reshape(4, 5, 4, 4))
         assert [x.shape for x in results] == [(4, 5)] * 5
-        assert all(np.array_equal(x, y) for x, y in zip(results, _pt_metrics(np.stack(cms).reshape(4, 5, 4, 4))))
         mu, delta_tilde, det_cm, entangled, boundary = (x.ravel() for x in results)
         assert entangled.any() and boundary.any() and not (entangled | boundary).all()
         for k, cm in enumerate(cms):
@@ -362,7 +360,9 @@ class TestClassifyThreeMode:
         rng = np.random.default_rng(42)
         cms = [random_physical_cm(3, rng) for _ in range(8)]
         cms += [stage_state(ProtocolParams(0.3, 0.1), stage).state.cm for stage in STAGES]
-        (sigma, entangled, boundary), pairs, labels = _classify(np.stack(cms).reshape(3, 4, 6, 6))
+        stack = np.stack(cms).reshape(3, 4, 6, 6)
+        sigma, entangled, boundary, labels = _splittings(stack)
+        pairs = _pt_metrics(stack[..., _PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]])
         assert labels.shape == (3, 4)
         for k, cm in enumerate(cms):
             report = classify_three_mode(cm)
@@ -471,6 +471,26 @@ class TestLocalizableMu:
         with pytest.raises(NotBisymmetricError):
             _localizable_mu(np.stack([shared, embed_vacuum(initial_cm(params), 1).cm, shared]), 2)
 
+    @staticmethod
+    def round_trip(r):
+        """The shared stage at epsilon 0.1 and its image under the A'-B beam splitter applied twice,
+        an identity up to rounding that leaves the A-A' exchange off by a few eps of max|cm|."""
+        shared = shared_cm(ProtocolParams(r, 0.1))[0]
+        splitter = beam_splitter(3, 2, 1, "plus")
+        return shared.cm, apply_symplectic(apply_symplectic(shared, splitter), splitter).cm
+
+    @pytest.mark.parametrize("r", [10.0, 12.0])
+    def test_bisymmetry_is_judged_relative_to_the_matrix(self, r):
+        shared, image = self.round_trip(r)
+        swap = [2, 3, 0, 1, 4, 5]
+        assert np.abs(image[np.ix_(swap, swap)] - image).max() > BISYMMETRY_TOL  # 8.9e-8 and 3.8e-6
+        assert localizable_mu(image, 2) == localizable_mu(shared, 2)
+
+    def test_large_matrix_does_not_widen_a_stack_neighbours_tolerance(self):
+        image = self.round_trip(12.0)[1]
+        with pytest.raises(NotBisymmetricError):
+            _localizable_mu(np.stack([image, embed_vacuum(initial_cm(ProtocolParams(0.3, 0.1)), 1).cm]), 2)
+
     def test_stack_honours_homodyne_cutoff_per_matrix(self):
         shared = shared_cm(ProtocolParams(0.4, 0.1))[0].cm
         below = shared.copy()
@@ -526,6 +546,50 @@ class TestMeasurementScanOracle:
         coarse = measurement_scan_oracle(state.cm, 2, n_theta=12, n_t=13)
         fine = measurement_scan_oracle(state.cm, 2, n_theta=24, n_t=25)
         assert fine <= coarse + 1e-15
+
+
+def assert_entangled_pairs_entangle_their_splittings(cms) -> int:
+    """Tracing out a mode is local, so a pair X-Y flagged entangled needs X|rest and Y|rest
+    entangled; returns how many of the reports flag a pair."""
+    flagged = 0
+    for cm in cms:
+        report = classify_three_mode(cm)
+        for (x, y), (_, pair) in zip(PAIR_MODES, report.pairwise):
+            if pair.entangled:
+                assert report.verdicts[x].entangled and report.verdicts[y].entangled
+        flagged += any(pair.entangled for _, pair in report.pairwise)
+    return flagged
+
+
+class TestReportInvariants:
+    """Self-consistency of a report on seeded three-mode states (ROADMAP item 9)."""
+
+    @pytest.mark.parametrize("max_nu", [1.0001, 3.0])
+    def test_entangled_pair_entangles_both_its_splittings(self, max_nu):
+        rng = np.random.default_rng(52)
+        assert assert_entangled_pairs_entangle_their_splittings(
+            random_physical_cm(3, rng, max_nu) for _ in range(200)
+        ) > 100  # 200 and 143
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="sigma is 0 on every pure state, so no splitting reads entangled (ROADMAP item 8)")
+    def test_entangled_pair_entangles_both_its_splittings_on_pure_states(self):
+        rng = np.random.default_rng(52)
+        assert_entangled_pairs_entangle_their_splittings(random_pure_cm(3, rng) for _ in range(200))
+
+    @pytest.mark.parametrize("max_nu,n_decided", [(1.0001, 599), (3.0, 600)])
+    def test_splitting_verdicts_agree_with_the_spectrum_oracle(self, max_nu, n_decided):
+        # the PPT verdict of each splitting, wherever the oracle's nu_min is clear of 1
+        rng = np.random.default_rng(52)
+        decided = 0
+        for _ in range(200):
+            cm = random_physical_cm(3, rng, max_nu)
+            for k, verdict in enumerate(classify_three_mode(cm).verdicts):
+                nu = sympl_eigs_oracle(partial_transpose(cm, k))[0]
+                if abs(nu - 1.0) > 1e-6:
+                    decided += 1
+                    assert verdict.entangled == (nu < 1.0)
+        assert decided == n_decided
 
 
 class TestPairwiseOfShared:
