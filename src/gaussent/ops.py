@@ -86,6 +86,11 @@ def embed_vacuum(state: GaussianState, position: int) -> GaussianState:
     return GaussianState(cm, d)
 
 
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinant of a 2x2 matrix, or of each matrix of a ``(..., 2, 2)`` stack, in closed form."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
 @dataclass
 class MeasurementSpec:
     """A Gaussian measurement on one mode.
@@ -114,7 +119,7 @@ class MeasurementSpec:
             if seed.shape[-2:] != (2, 2):
                 raise DimensionMismatchError(f"seed_cm must be 2x2 or (..., 2, 2), got {seed.shape}")
             _check_entries(seed)
-            det = np.linalg.det(seed)  # a squeezed seed R diag(t, 1/t) R^T rounds its det to eps t^2
+            det = _det2(seed)  # a squeezed seed R diag(t, 1/t) R^T rounds its det to eps t^2
             tol = TAU_PSD + 8.0 * np.finfo(float).eps * np.abs(seed).max(axis=(-2, -1)) ** 2
             bad = (det < 1.0 - tol) | (seed[..., 0, 0] <= 0)
             if bad.any():
@@ -148,11 +153,13 @@ def _condition(cm: np.ndarray, spec: MeasurementSpec):
     a, b, c = cm[..., ki[:, None], ki], cm[..., mi[:, None], mi], cm[..., ki[:, None], mi]
     if spec.kind == "general-gaussian":
         total = b + spec.seed_cm
-        cond = np.linalg.cond(total)
-        bad = ~(cond <= 1e13)  # NaN and inf fail too
+        # cond_2 <= 1e13 without an SVD: every 2x2 T has ||T||_F^2 / |det T| = cond_2 + 1/cond_2.
+        # The zero matrix passes the product form, and NaN fails it.
+        det = _det2(total)
+        bad = ~(np.square(total).sum(axis=(-2, -1)) <= 1e13 * np.abs(det)) | (det == 0.0)
         if bad.any():
             raise SingularConditioningError(
-                f"measured block plus seed is numerically singular (cond {cond[bad].flat[0]:.3e})"
+                f"measured block plus seed is numerically singular (cond {np.linalg.cond(total[bad][0]):.3e})"
             )
         m = np.linalg.inv(total)
     else:
@@ -246,12 +253,15 @@ def sample_preparation(params: "ProtocolParams", count: int, seed: int) -> Sampl
     draws *= np.sqrt(twice_var / 2.0)[:, None]
     draws[0] += draws[4]
     draws[2] -= draws[4]
+    # np.cov's arithmetic, bit for bit, on the draw itself instead of on its copy
     samples = draws[:4]
-    empirical_cm = 2.0 * np.cov(samples)
+    mean = samples.mean(axis=1)
+    samples -= mean[:, None]
+    empirical_cm = 2.0 * (np.dot(samples, samples.T) * np.true_divide(1, count - 1))
     return SampleBatch(
         count=int(count),
         seed=int(seed),
         empirical_cm=0.5 * (empirical_cm + empirical_cm.T),
-        empirical_mean=samples.mean(axis=1),
+        empirical_mean=mean,
         analytic_cm=_preparation_cm(r, epsilon),
     )

@@ -118,19 +118,24 @@ def _blocks(r, epsilon: float) -> BlockSet:
     )
 
 
+def _join(rows) -> np.ndarray:
+    """``np.block(rows)`` for a square grid of equal ``(..., 2, 2)`` blocks: columns side by side, then rows."""
+    return np.concatenate(np.concatenate(list(zip(*rows)), axis=-1), axis=-2)
+
+
 def _stage_matrix(b: BlockSet, stage: str) -> np.ndarray:
     """The shared or a final stage's matrix, or its ``(..., 6, 6)`` stack, from the four blocks."""
     al, be, ta, de = b.alpha, b.beta, b.tau, b.delta
     if stage == STAGE_SHARED:
-        return np.block([[al, de, ta], [de, al, ta], [ta, ta, be]])
+        return _join([[al, de, ta], [de, al, ta], [ta, ta, be]])
     if stage == STAGE_FINAL_VIA_APRIME:
-        return np.block([
+        return _join([
             [al, (ta - de) / _SQRT2, (ta + de) / _SQRT2],
             [(ta - de) / _SQRT2, (al + be - 2.0 * ta) / 2.0, (be - al) / 2.0],
             [(ta + de) / _SQRT2, (be - al) / 2.0, (al + be + 2.0 * ta) / 2.0],
         ])
     if stage == STAGE_FINAL_VIA_A:
-        return np.block([
+        return _join([
             [(al + be - 2.0 * ta) / 2.0, (de - ta) / _SQRT2, (al - be) / 2.0],
             [(de - ta) / _SQRT2, al, (de + ta) / _SQRT2],
             [(al - be) / 2.0, (de + ta) / _SQRT2, (al + be + 2.0 * ta) / 2.0],
@@ -141,7 +146,7 @@ def _stage_matrix(b: BlockSet, stage: str) -> np.ndarray:
 def _reduced_pair_matrix(b: BlockSet) -> np.ndarray:
     off = (b.delta + b.tau) / _SQRT2
     corner = (b.alpha + b.beta + 2.0 * b.tau) / 2.0
-    return np.block([[b.alpha, off], [off, corner]])
+    return _join([[b.alpha, off], [off, corner]])
 
 
 def shared_cm(params: ProtocolParams) -> tuple[GaussianState, BlockSet]:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,21 @@ class TestMeasurementSpec:
         with pytest.raises(NotSymmetricError, match="asymmetry 1.000e-03"):
             MeasurementSpec.general_gaussian(0, np.array([[1.0, 1e-3], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale,accepted", [(1.0, 1704), (3.0, 1704), (0.5, 0), (1 - 1e-4, 344), (1 - 1e-6, 582)])
+    def test_one_mode_probe_counts(self, scale, accepted):
+        # the one-mode probe s R diag(t, 1/t) R^T of the physicality gate's comparison, 71 t x 24 theta,
+        # symmetrized; the counts are those of the LAPACK determinant the closed form replaced
+        count = 0
+        for t in np.logspace(0.0, 7.0, 71):
+            for theta in np.linspace(0.0, np.pi, 24, endpoint=False):
+                seed = scale * rotation(-theta) @ np.diag([t, 1.0 / t]) @ rotation(-theta).T
+                try:
+                    MeasurementSpec.general_gaussian(0, 0.5 * (seed + seed.T))
+                except UnphysicalError:
+                    continue
+                count += 1
+        assert count == accepted
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_seed_is_refused_at_construction(self, value):
         # refused before the det rule, so no numpy warning reaches the suite's error filter
@@ -223,6 +239,28 @@ class TestConditioning:
         seeds = np.stack([np.diag([2.0, 0.5]), np.diag([1e-14, 1e14])])
         with pytest.raises(SingularConditioningError):
             _condition(cm, MeasurementSpec.general_gaussian(2, seeds))
+        # B + seed exactly zero: 0 <= 1e13 * 0 holds, so only the determinant test refuses it
+        cm[4, 4], cm[5, 5] = -2.0, -0.5
+        with pytest.raises(SingularConditioningError, match=r"\(cond inf\)$"):
+            _condition(cm, MeasurementSpec.general_gaussian(2, np.diag([2.0, 0.5])))
+
+    def test_singularity_verdicts_match_the_svd_condition_number(self):
+        # rotated seeds R diag(t, 1/t) R^T over a zero measured block, cond = t^2 log-uniform around 1e13
+        rng = np.random.default_rng(11)
+        conds, thetas = 10.0 ** rng.uniform(11.0, 15.0, 3000), rng.uniform(0.0, np.pi, 3000)
+        cm = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        verdicts, reference = [], []
+        for cond, theta in zip(conds, thetas):
+            seed = rotation(theta) @ np.diag([np.sqrt(cond), 1.0 / np.sqrt(cond)]) @ rotation(theta).T
+            reference.append(bool(np.linalg.cond(seed) <= 1e13))  # the rule before the closed form
+            try:
+                _condition(cm, MeasurementSpec.general_gaussian(2, seed))
+            except SingularConditioningError:
+                verdicts.append(False)
+                continue
+            verdicts.append(True)
+        assert verdicts == reference
+        assert 1000 < sum(reference) < 2000
 
     def test_stacked_seeds_match_one_at_a_time(self):
         state, _ = shared_cm(ProtocolParams(0.4, 0.1))
@@ -302,17 +340,33 @@ class TestSamplePreparation:
         assert np.array_equal(a.empirical_cm, b.empirical_cm)
         assert np.array_equal(a.empirical_mean, b.empirical_mean)
 
-    @pytest.mark.parametrize("r,eps,seed,digest", [
-        (0.3, 0.1, 1, "919b43d991c9570a31d7626b66c8097955dedace7ff5709a850ef68bbef09e3d"),
-        (1.2, 0.5, 7, "6d2a20933ca24967d0e38c21e0b36ee17a919e1ea3a5e291bb71026853a70454"),
-        (0.05, 2.0, 2016, "c22be9bf73980fc8ff743e49bf713b6c395953b2bd868e56604796f207113231"),
+    @pytest.mark.parametrize("r,eps,seed,count,digest", [
+        (0.3, 0.1, 1, 5000, "919b43d991c9570a31d7626b66c8097955dedace7ff5709a850ef68bbef09e3d"),
+        (1.2, 0.5, 7, 5000, "6d2a20933ca24967d0e38c21e0b36ee17a919e1ea3a5e291bb71026853a70454"),
+        (0.05, 2.0, 2016, 5000, "c22be9bf73980fc8ff743e49bf713b6c395953b2bd868e56604796f207113231"),
+        (0.3, 0.1, 1, 100_000, "d0a7d4906a6bdcd15a9543ac73473dbc6d7cda5c913d10043e8f76087fb87171"),
+        (1.2, 0.5, 7, 100_000, "05c0cbf5c237471310430d9355007f552402a9a5c94d86b59e1445e9364db3df"),
+        (0.3, 0.1, 42, 1_000_000, "5c3442f364a78653e5db62590372d48a50b739097a9764b50207b762aa13fae4"),
+        (0.05, 2.0, 2016, 1_000_000, "935ab7ad1bf2ecbb68efbfbf2b5a75657559b551a0a6cc06bf532a5e7adbb7b8"),
     ])
-    def test_pinned_pcg64_stream(self, r, eps, seed, digest):
-        # digests taken when each quadrature had its own rng.normal call; the
-        # one-call draw must reproduce that stream bit for bit
-        batch = sample_preparation(ProtocolParams(r, eps), 5000, seed)
+    def test_pinned_pcg64_stream(self, r, eps, seed, count, digest):
+        # the 5000-sample digests were taken when each quadrature had its own rng.normal call, the
+        # larger ones (the benchmark's and the CLI's default sizes) when the moments came from np.cov;
+        # both must hold bit for bit with one numpy/BLAS build, whose dsyrk fixes the summation order
+        batch = sample_preparation(ProtocolParams(r, eps), count, seed)
         data = batch.empirical_cm.tobytes() + batch.empirical_mean.tobytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_working_memory_is_the_draw(self):
+        # the five-row float64 draw is 40 bytes per sample; the moments may not copy it
+        count = 100_000
+        tracemalloc.start()
+        try:
+            sample_preparation(ProtocolParams(0.3, 0.1), count, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / count <= 41.0
 
     def test_rms_error_scales_as_inverse_sqrt_count(self):
         params = ProtocolParams(0.3, 0.1)

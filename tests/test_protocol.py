@@ -175,6 +175,32 @@ class TestClosedFormsMatchPipeline:
             assert np.array_equal(pair[k], reduced_pair_cm(params))
             assert mus[k] == mu_m(params)
 
+    @pytest.mark.parametrize("eps", [0.1, 0.7, 3.0])
+    def test_stage_builders_are_bitwise_np_block(self, eps):
+        # the np.block expressions the concatenating builders replaced; tobytes so signed zeros count
+        rs = np.concatenate((np.linspace(0.0, 1.5, 11), np.linspace(2.0, 18.0, 17)))
+        for r in [rs, *rs.tolist()]:
+            b = protocol._blocks(r, eps)
+            al, be, ta, de, s = b.alpha, b.beta, b.tau, b.delta, np.sqrt(2.0)
+            reference = {
+                STAGE_SHARED: np.block([[al, de, ta], [de, al, ta], [ta, ta, be]]),
+                STAGE_FINAL_VIA_APRIME: np.block([
+                    [al, (ta - de) / s, (ta + de) / s],
+                    [(ta - de) / s, (al + be - 2.0 * ta) / 2.0, (be - al) / 2.0],
+                    [(ta + de) / s, (be - al) / 2.0, (al + be + 2.0 * ta) / 2.0],
+                ]),
+                STAGE_FINAL_VIA_A: np.block([
+                    [(al + be - 2.0 * ta) / 2.0, (de - ta) / s, (al - be) / 2.0],
+                    [(de - ta) / s, al, (de + ta) / s],
+                    [(al - be) / 2.0, (de + ta) / s, (al + be + 2.0 * ta) / 2.0],
+                ]),
+            }
+            built = {stage: protocol._stage_matrix(b, stage) for stage in reference}
+            reference["pair"] = np.block([[al, (de + ta) / s], [(de + ta) / s, (al + be + 2.0 * ta) / 2.0]])
+            built["pair"] = protocol._reduced_pair_matrix(b)
+            for key, expected in reference.items():
+                assert (built[key].shape, built[key].tobytes()) == (expected.shape, expected.tobytes()), key
+
 
 class TestThresholds:
     def test_reference_values_at_tenth_noise(self):
