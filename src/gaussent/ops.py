@@ -154,9 +154,11 @@ def _condition(cm: np.ndarray, spec: MeasurementSpec):
     if spec.kind == "general-gaussian":
         total = b + spec.seed_cm
         # cond_2 <= 1e13 without an SVD: every 2x2 T has ||T||_F^2 / |det T| = cond_2 + 1/cond_2.
+        # T is scaled by a power of two per matrix, which rounds nothing, so neither side overflows.
         # The zero matrix passes the product form, and NaN fails it.
-        det = _det2(total)
-        bad = ~(np.square(total).sum(axis=(-2, -1)) <= 1e13 * np.abs(det)) | (det == 0.0)
+        scaled = np.ldexp(total, -np.frexp(np.abs(total).max(axis=(-2, -1), keepdims=True))[1])
+        det = _det2(scaled)
+        bad = ~(np.square(scaled).sum(axis=(-2, -1)) <= 1e13 * np.abs(det)) | (det == 0.0)
         if bad.any():
             raise SingularConditioningError(
                 f"measured block plus seed is numerically singular (cond {np.linalg.cond(total[bad][0]):.3e})"

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import GaussianState, _cholesky, _quadratures
+from .core import GaussianState, _cholesky
 from .errors import DomainError, NumericalFailureError
 from .ops import _preparation_cm, embed_vacuum
 from .separability import SeparabilityReport, _localizable_mu, _pt_metrics, _splittings, classify_three_mode
@@ -334,8 +334,8 @@ def gap_profile(epsilons) -> dict:
 
 def sweep_profile(r, epsilon: float) -> dict:
     """Sweep columns by name over the squeezing values ``r``, each an array with the
-    bits of the one-state functions: ``r``, ``mu_pair`` (of the reduced pair, taken as
-    the A-B pair of the final state via A'), ``mu_m``, ``sigma_shared_A`` (the shared
+    bits of the one-state functions: ``r``, ``mu_pair`` (of the reduced pair, which is
+    bit for bit the A-B pair of the final state via A'), ``mu_m``, ``sigma_shared_A`` (the shared
     state's ``A|(A'B)`` value) and ``class_final`` (the label of the final state via A').
     A row whose shared or final matrix is not positive definite raises ``UnphysicalError``."""
     r = np.asarray(r, dtype=float)
@@ -346,8 +346,7 @@ def sweep_profile(r, epsilon: float) -> dict:
     # from r ~ 18.4 the entries (exp(2r) +- 1)/2 lose the +-1; analyze refuses those states too
     _cholesky(shared)
     _cholesky(final)
-    ab = _quadratures([0, 2])
-    return {"r": r, "mu_pair": _pt_metrics(final[..., ab[:, None], ab])[0], "mu_m": _mu_m(r, epsilon),
+    return {"r": r, "mu_pair": _pt_metrics(_reduced_pair_matrix(blocks))[0], "mu_m": _mu_m(r, epsilon),
             "sigma_shared_A": _splittings(shared)[0][..., 0], "class_final": _splittings(final)[3]}
 
 

@@ -5,8 +5,9 @@ splitting is judged by the sign of the invariant combination
 ``sigma = i3 - i2 + i1 - 1`` of the partially transposed matrix: negative
 means entangled.  Two-mode states are judged by the lower symplectic
 eigenvalue ``mu`` of the partial transpose: below 1 means entangled.  Each
-verdict is decided once, by the stacked kernels ``_splittings`` and
-``_pt_metrics``; the records below only carry their results.
+verdict is decided once: a splitting's by the stacked kernel ``_splittings``,
+a pair's by ``_entanglement_metrics``, the one constructor of the pair record,
+from the numbers the stacked kernel ``_pt_metrics`` returns.
 """
 
 from __future__ import annotations
@@ -74,13 +75,7 @@ class EntanglementMetrics:
     boundary: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "log_negativity": self.log_negativity,
-            "delta_tilde": self.delta_tilde,
-            "ppt_condition_value": self.ppt_condition_value,
-            "entangled": self.entangled,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "boundary"}
 
 
 @dataclass
@@ -141,7 +136,7 @@ def splitting_sigma(cm: np.ndarray, mode: int) -> SplittingVerdict:
 
 def _pt_metrics(cm: np.ndarray):
     """PT lower eigenvalue ``mu``, ``delta_tilde`` and ``det cm`` of two-mode matrices
-    stacked as ``(..., 4, 4)``, followed by the entangled and boundary masks of ``mu``."""
+    stacked as ``(..., 4, 4)``."""
     # block (i, j) of each matrix sits at [..., i, j, :, :]
     blocks = np.swapaxes(cm.reshape(cm.shape[:-2] + (2, 2, 2, 2)), -3, -2)
     block_det = np.linalg.det(blocks)
@@ -150,7 +145,7 @@ def _pt_metrics(cm: np.ndarray):
     # a product, not **: a float64 scalar's ** rounds through pow, an array's does not
     disc = delta_tilde * delta_tilde - 4.0 * det_cm
     mu = np.sqrt(np.maximum(0.5 * (delta_tilde - np.sqrt(np.maximum(disc, 0.0))), 0.0))
-    return mu, delta_tilde, det_cm, mu < 1.0 - BOUNDARY_TOL, np.abs(mu - 1.0) <= BOUNDARY_TOL
+    return mu, delta_tilde, det_cm
 
 
 def two_mode_metrics(cm: np.ndarray) -> EntanglementMetrics:
@@ -162,10 +157,10 @@ def two_mode_metrics(cm: np.ndarray) -> EntanglementMetrics:
     return _entanglement_metrics(*(x.item() for x in _pt_metrics(_as_modes(cm, 2))))
 
 
-def _entanglement_metrics(mu, delta_tilde, det_cm, entangled, boundary) -> EntanglementMetrics:
-    return EntanglementMetrics(
-        mu, log_negativity(mu), delta_tilde, det_cm - delta_tilde + 1.0, entangled, boundary
-    )
+def _entanglement_metrics(mu: float, delta_tilde: float, det_cm: float) -> EntanglementMetrics:
+    """The pair record of one matrix's ``_pt_metrics``, with its verdict against ``BOUNDARY_TOL``."""
+    return EntanglementMetrics(mu, log_negativity(mu), delta_tilde, det_cm - delta_tilde + 1.0,
+                               mu < 1.0 - BOUNDARY_TOL, abs(mu - 1.0) <= BOUNDARY_TOL)
 
 
 def log_negativity(mu: float) -> float:

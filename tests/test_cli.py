@@ -439,3 +439,27 @@ class TestReferenceOutput:
         assert hashlib.sha256(out.out.encode()).hexdigest() == (
             "7f0bfdfd7687fa57d626035f3a19cd520d3f64f42f709b5447e63c8a141df51d"
         )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadmeExamples:
+    """The README's examples print what their comments say."""
+
+    def test_python_example(self, capsys):
+        block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+        exec(block, {})
+        comments = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+        assert capsys.readouterr().out.splitlines() == comments == ["one-mode-biseparable", "B|(AA')"]
+
+    def test_thresholds_example(self, capsys):
+        lines = README.read_text().split("gaussent thresholds --epsilon 0.1\n", 1)[1].splitlines()
+        comment = ""
+        for line in lines:
+            if not line.startswith("# "):
+                break
+            comment += line[2:]
+        code, out = run_cli(capsys, "thresholds", "--epsilon", "0.1")
+        assert code == 0
+        assert json.loads(out.out) == json.loads(comment)

@@ -244,17 +244,22 @@ class TestConditioning:
         with pytest.raises(SingularConditioningError, match=r"\(cond inf\)$"):
             _condition(cm, MeasurementSpec.general_gaussian(2, np.diag([2.0, 0.5])))
 
-    def test_singularity_verdicts_match_the_svd_condition_number(self):
-        # rotated seeds R diag(t, 1/t) R^T over a zero measured block, cond = t^2 log-uniform around 1e13
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_singularity_verdicts_match_the_svd_condition_number(self, scale):
+        # rotated seeds R diag(t, 1/t) R^T over a zero measured block, cond = t^2 log-uniform around 1e13,
+        # times an overall scale; the scaled seed is set after the spec's physicality check, which is not
+        # under test (it refuses det scale^2 < 1 and overflows in max|seed|^2 at 1e150)
         rng = np.random.default_rng(11)
         conds, thetas = 10.0 ** rng.uniform(11.0, 15.0, 3000), rng.uniform(0.0, np.pi, 3000)
         cm = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        spec = MeasurementSpec.general_gaussian(2, np.eye(2))
         verdicts, reference = [], []
         for cond, theta in zip(conds, thetas):
             seed = rotation(theta) @ np.diag([np.sqrt(cond), 1.0 / np.sqrt(cond)]) @ rotation(theta).T
             reference.append(bool(np.linalg.cond(seed) <= 1e13))  # the rule before the closed form
+            spec.seed_cm = scale * seed
             try:
-                _condition(cm, MeasurementSpec.general_gaussian(2, seed))
+                _condition(cm, spec)
             except SingularConditioningError:
                 verdicts.append(False)
                 continue
@@ -269,6 +274,13 @@ class TestConditioning:
         for seed, out in zip(seeds, stacked):
             one = condition_on_measurement(state, MeasurementSpec.general_gaussian(2, seed))
             assert np.array_equal(out, one.cm)
+
+    def test_huge_measured_variances_return_kept_block(self):
+        # |det(B + seed)| = 2.5e295: unscaled, 1e13 |det| overflows
+        cm = np.eye(6)
+        cm[4, 4] = cm[5, 5] = 5e147
+        out = condition_on_measurement(GaussianState(cm), MeasurementSpec.general_gaussian(2, np.eye(2)))
+        assert np.array_equal(out.cm, cm[:4, :4])
 
     def test_homodyne_below_cutoff_returns_kept_block(self):
         cm = np.eye(6)

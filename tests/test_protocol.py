@@ -47,6 +47,7 @@ from gaussent.protocol import (
     ProtocolParams,
     cubic_pq,
 )
+from gaussent.core import _quadratures
 from gaussent.separability import _splittings
 
 from helpers import random_pure_cm
@@ -115,15 +116,25 @@ class TestClosedFormsMatchPipeline:
                 dev = np.abs(final_cm(params, route).cm - pipeline_final(params, route).cm).max()
                 assert dev < 1e-12
 
-    def test_both_routes_reduce_to_the_same_pair(self):
-        params = ProtocolParams(0.3, 0.1)
-        pair = reduced_pair_cm(params)
-        assert np.abs(reduce_modes(final_cm(params, ROUTE_VIA_APRIME).cm, [0, 2]) - pair).max() < 1e-15
-        assert np.abs(reduce_modes(final_cm(params, ROUTE_VIA_A).cm, [1, 2]) - pair).max() < 1e-15
+    @pytest.mark.parametrize("eps", [0.1, 0.7, 3.0])
+    def test_both_routes_reduce_to_the_same_pair(self, eps):
+        # bit for bit, so sweep_profile may read mu_pair from the pair builder; tobytes so signed zeros count
+        rs = np.concatenate((np.linspace(0.0, 1.5, 11), np.linspace(2.0, 18.0, 17)))
+        for r in [rs, *rs.tolist()]:
+            b = protocol._blocks(r, eps)
+            pair = protocol._reduced_pair_matrix(b)
+            for stage, modes in ((STAGE_FINAL_VIA_APRIME, [0, 2]), (STAGE_FINAL_VIA_A, [1, 2])):
+                quads = _quadratures(modes)
+                sliced = protocol._stage_matrix(b, stage)[..., quads[:, None], quads]
+                assert (sliced.shape, sliced.tobytes()) == (pair.shape, pair.tobytes()), stage
+            if np.ndim(r) == 0:
+                params = ProtocolParams(r, eps)
+                assert reduce_modes(final_cm(params, ROUTE_VIA_APRIME).cm, [0, 2]).tobytes() == pair.tobytes()
+                assert reduce_modes(final_cm(params, ROUTE_VIA_A).cm, [1, 2]).tobytes() == pair.tobytes()
 
     @pytest.mark.parametrize("eps", [0.001, 0.7, 3.0])
     def test_sweep_profile_is_bitwise_the_one_state_functions(self, eps):
-        # mu_pair comes from the A-B pair of the final state via A', which is the reduced pair
+        # mu_pair comes from the reduced pair, which is bit for bit the A-B pair of the final state via A'
         rs = np.concatenate((np.linspace(0.0, 1.5, 11), [4.0, 8.0, 12.0]))
         profile = sweep_profile(rs, eps)
         assert np.array_equal(profile["r"], rs)

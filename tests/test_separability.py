@@ -41,11 +41,14 @@ from gaussent.protocol import ROUTE_VIA_A, ROUTE_VIA_APRIME, STAGES, ProtocolPar
 from gaussent.ops import HOMODYNE_SV_CUTOFF
 from gaussent.separability import (
     BISYMMETRY_TOL,
+    BOUNDARY_TOL,
+    CLASS_PPT_ALL,
     PAIR_LABELS,
     PAIR_MODES,
     SPLITTING_BAND,
     SPLITTING_LABELS,
     _PAIR_QUADS,
+    _entanglement_metrics,
     _localizable_mu,
     _pt_metrics,
     _splittings,
@@ -233,13 +236,24 @@ class TestTwoModeMetrics:
         rng = np.random.default_rng(33)
         cms = [random_physical_cm(2, rng) for _ in range(18)] + [np.eye(4), tmsv_cm(0.5)]
         results = _pt_metrics(np.stack(cms).reshape(4, 5, 4, 4))
-        assert [x.shape for x in results] == [(4, 5)] * 5
-        mu, delta_tilde, det_cm, entangled, boundary = (x.ravel() for x in results)
+        assert [x.shape for x in results] == [(4, 5)] * 3
+        mu, delta_tilde, det_cm = (x.ravel() for x in results)
+        # the pair band as an array expression; the records decide it one float at a time
+        entangled, boundary = mu < 1.0 - BOUNDARY_TOL, np.abs(mu - 1.0) <= BOUNDARY_TOL
         assert entangled.any() and boundary.any() and not (entangled | boundary).all()
         for k, cm in enumerate(cms):
             m = two_mode_metrics(cm)
             assert (m.mu, m.delta_tilde, m.entangled, m.boundary) == (mu[k], delta_tilde[k], entangled[k], boundary[k])
+            assert type(m.entangled) is type(m.boundary) is bool
             assert m.ppt_condition_value == det_cm[k] - delta_tilde[k] + 1.0
+
+    @pytest.mark.parametrize("edge", [1.0 - BOUNDARY_TOL, 1.0 + BOUNDARY_TOL])
+    def test_band_edges_match_the_array_expression(self, edge):
+        # the edge and its two neighbours: one flag flips among the three at either edge
+        mus = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)])
+        flags = [(m.entangled, m.boundary) for m in (_entanglement_metrics(mu, 2.0, 1.0) for mu in mus.tolist())]
+        assert flags == list(zip(mus < 1.0 - BOUNDARY_TOL, np.abs(mus - 1.0) <= BOUNDARY_TOL))
+        assert len(set(flags)) == 2
 
 
 class TestLogNegativity:
@@ -370,8 +384,11 @@ class TestClassifyThreeMode:
             assert [(v.sigma, v.entangled, v.boundary) for v in report.verdicts] == list(
                 zip(sigma.reshape(-1, 3)[k], entangled.reshape(-1, 3)[k], boundary.reshape(-1, 3)[k])
             )
-            mu, _, _, pair_entangled, _ = (x.reshape(-1, 3)[k] for x in pairs)
-            assert [(m.mu, m.entangled) for _, m in report.pairwise] == list(zip(mu, pair_entangled))
+            mu = pairs[0].reshape(-1, 3)[k]
+            pair_entangled, pair_boundary = mu < 1.0 - BOUNDARY_TOL, np.abs(mu - 1.0) <= BOUNDARY_TOL
+            assert [(m.mu, m.entangled, m.boundary) for _, m in report.pairwise] == list(
+                zip(mu, pair_entangled, pair_boundary)
+            )
 
     # derandomized: sigma's relative error under a permutation grows as sigma nears 0,
     # reaching 2e-10 in 12 000 seeded draws, so a fresh draw could pass 1e-9 rarely
@@ -561,8 +578,37 @@ def assert_entangled_pairs_entangle_their_splittings(cms) -> int:
     return flagged
 
 
+def assert_ppt_all_has_no_entangled_pair(cms) -> int:
+    """A state PPT across every splitting has no entangled pair, since an entangled pair
+    X-Y entangles X|rest; returns how many of the reports read ``ppt-all-splittings``."""
+    n_ppt_all = 0
+    for cm in cms:
+        report = classify_three_mode(cm)
+        if report.class_label == CLASS_PPT_ALL:
+            n_ppt_all += 1
+            assert not any(pair.entangled for _, pair in report.pairwise)
+    return n_ppt_all
+
+
 class TestReportInvariants:
     """Self-consistency of a report on seeded three-mode states (ROADMAP item 9)."""
+
+    def test_ppt_all_splittings_has_no_entangled_pair(self):
+        # max_nu 1.0001 and 1.01 draw no ppt-all-splittings state from this seed
+        rng = np.random.default_rng(52)
+        assert assert_ppt_all_has_no_entangled_pair(random_physical_cm(3, rng, 3.0) for _ in range(400)) == 40
+
+    def test_ppt_all_splittings_has_no_entangled_pair_on_stage_states(self):
+        cms = (stage_state(ProtocolParams(r, eps), stage).state.cm
+               for r in np.linspace(0.0, 16.0, 33).tolist() for eps in (0.0, 0.01, 0.1, 1.0, 3.0) for stage in STAGES)
+        assert assert_ppt_all_has_no_entangled_pair(cms) == 204
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="sigma is 0 on every pure state, so entangled pure states read ppt-all-splittings "
+                              "(ROADMAP item 8)")
+    def test_ppt_all_splittings_has_no_entangled_pair_on_pure_states(self):
+        rng = np.random.default_rng(52)
+        assert_ppt_all_has_no_entangled_pair(random_pure_cm(3, rng) for _ in range(400))
 
     @pytest.mark.parametrize("max_nu", [1.0001, 3.0])
     def test_entangled_pair_entangles_both_its_splittings(self, max_nu):
