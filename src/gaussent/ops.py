@@ -119,11 +119,17 @@ class MeasurementSpec:
             if seed.shape[-2:] != (2, 2):
                 raise DimensionMismatchError(f"seed_cm must be 2x2 or (..., 2, 2), got {seed.shape}")
             _check_entries(seed)
-            det = _det2(seed)  # a squeezed seed R diag(t, 1/t) R^T rounds its det to eps t^2
-            tol = TAU_PSD + 8.0 * np.finfo(float).eps * np.abs(seed).max(axis=(-2, -1)) ** 2
-            bad = (det < 1.0 - tol) | (seed[..., 0, 0] <= 0)
+            # det < 1 - TAU_PSD - 8 eps max|seed|^2 (a squeezed seed R diag(t, 1/t) R^T rounds its det to eps t^2),
+            # on the seed scaled by 2^-e into max in [0.5, 1), which rounds nothing, so no product overflows.
+            # 1 - TAU_PSD scales by 4^-e; capping that at 4 changes no verdict, since the scaled det is below 2.
+            peak, e = np.frexp(np.abs(seed).max(axis=(-2, -1)))
+            det = _det2(np.ldexp(seed, -e[..., None, None]))
+            slack = 8.0 * np.finfo(float).eps * peak**2
+            bad = (det < np.ldexp(1.0 - TAU_PSD, np.minimum(-2 * e, 2)) - slack) | (seed[..., 0, 0] <= 0)
             if bad.any():
-                raise UnphysicalError(f"seed_cm is unphysical (det {det[bad].flat[0]:.6g} < 1)")
+                with np.errstate(over="ignore"):  # the message's det may pass the float range
+                    det_bad = np.ldexp(det[bad].flat[0], 2 * e[bad].flat[0])
+                raise UnphysicalError(f"seed_cm is unphysical (det {det_bad:.6g} < 1)")
             self.seed_cm = seed
         elif self.seed_cm is not None:
             raise ValueError(f"seed_cm is only meaningful for general-gaussian, not {self.kind}")

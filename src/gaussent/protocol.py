@@ -11,7 +11,7 @@ the generic transform pipeline and root finders in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class ThresholdReport:
     gap: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

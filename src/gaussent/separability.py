@@ -12,7 +12,7 @@ from the numbers the stacked kernel ``_pt_metrics`` returns.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class SplittingVerdict:
     boundary: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -75,7 +75,7 @@ class EntanglementMetrics:
     boundary: bool
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "boundary"}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "boundary"}
 
 
 @dataclass

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussent
 from gaussent import (
@@ -399,6 +401,19 @@ class TestNonFiniteOutput:
         with pytest.raises(ValueError, match=r"at \[0\]\.r = -inf$"):
             _emit_profile({"r": np.array([-np.inf]), "x": np.array([1.0])}, "csv", None)
         assert capsys.readouterr().out == ""
+
+    def test_csv_is_the_cells_formatted_one_by_one(self, capsys):
+        # one row template filled by one %, against the per-cell f-strings it replaced; '%' in a label is data
+        profile = {"r": np.array([0.0, -0.0, 5e-324, 1 / 3]), "k": np.arange(4), "label": np.array(["a", "%s", "c", "d"])}
+        _emit_profile(profile, "csv", None)
+        rows = zip(*(col.tolist() for col in profile.values()))
+        assert capsys.readouterr().out == "r,k,label\n" + "".join(f"{r:.12g},{k},{c}\n" for r, k, c in rows)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(v=st.floats())
+    def test_row_template_formats_a_float_as_the_format_spec(self, v):
+        # every float, signed zeros, subnormals, inf and nan included
+        assert "%.12g" % v == format(v, ".12g")
 
 
 class TestReferenceOutput:

@@ -159,6 +159,14 @@ class TestMeasurementSpec:
                 count += 1
         assert count == accepted
 
+    def test_huge_seeds_are_judged_without_overflow(self):
+        # det and max|seed|^2 pass the float range from entries of about 1.3e154; the suite turns warnings into errors
+        for seed in (1e155 * np.eye(2), np.diag([1e300, 1e-300]), np.stack([np.eye(2), 1e200 * np.eye(2)])):
+            assert MeasurementSpec.general_gaussian(0, seed).seed_cm is not None
+        for seed in (-1e155 * np.eye(2), 1e155 * np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-200 * np.eye(2)):
+            with pytest.raises(UnphysicalError, match="seed_cm is unphysical"):
+                MeasurementSpec.general_gaussian(0, np.stack([np.eye(2), seed]))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_seed_is_refused_at_construction(self, value):
         # refused before the det rule, so no numpy warning reaches the suite's error filter
