@@ -403,7 +403,7 @@ class TestNonFiniteOutput:
         assert capsys.readouterr().out == ""
 
     def test_csv_is_the_cells_formatted_one_by_one(self, capsys):
-        # one row template filled by one %, against the per-cell f-strings it replaced; '%' in a label is data
+        # one row template filled per row, against the per-cell f-strings it replaced; '%' in a label is data
         profile = {"r": np.array([0.0, -0.0, 5e-324, 1 / 3]), "k": np.arange(4), "label": np.array(["a", "%s", "c", "d"])}
         _emit_profile(profile, "csv", None)
         rows = zip(*(col.tolist() for col in profile.values()))
