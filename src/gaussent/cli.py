@@ -4,15 +4,18 @@ Subcommands: ``thresholds``, ``sweep``, ``gap-sweep``, ``analyze``,
 ``montecarlo``, ``classify``.  Sweeps emit CSV (or JSON rows with
 ``--format json``), everything else emits JSON.  All numbers come straight
 from library calls, rounded to 12 significant digits; identical
-configurations produce byte-identical output.  ``sweep`` and ``gap-sweep``
-print the columns of :func:`gaussent.protocol.sweep_profile` and
-:func:`gaussent.protocol.gap_profile` by name, which have the numbers and
-checks of the one-state functions.  Numeric options must be finite and
-nonnegative, and a non-finite result fails the command rather than print
-``NaN``, naming its key path (or row and column); so does a floating-point
-overflow, division by zero, invalid operation or array too large to
-allocate, with one line on stderr.  Exit codes: 0 success, 1 validation or
-numerical failure, 2 usage error.
+configurations produce byte-identical output.  JSON is rounded and
+formatted in one walk of the payload, into the bytes that
+``json.dumps(..., indent=2)`` prints for the rounded payload.  ``sweep`` and
+``gap-sweep`` print the columns of :func:`gaussent.protocol.sweep_profile`
+and :func:`gaussent.protocol.gap_profile` by name, which have the numbers
+and checks of the one-state functions.  ``classify`` validates the matrix
+it reads once, in :func:`gaussent.core.load_state`, then checks its mode
+count.  Numeric options must be finite and nonnegative, and a non-finite
+result fails the command rather than print ``NaN``, naming its key path (or
+row and column); so does a floating-point overflow, division by zero,
+invalid operation or array too large to allocate, with one line on stderr.
+Exit codes: 0 success, 1 validation or numerical failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,28 +33,56 @@ from . import protocol
 from .core import load_state
 from .errors import GaussentError
 from .ops import sample_preparation
-from .separability import classify_three_mode
+from .separability import _of_modes, _three_mode_report
 
 # the stage names, plus a spelling without the quote
 _STAGE_ALIASES = {**{stage: stage for stage in protocol.STAGES}, "final-via-Aprime": protocol.STAGE_FINAL_VIA_APRIME}
 
 
-def _round12(value, path: str = ""):
-    """Round floats to 12 significant digits, recursing through containers; a NaN
-    or infinity raises ``ValueError`` naming its key path in the payload."""
-    if isinstance(value, bool):
-        return value
+class _NonFinite(Exception):
+    """A NaN or infinity met by ``_json_text``; ``_emit_json`` then walks the payload again to name its path."""
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of a payload whose floats are rounded to 12 significant digits, rounded
+    and formatted in one walk: ``indent`` is the newline and indent before the next item of ``value``.  A NaN or
+    infinity raises ``_NonFinite``; dict keys must be strings.  Floats, the most common leaf, are tested first."""
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise _NonFinite
+        return repr(float("%.12g" % value))
+    if isinstance(value, str):
+        return _encode_str(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):  # before int, which it subclasses
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
-        return int(value)
+        return int.__repr__(int(value))
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _raise_non_finite(value, path: str = "") -> None:
+    """Raise ``ValueError`` naming the key path of the first NaN or infinity in a payload, if it holds one."""
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
             raise ValueError(f"non-finite value in output at {path.lstrip('.') or 'top level'} = {float(value)}")
-        return float(f"{float(value):.12g}")
-    if isinstance(value, dict):
-        return {k: _round12(v, f"{path}.{k}") for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round12(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    return value
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            _raise_non_finite(v, f"{path}.{k}")
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _raise_non_finite(v, f"{path}[{i}]")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -62,7 +93,14 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload, output: str | None) -> None:
-    _emit(json.dumps(_round12(payload), indent=2) + "\n", output)
+    """Write a payload as indented JSON, floats to 12 significant digits; a NaN or infinity raises ``ValueError``
+    naming its key path, found by a second walk on that path only."""
+    try:
+        text = _json_text(payload)
+    except _NonFinite:
+        _raise_non_finite(payload)
+        raise
+    _emit(text + "\n", output)
 
 
 def _emit_profile(profile: dict, fmt: str, output: str | None) -> None:
@@ -78,7 +116,7 @@ def _emit_profile(profile: dict, fmt: str, output: str | None) -> None:
     text = "\n".join([",".join(profile)] + [template % row for row in rows]) + "\n"
     # a non-finite cell prints as nan or inf; only then walk the rows to name its row and column
     if "nan" in text or "inf" in text:
-        _round12([dict(zip(profile, row)) for row in rows])
+        _raise_non_finite([dict(zip(profile, row)) for row in rows])
     _emit(text, output)
 
 
@@ -110,7 +148,8 @@ def _cmd_montecarlo(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
-    return classify_three_mode(load_state(args.input).cm).to_json_dict()
+    # load_state has validated the matrix; only its mode count is left to check
+    return _three_mode_report(_of_modes(load_state(args.input).cm, 3)).to_json_dict()
 
 
 def _nonneg(text: str) -> float:

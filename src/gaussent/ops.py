@@ -125,10 +125,15 @@ class MeasurementSpec:
             peak, e = np.frexp(np.abs(seed).max(axis=(-2, -1)))
             det = _det2(np.ldexp(seed, -e[..., None, None]))
             slack = 8.0 * np.finfo(float).eps * peak**2
-            bad = (det < np.ldexp(1.0 - TAU_PSD, np.minimum(-2 * e, 2)) - slack) | (seed[..., 0, 0] <= 0)
+            nonpositive = seed[..., 0, 0] <= 0  # a negative-definite seed can pass the det rule
+            bad = (det < np.ldexp(1.0 - TAU_PSD, np.minimum(-2 * e, 2)) - slack) | nonpositive
             if bad.any():
+                # the first refused seed, by the rule it fails
+                k = np.flatnonzero(bad)[0]
+                if nonpositive.flat[k]:
+                    raise UnphysicalError(f"seed_cm is unphysical (x variance {seed[..., 0, 0].flat[k]:.6g} <= 0)")
                 with np.errstate(over="ignore"):  # the message's det may pass the float range
-                    det_bad = np.ldexp(det[bad].flat[0], 2 * e[bad].flat[0])
+                    det_bad = np.ldexp(det.flat[k], 2 * e.flat[k])
                 raise UnphysicalError(f"seed_cm is unphysical (det {det_bad:.6g} < 1)")
             self.seed_cm = seed
         elif self.seed_cm is not None:

@@ -106,13 +106,18 @@ class SeparabilityReport:
         return out
 
 
-def _as_modes(cm: np.ndarray, n: int) -> np.ndarray:
-    """Float array of one ``n``-mode matrix, or ``DimensionMismatchError``; an
-    unphysical matrix raises as in ``validate_cm``, whose symmetrized copy is
-    dropped: the verdicts read ``cm`` as given."""
+def _of_modes(cm: np.ndarray, n: int) -> np.ndarray:
+    """Float array of one ``n``-mode matrix, or ``DimensionMismatchError``."""
     cm = _as_even_square(cm, "cm")
     if cm.shape != (2 * n, 2 * n):
         raise DimensionMismatchError(f"expected a {n}-mode ({2 * n}x{2 * n}) matrix, got {cm.shape}")
+    return cm
+
+
+def _as_modes(cm: np.ndarray, n: int) -> np.ndarray:
+    """``_of_modes``, then an unphysical matrix raises as in ``validate_cm``, whose symmetrized copy is
+    dropped: the verdicts read ``cm`` as given."""
+    cm = _of_modes(cm, n)
     validate_cm(cm)
     return cm
 
@@ -181,7 +186,11 @@ def classify_three_mode(cm: np.ndarray) -> SeparabilityReport:
     inseparable, 2: one-mode biseparable, 1: two-mode biseparable,
     0: PPT across all splittings).
     """
-    cm = _as_modes(cm, 3)
+    return _three_mode_report(_as_modes(cm, 3))
+
+
+def _three_mode_report(cm: np.ndarray) -> SeparabilityReport:
+    """:func:`classify_three_mode` of a 6x6 matrix already judged physical."""
     sigma, entangled, boundary, label = _splittings(cm)
     pairs = _pt_metrics(cm[_PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]])
     label = label.item()

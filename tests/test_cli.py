@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gaussent
@@ -15,6 +16,7 @@ from gaussent import (
     GaussianState,
     classify_three_mode,
     final_cm,
+    load_state,
     mu_m,
     reduced_pair_cm,
     sample_preparation,
@@ -25,9 +27,12 @@ from gaussent import (
     threshold_r_l,
     threshold_r_m,
     two_mode_metrics,
+    validate_cm,
 )
-from gaussent.cli import _emit_json, _emit_profile, main
+from gaussent.cli import _emit_json, _emit_profile, _json_text, main
 from gaussent.protocol import ROUTE_VIA_APRIME, STAGE_FINAL_VIA_A, STAGE_FINAL_VIA_APRIME, ProtocolParams, stage_state
+
+from helpers import random_physical_cm, random_pure_cm
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +42,25 @@ def run_cli(capsys, *argv):
 
 def round12(x):
     return float(f"{x:.12g}")
+
+
+def round12_walk(value, path: str = ""):
+    """The rounding walk the CLI ran before ``json.dumps(..., indent=2)`` until one writer did both: floats to 12
+    significant digits through containers, numpy scalars to Python ones, and a NaN or infinity a ``ValueError``
+    naming its key path.  ``json.dumps`` of its result is the reference for the CLI's JSON bytes and errors."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value in output at {path.lstrip('.') or 'top level'} = {float(value)}")
+        return float(f"{float(value):.12g}")
+    if isinstance(value, dict):
+        return {k: round12_walk(v, f"{path}.{k}") for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round12_walk(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return value
 
 
 class TestThresholdsCommand:
@@ -414,6 +438,117 @@ class TestNonFiniteOutput:
     def test_row_template_formats_a_float_as_the_format_spec(self, v):
         # every float, signed zeros, subnormals, inf and nan included
         assert "%.12g" % v == format(v, ".12g")
+
+
+# keys and strings with quotes, backslashes, control and non-ASCII characters, which JSON escapes
+JSON_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(['"', "\\", 'a"b\\c', "\n\t\x00\x1f\x7f", "é", "☃", "😀"]))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+JSON_LEAVES = st.one_of(
+    FINITE,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1 / 3, 0.1 + 0.2, 999999999999.5]),
+    FINITE.map(np.float64),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**80) | st.integers(max_value=-2**63, min_value=-2**80),
+    st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.none(),
+    JSON_KEYS,
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(JSON_KEYS, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+def plant(data, value, bad):
+    """``value`` with ``bad`` at a path drawn from ``data``: in place of ``value``, of a node under it, or as a
+    new item of a container under it."""
+    if isinstance(value, (dict, list, tuple)) and data.draw(st.booleans()):
+        if isinstance(value, dict):
+            key = data.draw(st.sampled_from(list(value)) if value and data.draw(st.booleans()) else JSON_KEYS)
+            return {**value, key: plant(data, value.get(key), bad)}
+        i = data.draw(st.integers(0, len(value)))  # len(value) appends
+        items = list(value)
+        items[i:i + 1] = [plant(data, value[i] if i < len(value) else None, bad)]
+        return type(value)(items)
+    return bad
+
+
+class TestJsonWriter:
+    """The one-walk writer prints the bytes and errors of ``json.dumps(round12_walk(x), indent=2)``."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(payload=JSON_PAYLOADS)
+    def test_writer_matches_rounding_then_dumps(self, payload):
+        assert _json_text(payload) == json.dumps(round12_walk(payload), indent=2)
+
+    def test_writer_matches_on_the_cli_payloads(self, capsys):
+        state = stage_state(ProtocolParams(2.0, 0.1), STAGE_FINAL_VIA_APRIME)
+        for payload in ({"state": state.state.to_json_dict(), "report": state.report.to_json_dict()},
+                        {"empty": {}, "rows": [], "pair": (np.float64(0.1), np.int64(-3), True, None)}):
+            _emit_json(payload, None)
+            assert capsys.readouterr().out == json.dumps(round12_walk(payload), indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=JSON_PAYLOADS, data=st.data())
+    def test_planted_non_finite_raises_the_rounding_walks_error(self, capsys, payload, data):
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)]))
+        for _ in range(data.draw(st.integers(1, 2))):
+            payload = plant(data, payload, bad)
+        with pytest.raises(ValueError) as want:
+            round12_walk(payload)
+        with pytest.raises(ValueError) as got:
+            _emit_json(payload, None)
+        assert str(got.value) == str(want.value)
+        assert capsys.readouterr().out == ""
+
+
+class TestClassifyValidatesOnce:
+    """``classify`` reads a validated matrix from ``load_state`` and checks only its mode count after it."""
+
+    def test_validate_cm_runs_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return validate_cm(m)
+
+        monkeypatch.setattr(gaussent.core, "validate_cm", counted)
+        monkeypatch.setattr(gaussent.separability, "validate_cm", counted)
+        path = tmp_path / "shared.json"
+        save_state(shared_cm(ProtocolParams(0.4, 0.1))[0], path)
+        code, out = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 0 and calls == [(6, 6)]
+
+    @pytest.mark.parametrize("make", [random_physical_cm, random_pure_cm])
+    def test_report_is_the_library_report(self, tmp_path, capsys, make):
+        rng = np.random.default_rng(73)
+        path = tmp_path / "state.json"
+        for _ in range(40):
+            save_state(GaussianState(make(3, rng)), path)
+            code, out = run_cli(capsys, "classify", "--input", str(path))
+            assert code == 0, out.err
+            report = classify_three_mode(load_state(path).cm).to_json_dict()
+            assert out.out == json.dumps(round12_walk(report), indent=2) + "\n"
+
+    @pytest.mark.parametrize("n,nan,line", [
+        (2, False, "error: expected a 3-mode (6x6) matrix, got (4, 4)"),
+        (4, False, "error: expected a 3-mode (6x6) matrix, got (8, 8)"),
+        (3, True, "error: covariance matrix has 2 non-finite entries"),
+        (2, True, "error: covariance matrix has 2 non-finite entries"),
+    ])
+    def test_refused_file_prints_one_error_line(self, tmp_path, capsys, n, nan, line):
+        cm = np.eye(2 * n)
+        if nan:
+            cm[0, 1] = cm[1, 0] = np.nan
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n_modes": n, "cm": cm.ravel().tolist()}))
+        code, out = run_cli(capsys, "classify", "--input", str(path))
+        assert (code, out.out, out.err) == (1, "", line + "\n")
 
 
 class TestReferenceOutput:

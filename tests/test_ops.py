@@ -167,6 +167,19 @@ class TestMeasurementSpec:
             with pytest.raises(UnphysicalError, match="seed_cm is unphysical"):
                 MeasurementSpec.general_gaussian(0, np.stack([np.eye(2), seed]))
 
+    @pytest.mark.parametrize("seed,rule", [
+        (-np.eye(2), "x variance -1 <= 0"),
+        (np.diag([-2.0, -3.0]), "x variance -2 <= 0"),
+        (-1e155 * np.eye(2), "x variance -1e+155 <= 0"),
+        (np.diag([0.5, 0.5]), "det 0.25 < 1"),
+    ])
+    def test_refusal_names_the_failed_rule(self, seed, rule):
+        # the first three pass the det rule (det 1, 6 and 1e310) and fail only the variance rule
+        for seeds in (seed, np.stack([np.eye(2), seed])):
+            with pytest.raises(UnphysicalError) as exc:
+                MeasurementSpec.general_gaussian(0, seeds)
+            assert str(exc.value) == f"seed_cm is unphysical ({rule})"
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_seed_is_refused_at_construction(self, value):
         # refused before the det rule, so no numpy warning reaches the suite's error filter
