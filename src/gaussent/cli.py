@@ -11,10 +11,12 @@ formatted in one walk of the payload, into the bytes that
 and :func:`gaussent.protocol.gap_profile` by name, which have the numbers
 and checks of the one-state functions.  ``classify`` validates the matrix
 it reads once, in :func:`gaussent.core.load_state`, then checks its mode
-count.  Numeric options must be finite and nonnegative, and a non-finite
-result fails the command rather than print ``NaN``, naming its key path (or
-row and column); so does a floating-point overflow, division by zero,
-invalid operation or array too large to allocate, with one line on stderr.
+count.  Numeric options must be finite and nonnegative.  JSON and CSV share
+one non-finite rule: a NaN or infinity formats as ``nan`` or ``inf``, and
+finished text holding either fails the command rather than print, naming
+its key path (or row and column); so does a floating-point overflow,
+division by zero, invalid operation or array too large to allocate, with
+one line on stderr.
 Exit codes: 0 success, 1 validation or numerical failure, 2 usage error.
 """
 
@@ -39,20 +41,15 @@ from .separability import _of_modes, _three_mode_report
 _STAGE_ALIASES = {**{stage: stage for stage in protocol.STAGES}, "final-via-Aprime": protocol.STAGE_FINAL_VIA_APRIME}
 
 
-class _NonFinite(Exception):
-    """A NaN or infinity met by ``_json_text``; ``_emit_json`` then walks the payload again to name its path."""
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` of a payload whose floats are rounded to 12 significant digits, rounded
     and formatted in one walk: ``indent`` is the newline and indent before the next item of ``value``.  A NaN or
-    infinity raises ``_NonFinite``; dict keys must be strings.  Floats, the most common leaf, are tested first."""
+    infinity prints as ``nan`` or ``inf``, for ``_write_checked`` to refuse; dict keys must be strings.  Floats,
+    the most common leaf, are tested first."""
     if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise _NonFinite
         return repr(float("%.12g" % value))
     if isinstance(value, str):
         return _encode_str(value)
@@ -85,7 +82,11 @@ def _raise_non_finite(value, path: str = "") -> None:
             _raise_non_finite(v, f"{path}[{i}]")
 
 
-def _emit(text: str, output: str | None) -> None:
+def _write_checked(text: str, output: str | None, payload) -> None:
+    """Write ``text``, unless it holds a non-finite number: a NaN or infinity prints as ``nan`` or ``inf``, and only
+    then is ``payload()`` built and walked to name its path.  Text such as a key holding ``inf`` costs that walk."""
+    if "nan" in text or "inf" in text:
+        _raise_non_finite(payload())
     if output is None:
         sys.stdout.write(text)
     else:
@@ -93,14 +94,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload, output: str | None) -> None:
-    """Write a payload as indented JSON, floats to 12 significant digits; a NaN or infinity raises ``ValueError``
-    naming its key path, found by a second walk on that path only."""
-    try:
-        text = _json_text(payload)
-    except _NonFinite:
-        _raise_non_finite(payload)
-        raise
-    _emit(text + "\n", output)
+    """Write a payload as indented JSON, floats to 12 significant digits; a NaN or infinity raises ``ValueError``."""
+    _write_checked(_json_text(payload) + "\n", output, lambda: payload)
 
 
 def _emit_profile(profile: dict, fmt: str, output: str | None) -> None:
@@ -114,10 +109,7 @@ def _emit_profile(profile: dict, fmt: str, output: str | None) -> None:
     # 6000 sweeps in one process
     template = ",".join("%.12g" if col.dtype.kind == "f" else "%s" for col in profile.values())
     text = "\n".join([",".join(profile)] + [template % row for row in rows]) + "\n"
-    # a non-finite cell prints as nan or inf; only then walk the rows to name its row and column
-    if "nan" in text or "inf" in text:
-        _raise_non_finite([dict(zip(profile, row)) for row in rows])
-    _emit(text, output)
+    _write_checked(text, output, lambda: [dict(zip(profile, row)) for row in rows])
 
 
 def _cmd_thresholds(args) -> dict:

@@ -18,7 +18,8 @@ import numpy as np
 from .core import GaussianState, _cholesky
 from .errors import DomainError, NumericalFailureError
 from .ops import _preparation_cm, embed_vacuum
-from .separability import SeparabilityReport, _localizable_mu, _pt_metrics, _splittings, classify_three_mode
+from .separability import (_PAIR_QUADS, SeparabilityReport, _localizable_mu, _pt_metrics, _splittings,
+                           classify_three_mode)
 
 _SQRT2 = np.sqrt(2.0)
 _C8 = 8.0 * _SQRT2  # recurring constant in the pair-entanglement threshold
@@ -143,10 +144,12 @@ def _stage_matrix(b: BlockSet, stage: str) -> np.ndarray:
     raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
 
 
+_AB = _PAIR_QUADS[1]  # quadratures of the entangled pair, modes A and B of the final stage via A'
+
+
 def _reduced_pair_matrix(b: BlockSet) -> np.ndarray:
-    off = (b.delta + b.tau) / _SQRT2
-    corner = (b.alpha + b.beta + 2.0 * b.tau) / 2.0
-    return _join([[b.alpha, off], [off, corner]])
+    """The entangled pair's matrix, or its ``(..., 4, 4)`` stack: the A-B slice of the final stage via A'."""
+    return _stage_matrix(b, STAGE_FINAL_VIA_APRIME)[..., _AB[:, None], _AB]
 
 
 def shared_cm(params: ProtocolParams) -> tuple[GaussianState, BlockSet]:
@@ -182,20 +185,22 @@ def reduced_pair_cm(params: ProtocolParams) -> np.ndarray:
 def threshold_r_e(epsilon):
     """Squeezing above which Bob's beam splitter entangles the reduced pair.
 
-    ``epsilon`` is a float or an array, as for every threshold below.
-    Evaluated with exp(2 epsilon) factored out of the square root so large
-    noise values cannot overflow.
+    ``epsilon`` is a float or an array, as for every threshold below.  With
+    exp(2 epsilon) factored out of the square root, large noise cannot
+    overflow; as ``log1p``, rationalized by ``a - b^2 = 4 (C8 - 1)(12 - C8) x``
+    with ``x = 1 - exp(-2 epsilon)``, small noise keeps its digits.
     """
     _check_domain(epsilon=epsilon)
-    em = np.exp(-2.0 * epsilon)
+    em, x = np.exp(-2.0 * epsilon), -np.expm1(-2.0 * epsilon)
     u = 11.0 + (_C8 - 13.0) * em
-    return epsilon + 0.5 * np.log((u + np.sqrt(u * u + 4.0 * (_C8 - 1.0) * em)) / (2.0 * (_C8 - 1.0)))
+    a, b = u * u + 4.0 * (_C8 - 1.0) * em, _C8 + (_C8 - 13.0) * x
+    return epsilon + 0.5 * np.log1p(2.0 * (12.0 - _C8) * x / (np.sqrt(a) + b))
 
 
 def threshold_r_m(epsilon):
-    """Squeezing above which a Gaussian measurement on B can localize entanglement."""
+    """Squeezing above which a Gaussian measurement on B can localize entanglement; full digits at small noise."""
     _check_domain(epsilon=epsilon)
-    return epsilon + 0.5 * np.log1p(np.sqrt(1.0 - np.exp(-2.0 * epsilon)))
+    return epsilon + 0.5 * np.log1p(np.sqrt(-np.expm1(-2.0 * epsilon)))
 
 
 def cubic_pq(epsilon):
@@ -334,9 +339,9 @@ def gap_profile(epsilons) -> dict:
 
 def sweep_profile(r, epsilon: float) -> dict:
     """Sweep columns by name over the squeezing values ``r``, each an array with the
-    bits of the one-state functions: ``r``, ``mu_pair`` (of the reduced pair, which is
-    bit for bit the A-B pair of the final state via A'), ``mu_m``, ``sigma_shared_A`` (the shared
-    state's ``A|(A'B)`` value) and ``class_final`` (the label of the final state via A').
+    bits of the one-state functions: ``r``, ``mu_pair`` (of the reduced pair, sliced from
+    the final state via A'), ``mu_m``, ``sigma_shared_A`` (the shared state's ``A|(A'B)`` value)
+    and ``class_final`` (the label of the final state via A').  Two stage stacks are built.
     A row whose shared or final matrix is not positive definite raises ``UnphysicalError``."""
     r = np.asarray(r, dtype=float)
     _check_domain(r=r)
@@ -346,7 +351,7 @@ def sweep_profile(r, epsilon: float) -> dict:
     # from r ~ 18.4 the entries (exp(2r) +- 1)/2 lose the +-1; analyze refuses those states too
     _cholesky(shared)
     _cholesky(final)
-    return {"r": r, "mu_pair": _pt_metrics(_reduced_pair_matrix(blocks))[0], "mu_m": _mu_m(r, epsilon),
+    return {"r": r, "mu_pair": _pt_metrics(final[..., _AB[:, None], _AB])[0], "mu_m": _mu_m(r, epsilon),
             "sigma_shared_A": _splittings(shared)[0][..., 0], "class_final": _splittings(final)[3]}
 
 

@@ -507,6 +507,76 @@ class TestJsonWriter:
         assert capsys.readouterr().out == ""
 
 
+# text that a finite payload may hold, and that a non-finite number prints as
+NON_FINITE_TEXT = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "info", "banana", "x_nan_inf"])
+
+
+@st.composite
+def profiles(draw, floats=FINITE):
+    """Columns by name of one length, of finite floats (at least one such column), int64s and strings, whose
+    names and strings may hold the text of a non-finite number."""
+    n = draw(st.integers(1, 5))
+    names = draw(st.lists(st.text(max_size=4) | NON_FINITE_TEXT, min_size=1, max_size=4, unique=True))
+    kinds = ["f"] + [draw(st.sampled_from("fis")) for _ in names[1:]]
+    cells = {"f": floats, "i": st.integers(-2**63, 2**63 - 1), "s": st.text(max_size=5) | NON_FINITE_TEXT}
+    cols = [np.array(draw(st.lists(cells[k], min_size=n, max_size=n)), dtype={"f": float, "i": np.int64, "s": str}[k])
+            for k in kinds]
+    order = draw(st.permutations(range(len(names))))
+    return {names[i]: cols[i] for i in order}
+
+
+def csv_reference(profile):
+    """The CSV of a profile with each cell formatted on its own, floats to 12 significant digits."""
+    rows = zip(*(col.tolist() for col in profile.values()))
+    fmt = [".12g" if col.dtype.kind == "f" else "" for col in profile.values()]
+    return ",".join(profile) + "\n" + "".join(",".join(map(format, row, fmt)) + "\n" for row in rows)
+
+
+class TestOneNonFiniteRule:
+    """JSON and CSV refuse a non-finite number by one rule, on their finished text; text that merely reads
+    ``nan`` or ``inf`` costs a walk that finds nothing, and prints."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(profile=profiles(), data=st.data())
+    def test_planted_csv_cell_raises_the_row_walks_error(self, capsys, profile, data):
+        floats = [name for name, col in profile.items() if col.dtype.kind == "f"]
+        for _ in range(data.draw(st.integers(1, 2))):
+            col = profile[data.draw(st.sampled_from(floats))]
+            col[data.draw(st.integers(0, len(col) - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        rows = list(zip(*(col.tolist() for col in profile.values())))
+        # the first non-finite cell, rows in order and columns in order within a row
+        i, name, v = next((i, name, v) for i, row in enumerate(rows) for name, v in zip(profile, row)
+                          if isinstance(v, float) and not math.isfinite(v))
+        with pytest.raises(ValueError) as got:
+            _emit_profile(profile, "csv", None)
+        assert str(got.value) == f"non-finite value in output at [{i}].{name} = {v}"
+        assert capsys.readouterr().out == ""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(profile=profiles())
+    def test_csv_text_reading_nan_or_inf_prints(self, capsys, profile):
+        _emit_profile(profile, "csv", None)
+        assert capsys.readouterr().out == csv_reference(profile)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=JSON_PAYLOADS, text=NON_FINITE_TEXT)
+    def test_json_text_reading_nan_or_inf_prints(self, capsys, payload, text):
+        payload = {text: payload, "inf": [text, {"nan": -0.0}]}
+        _emit_json(payload, None)
+        assert capsys.readouterr().out == json.dumps(round12_walk(payload), indent=2) + "\n"
+
+    def test_false_positives_print_the_pinned_bytes(self, capsys):
+        _emit_json({"nan": "inf", "info": [1.5, "-inf"]}, None)
+        _emit_profile({"inf": np.array([0.25, 1 / 3]), "label": np.array(["nan", "Infinity"])}, "csv", None)
+        assert capsys.readouterr().out == (
+            '{\n  "nan": "inf",\n  "info": [\n    1.5,\n    "-inf"\n  ]\n}\n'
+            "inf,label\n0.25,nan\n0.333333333333,Infinity\n"
+        )
+
+
 class TestClassifyValidatesOnce:
     """``classify`` reads a validated matrix from ``load_state`` and checks only its mode count after it."""
 

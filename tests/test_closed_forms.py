@@ -1,0 +1,74 @@
+"""Every stage's splitting verdicts against their exact closed forms (``tests/closed_forms.py``).
+
+A label must match the closed form or read ``boundary``; a row refused as unphysical fails too.  The cases
+that disagree today are strict xfails naming the ROADMAP item that closes them.
+"""
+
+import numpy as np
+import pytest
+
+from gaussent import ProtocolParams, UnphysicalError, stage_state
+from gaussent.core import _pt_invariants
+from gaussent.protocol import STAGE_FINAL_VIA_A, STAGE_FINAL_VIA_APRIME, STAGE_SHARED, STAGES
+from gaussent.separability import _CLASS_BY_COUNT
+
+from closed_forms import stage_entangled, stage_sigmas
+
+#: Squeezing up to just below the r ~ 18.37 where the stage matrices stop being positive definite.
+R_GRID = np.linspace(0.0, 18.3, 184)
+EPSILONS = (0.0, 0.1, 1.0, 3.0, 5.0, 10.0, 20.0)
+
+#: (stage, epsilon) cases that disagree today: wrong labels past the splitting band (ROADMAP item 8), and
+#: physical rows refused as unphysical (ROADMAP item 12).
+KNOWN_DISAGREEMENTS = {
+    (STAGE_SHARED, 5.0): "16 wrong labels (ROADMAP item 8)",
+    (STAGE_SHARED, 10.0): "54 wrong labels (ROADMAP item 8)",
+    (STAGE_SHARED, 20.0): "45 wrong labels (ROADMAP item 8) and 8 refused rows (ROADMAP item 12)",
+    (STAGE_FINAL_VIA_APRIME, 5.0): "1 wrong label, at r = epsilon (ROADMAP item 8)",
+    (STAGE_FINAL_VIA_APRIME, 10.0): "2 wrong labels, at r = 0 and r = epsilon (ROADMAP item 8)",
+    (STAGE_FINAL_VIA_APRIME, 20.0): "1 wrong label (ROADMAP item 8) and 10 refused rows (ROADMAP item 12)",
+    (STAGE_FINAL_VIA_A, 20.0): "1 wrong label (ROADMAP item 8) and 10 refused rows (ROADMAP item 12)",
+}
+
+
+def cases(epsilons):
+    for stage in STAGES:
+        for eps in epsilons:
+            reason = KNOWN_DISAGREEMENTS.get((stage, eps))
+            marks = [pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)] if reason else []
+            yield pytest.param(stage, eps, marks=marks, id=f"{stage}-{eps}")
+
+
+@pytest.mark.parametrize("stage,epsilon", cases(EPSILONS))
+def test_labels_match_the_closed_form_or_read_boundary(stage, epsilon):
+    wrong, refused = [], []
+    for r in R_GRID.tolist():
+        try:
+            report = stage_state(ProtocolParams(r, epsilon), stage).report
+        except UnphysicalError:
+            refused.append(r)
+            continue
+        want = stage_entangled(stage, r, epsilon)
+        boundary = [v.boundary for v in report.verdicts]
+        splittings_ok = all(v.entangled == w or v.boundary for v, w in zip(report.verdicts, want))
+        class_ok = report.class_label == _CLASS_BY_COUNT[want.sum()] or any(boundary)
+        if not (splittings_ok and class_ok):
+            wrong.append(r)
+    assert (wrong, refused) == ([], [])
+
+
+#: Bound on ``|printed sigma - closed form|`` in units of ``1 + |i1| + |i2| + |i3|``, the terms ``sigma``
+#: cancels, for r <= 6 and epsilon <= 3.  The final stages' error grows like exp(4r): the largest on this
+#: grid is 1.3e-12, at r = 6; at r = 18.3 it is 5e-2.
+SIGMA_BOUND = 3e-12
+
+
+@pytest.mark.parametrize("stage,epsilon", cases((0.0, 0.1, 1.0, 3.0)))
+def test_printed_sigma_matches_the_closed_form(stage, epsilon):
+    for r in R_GRID[R_GRID <= 6.0].tolist():
+        state = stage_state(ProtocolParams(r, epsilon), stage)
+        printed = np.array([float(f"{v.sigma:.12g}") for v in state.report.verdicts])
+        i1, i2, i3 = _pt_invariants(state.state.cm, [0, 1, 2])
+        scale = 1.0 + np.abs(i1) + np.abs(i2) + np.abs(i3)
+        assert (np.abs(printed - stage_sigmas(stage, r, epsilon)) <= SIGMA_BOUND * scale).all(), r
+

@@ -213,6 +213,21 @@ class TestClosedFormsMatchPipeline:
                 assert (built[key].shape, built[key].tobytes()) == (expected.shape, expected.tobytes()), key
 
 
+#: (r_e, r_m) by epsilon: their closed forms at 80 digits, rounded to float64 (``tests/derive_closed_forms.py``).
+THRESHOLD_REFERENCE = {
+    1e-15: (1.0606601717798214e-15, 2.23606802749979e-08),
+    1e-12: (1.0606601717797683e-12, 7.071072811866653e-07),
+    1e-8: (1.0606601712501608e-08, 7.071567823650589e-05),
+    1e-4: (0.0001060654875423661, 0.007121185663584908),
+    1e-3: (0.0010606072305761752, 0.022864406741232843),
+    0.1: (0.10556094378469452, 0.27735154257026773),
+    1: (1.027637224042202, 1.3287272270765387),
+    3: (3.0321263264454648, 3.346263457850675),
+    30: (30.032210670111592, 30.346573590279974),
+    300: (300.03221067011157, 300.34657359027995),
+}
+
+
 class TestThresholds:
     def test_reference_values_at_tenth_noise(self):
         assert threshold_r_l(0.1) == pytest.approx(0.079, abs=1e-3)
@@ -244,6 +259,13 @@ class TestThresholds:
     def test_closed_forms_agree_with_bisection(self, eps):
         assert numeric_threshold_r_e(eps) == pytest.approx(threshold_r_e(eps), abs=1e-8)
         assert numeric_threshold_r_m(eps) == pytest.approx(threshold_r_m(eps), abs=1e-8)
+
+    @pytest.mark.parametrize("eps", sorted(THRESHOLD_REFERENCE))
+    def test_full_precision_against_the_reference(self, eps):
+        # within 2 ulp; 1 - exp(-2 eps) and a log of a number near 1 lost up to all the digits at small noise
+        want_e, want_m = THRESHOLD_REFERENCE[eps]
+        assert abs(threshold_r_e(eps) - want_e) <= 4e-16 * want_e
+        assert abs(threshold_r_m(eps) - want_m) <= 4e-16 * want_m
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
