@@ -23,6 +23,7 @@ from .separability import (_PAIR_QUADS, SeparabilityReport, _localizable_mu, _pt
 
 _SQRT2 = np.sqrt(2.0)
 _C8 = 8.0 * _SQRT2  # recurring constant in the pair-entanglement threshold
+_AB = _PAIR_QUADS[1]  # quadratures of the entangled pair: modes A and B of the final stage via A'
 
 ROUTE_VIA_APRIME = "via-A'"
 ROUTE_VIA_A = "via-A"
@@ -142,9 +143,6 @@ def _stage_matrix(b: BlockSet, stage: str) -> np.ndarray:
             [(al - be) / 2.0, (de + ta) / _SQRT2, (al + be + 2.0 * ta) / 2.0],
         ])
     raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
-
-
-_AB = _PAIR_QUADS[1]  # quadratures of the entangled pair, modes A and B of the final stage via A'
 
 
 def _reduced_pair_matrix(b: BlockSet) -> np.ndarray:

@@ -512,13 +512,13 @@ NON_FINITE_TEXT = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "inf
 
 
 @st.composite
-def profiles(draw, floats=FINITE):
+def profiles(draw):
     """Columns by name of one length, of finite floats (at least one such column), int64s and strings, whose
     names and strings may hold the text of a non-finite number."""
     n = draw(st.integers(1, 5))
     names = draw(st.lists(st.text(max_size=4) | NON_FINITE_TEXT, min_size=1, max_size=4, unique=True))
     kinds = ["f"] + [draw(st.sampled_from("fis")) for _ in names[1:]]
-    cells = {"f": floats, "i": st.integers(-2**63, 2**63 - 1), "s": st.text(max_size=5) | NON_FINITE_TEXT}
+    cells = {"f": FINITE, "i": st.integers(-2**63, 2**63 - 1), "s": st.text(max_size=5) | NON_FINITE_TEXT}
     cols = [np.array(draw(st.lists(cells[k], min_size=n, max_size=n)), dtype={"f": float, "i": np.int64, "s": str}[k])
             for k in kinds]
     order = draw(st.permutations(range(len(names))))

@@ -262,7 +262,7 @@ class TestThresholds:
 
     @pytest.mark.parametrize("eps", sorted(THRESHOLD_REFERENCE))
     def test_full_precision_against_the_reference(self, eps):
-        # within 2 ulp; 1 - exp(-2 eps) and a log of a number near 1 lost up to all the digits at small noise
+        # within 2 ulp: at small noise, 1 - exp(-2 eps) and a log of a number near 1 would cancel the leading digits
         want_e, want_m = THRESHOLD_REFERENCE[eps]
         assert abs(threshold_r_e(eps) - want_e) <= 4e-16 * want_e
         assert abs(threshold_r_m(eps) - want_m) <= 4e-16 * want_m
