@@ -242,58 +242,45 @@ def _mu_m(r, epsilon):
 
 
 _ROOT_R_MAX = 5.0  # upper end of the threshold scan grid
+_ROOT_GRID = np.concatenate(([0.0], np.logspace(-9.0, np.log10(_ROOT_R_MAX), 120)))  # log-augmented scan grid
 _ROOT_XTOL = 1e-10  # bracket width at which bisection stops
-_ROOT_LEVELS = 4  # bisection levels evaluated per array call of ``mu``
-
-
-def _bisect_root(mu, epsilon: float, lo: float, hi: float, flo: float) -> float:
-    """Bisection for ``mu(r, epsilon) = 1`` on ``[lo, hi]``, given ``flo = mu(lo) - 1``.
-
-    Each array call of ``mu`` evaluates the ``2**_ROOT_LEVELS - 1`` midpoints
-    of the next ``_ROOT_LEVELS`` levels of the bisection tree below the
-    bracket, each built as ``0.5 * (lo + hi)`` of its own bracket.  Walking
-    the tree by sign, with the ``fmid == 0.0`` return and the stop at width
-    ``_ROOT_XTOL`` at every node, visits the midpoints of one-midpoint
-    bisection, so the root has its bits.
-    """
-    while hi - lo > _ROOT_XTOL:
-        # sorted edges of the tree: each new edge is the midpoint of its two neighbours
-        edges = [lo, hi]
-        for _ in range(_ROOT_LEVELS):
-            edges = [x for a, b in zip(edges, edges[1:]) for x in (a, 0.5 * (a + b))] + [hi]
-        fnodes = mu(np.array(edges[1:-1]), epsilon) - 1.0
-        i, j = 0, len(edges) - 1  # the bracket is (edges[i], edges[j]), its midpoint edges[(i + j) // 2]
-        while j - i > 1 and hi - lo > _ROOT_XTOL:
-            m = (i + j) // 2
-            mid, fmid = edges[m], fnodes[m - 1]
-            if fmid == 0.0:
-                return mid
-            if np.sign(fmid) == np.sign(flo):
-                i, lo, flo = m, mid, fmid
-            else:
-                j, hi = m, mid
-    return 0.5 * (lo + hi)
-
-
 _NOISE_FLOOR = 1e-7  # mu - 1 loses half precision where its discriminant degenerates
 
 
-def _threshold_root(mu, epsilon: float) -> float:
+def _bisection_path(lo: float, hi: float, hint: float) -> list:
+    """Midpoints that one-midpoint bisection of ``[lo, hi]`` visits if ``mu - 1`` is positive below ``hint``."""
+    path = []
+    while hi - lo > _ROOT_XTOL:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        lo, hi = (mid, hi) if mid < hint else (lo, mid)
+    return path
+
+
+def _threshold_root(mu, epsilon: float, hint: float) -> float:
     """Locate where ``mu(r, epsilon) - 1`` crosses from positive to negative on [0, ``_ROOT_R_MAX``].
 
-    ``mu`` maps an array of ``r`` to an array of ``mu`` values; it evaluates
-    the whole scan grid in one call, and :func:`_bisect_root` then takes
-    ``2**_ROOT_LEVELS - 1`` bisection midpoints per call, starting from the
-    grid value at the bracket's lower end.  The protocol's mu curves all
-    satisfy mu(0) = 1 exactly (the unsqueezed state sits on the separability
-    boundary), rise for small r, and cross down once at the threshold.  The
-    bracket on a log-augmented scan grid ends at the first value ``<= 0``
-    after the last one above a small noise floor; curves that never clear
-    the floor resolve to 0.
+    ``mu`` maps an array of ``r`` to an array of ``mu`` values.  The protocol's
+    mu curves all satisfy mu(0) = 1 exactly (the unsqueezed state sits on the
+    separability boundary), rise for small r, and cross down once at the
+    threshold.  The bracket on ``_ROOT_GRID`` ends at the first value ``<= 0``
+    after the last one above a small noise floor; curves that never clear the
+    floor resolve to 0.  One-midpoint bisection then narrows it to ``_ROOT_XTOL``.
+    One call of ``mu`` evaluates the grid and the bisection path toward ``hint``;
+    a bracket that leaves the path evaluates a new one in one more call.  Every
+    step reads the sign of ``mu``, so the root has the bits of one-midpoint
+    bisection whatever the hint.  Both thresholds are ``epsilon`` plus a
+    nonnegative ``log1p``: from ``epsilon = _ROOT_R_MAX`` no crossing can lie on the grid.
     """
     _check_domain(epsilon=epsilon)
-    grid = np.concatenate(([0.0], np.logspace(-9.0, np.log10(_ROOT_R_MAX), 120)))
-    vals = mu(grid, epsilon) - 1.0
+    if epsilon >= _ROOT_R_MAX:
+        raise NumericalFailureError(f"no threshold crossing found on [0, {_ROOT_R_MAX}]")
+    n = len(_ROOT_GRID)
+    k = min(max(int(np.searchsorted(_ROOT_GRID, hint)), 1), n - 1)  # grid[k - 1] < hint <= grid[k]
+    path = _bisection_path(*_ROOT_GRID[k - 1:k + 1].tolist(), hint)
+    vals = mu(np.concatenate((_ROOT_GRID, path)), epsilon) - 1.0
+    known = dict(zip(path, vals[n:].tolist()))
+    vals = vals[:n]
     above = np.flatnonzero(vals > _NOISE_FLOOR)
     if not above.size:
         return 0.0
@@ -301,7 +288,16 @@ def _threshold_root(mu, epsilon: float) -> float:
     if not after.size:
         raise NumericalFailureError(f"no threshold crossing found on [0, {_ROOT_R_MAX}]")
     k = above[-1] + after[0]
-    return _bisect_root(mu, epsilon, grid[k - 1], grid[k], vals[k - 1])
+    lo, hi = _ROOT_GRID[k - 1:k + 1].tolist()  # mu - 1 at lo is positive, so a positive midpoint moves lo
+    while hi - lo > _ROOT_XTOL:
+        mid = 0.5 * (lo + hi)
+        if mid not in known:
+            path = _bisection_path(lo, hi, hint)
+            known.update(zip(path, (mu(np.array(path), epsilon) - 1.0).tolist()))
+        if known[mid] == 0.0:
+            return mid
+        lo, hi = (mid, hi) if known[mid] > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def _pair_mu(r, epsilon: float) -> np.ndarray:
@@ -313,13 +309,15 @@ def _homodyne_mu(r, epsilon: float) -> np.ndarray:
 
 
 def numeric_threshold_r_e(epsilon: float) -> float:
-    """Bisection root of mu(reduced pair) - 1 in r; verifies :func:`threshold_r_e`."""
-    return _threshold_root(_pair_mu, epsilon)
+    """Bisection root of mu(reduced pair) - 1 in r; verifies :func:`threshold_r_e`, which
+    only steers the path each call of ``mu`` evaluates.  Raises ``NumericalFailureError`` from epsilon 5."""
+    return _threshold_root(_pair_mu, epsilon, threshold_r_e(epsilon))
 
 
 def numeric_threshold_r_m(epsilon: float) -> float:
-    """Bisection root of the homodyne-conditioned mu - 1; verifies :func:`threshold_r_m`."""
-    return _threshold_root(_homodyne_mu, epsilon)
+    """Bisection root of the homodyne-conditioned mu - 1; verifies :func:`threshold_r_m` as the hint,
+    like :func:`numeric_threshold_r_e`."""
+    return _threshold_root(_homodyne_mu, epsilon, threshold_r_m(epsilon))
 
 
 def threshold_report(epsilon: float) -> ThresholdReport:

@@ -25,7 +25,7 @@ BOUNDARY_TOL = 1e-12
 #: Splitting verdicts with ``|sigma|`` within this multiple of ``1 + |i1| + |i2| + |i3|``
 #: are reported as boundary cases; the band scales with the terms ``sigma`` cancels.
 SPLITTING_BAND = 1e-13
-#: Tolerated asymmetry under exchange of the two unmeasured modes, relative to max(1, max|m|) of each matrix.
+#: Tolerated asymmetry under exchange of the two unmeasured modes, relative to max(1, max|m|) of the matrix.
 BISYMMETRY_TOL = 1e-8
 
 SPLITTING_LABELS = ("A|(A'B)", "A'|(AB)", "B|(AA')")
@@ -202,15 +202,8 @@ def _three_mode_report(cm: np.ndarray) -> SeparabilityReport:
 
 
 def _localizable_mu(cm: np.ndarray, measured_mode: int) -> np.ndarray:
-    """:func:`localizable_mu` of three-mode matrices stacked as ``(..., 6, 6)``,
-    shaped ``cm.shape[:-2]``; the bisymmetry check covers every matrix."""
-    i, j = (m for m in range(3) if m != measured_mode)
-    modes = [0, 1, 2]
-    modes[i], modes[j] = j, i
-    swap = _quadratures(modes)
-    dev = np.abs(cm[..., swap[:, None], swap] - cm).max((-2, -1))
-    if (bad := dev > BISYMMETRY_TOL * np.maximum(1.0, np.abs(cm).max((-2, -1)))).any():
-        raise NotBisymmetricError(f"state deviates by {dev[bad].flat[0]:.3e} under exchange of modes {i} and {j}")
+    """:func:`localizable_mu` of three-mode matrices stacked as ``(..., 6, 6)``, shaped
+    ``cm.shape[:-2]``, with no bisymmetry check: the protocol's shared stages are exactly bisymmetric."""
     return _pt_metrics(_condition(cm, MeasurementSpec.homodyne_x(measured_mode))[0])[0]
 
 
@@ -223,7 +216,13 @@ def localizable_mu(cm: np.ndarray, measured_mode: int) -> float:
     unmeasured modes (otherwise :class:`NotBisymmetricError`).
     """
     (measured_mode,) = _check_modes(measured_mode, 3)
-    return float(_localizable_mu(_as_modes(cm, 3), measured_mode))
+    cm = _as_modes(cm, 3)
+    i, j = (m for m in range(3) if m != measured_mode)
+    swap = _quadratures([m if m == measured_mode else i + j - m for m in range(3)])
+    dev = np.abs(cm[swap[:, None], swap] - cm).max()
+    if dev > BISYMMETRY_TOL * max(1.0, np.abs(cm).max()):
+        raise NotBisymmetricError(f"state deviates by {dev:.3e} under exchange of modes {i} and {j}")
+    return float(_localizable_mu(cm, measured_mode))
 
 
 def measurement_scan_oracle(cm: np.ndarray, measured_mode: int, n_theta: int = 64, n_t: int = 64) -> float:

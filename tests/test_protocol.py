@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -212,6 +213,16 @@ class TestClosedFormsMatchPipeline:
             for key, expected in reference.items():
                 assert (built[key].shape, built[key].tobytes()) == (expected.shape, expected.tobytes()), key
 
+    def test_shared_stage_is_bitwise_its_a_aprime_swap(self):
+        # the homodyne root hands these stacks to the kernel with no bisymmetry check; their exchange
+        # symmetry is structural: A and A' hold the same blocks, so the swap is exact, not within a tolerance
+        swap = _quadratures([1, 0, 2])
+        rs = np.concatenate((np.linspace(0.0, 5.0, 51), np.linspace(6.0, 18.0, 13)))
+        for eps in (0.0, 1e-6, 0.1, 0.7, 3.0, 4.99, 30.0, 300.0):
+            for r in [rs, *rs[::7].tolist()]:
+                shared = protocol._stage_matrix(protocol._blocks(r, eps), STAGE_SHARED)
+                assert np.array_equal(shared[..., swap[:, None], swap], shared)
+
 
 #: (r_e, r_m) by epsilon: their closed forms at 80 digits, rounded to float64 (``tests/derive_closed_forms.py``).
 THRESHOLD_REFERENCE = {
@@ -343,9 +354,23 @@ class TestNumericRoots:
         with pytest.raises(NumericalFailureError):
             root(5.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", [5.0, 21.4, 23.75, 50.0, 300.0, 400.0, 700.0])
+    def test_no_crossing_from_r_max_on(self, eps, monkeypatch):
+        # both thresholds are epsilon plus a nonnegative log1p, so no crossing lies on [0, 5]; scanning mu
+        # there found spurious roots near 21.4 and 23.75, read 0.0 from 300 and warned from about 355
+        def mu(r, epsilon):
+            raise AssertionError("mu is not called")
 
-def _one_midpoint_bisect(mu, epsilon, lo, hi, flo):
-    """Reference: one-midpoint bisection, one one-element call of ``mu`` per step."""
+        monkeypatch.setattr(protocol, "_pair_mu", mu)
+        monkeypatch.setattr(protocol, "_homodyne_mu", mu)
+        for root in (numeric_threshold_r_e, numeric_threshold_r_m):
+            with pytest.raises(NumericalFailureError, match=r"^no threshold crossing found on \[0, 5\.0\]$"):
+                root(eps)
+
+
+def _one_midpoint_bisect(mu, epsilon, lo, hi):
+    """Reference: one-midpoint bisection of ``[lo, hi]``, one one-element call of ``mu`` per step."""
     def f(r):
         return float(mu(np.array([r]), epsilon)[0]) - 1.0
 
@@ -362,44 +387,96 @@ def _one_midpoint_bisect(mu, epsilon, lo, hi, flo):
     return 0.5 * (lo + hi)
 
 
-class TestBisectionTree:
-    """The tree walk must return the bits of one-midpoint bisection."""
+@functools.cache
+def _reference_roots(mu):
+    """Hex roots of ``TestBisectionPath.EPSILONS``: the bracket of a scan on the threshold grid,
+    then :func:`_one_midpoint_bisect`."""
+    grid = np.concatenate(([0.0], np.logspace(-9.0, np.log10(5.0), 120)))
+    roots = []
+    for eps in TestBisectionPath.EPSILONS:
+        vals = mu(grid, eps) - 1.0
+        above = np.flatnonzero(vals > protocol._NOISE_FLOOR)
+        if not above.size:
+            roots.append(0.0.hex())
+            continue
+        k = above[-1] + np.flatnonzero(vals[above[-1]:] <= 0.0)[0]
+        roots.append(float(_one_midpoint_bisect(mu, eps, grid[k - 1], grid[k])).hex())
+    return roots
+
+
+class TestBisectionPath:
+    """The path walker must return the bits of one-midpoint bisection, whatever its hint."""
 
     EPSILONS = [0.0, *np.logspace(-6.0, -4.0, 41).tolist(), *np.random.default_rng(8).uniform(0.0, 4.0, 40).tolist()]
+    #: The closed-form hint and wrong ones, as functions of the closed form.
+    HINTS = {
+        "closed-form": lambda x: x,
+        "rel-1e-9": lambda x: x * (1.0 - 1e-9),
+        "rel+1e-7": lambda x: x * (1.0 + 1e-7),
+        "rel+1e-3": lambda x: x * (1.0 + 1e-3),
+        "plus-0.3": lambda x: x + 0.3,
+        "zero": lambda x: 0.0,
+        "nan": lambda x: float("nan"),
+        "beyond-grid": lambda x: 7.0,
+    }
 
-    @pytest.mark.parametrize("mu", [protocol._pair_mu, protocol._homodyne_mu])
-    def test_roots_bitwise_equal_to_one_midpoint_bisection(self, mu, monkeypatch):
-        tree = [protocol._threshold_root(mu, eps) for eps in self.EPSILONS]
-        monkeypatch.setattr(protocol, "_bisect_root", _one_midpoint_bisect)
-        reference = [protocol._threshold_root(mu, eps) for eps in self.EPSILONS]
-        assert [float(x).hex() for x in tree] == [float(x).hex() for x in reference]
+    @pytest.mark.parametrize("mu,closed", [(protocol._pair_mu, threshold_r_e), (protocol._homodyne_mu, threshold_r_m)],
+                             ids=["r_e", "r_m"])
+    @pytest.mark.parametrize("hint", list(HINTS))
+    def test_roots_bitwise_equal_to_one_midpoint_bisection(self, mu, closed, hint):
+        walked = [protocol._threshold_root(mu, eps, self.HINTS[hint](closed(eps))) for eps in self.EPSILONS]
+        assert [float(x).hex() for x in walked] == _reference_roots(mu)
 
-    def test_exact_zero_below_the_first_level(self):
-        # 0.375 is the third-level midpoint of [0, 1]: 0.5, then 0.25, then 0.375
+    @pytest.mark.parametrize("name,root", [("_pair_mu", numeric_threshold_r_e), ("_homodyne_mu", numeric_threshold_r_m)],
+                             ids=["r_e", "r_m"])
+    def test_one_mu_call_per_pinned_root(self, name, root, monkeypatch):
+        calls, mu = [], getattr(protocol, name)
+        monkeypatch.setattr(protocol, name, lambda r, epsilon: calls.append(epsilon) or mu(r, epsilon))
+        for eps in PINNED_EPSILONS.tolist():
+            root(eps)
+        assert calls == PINNED_EPSILONS.tolist()
+
+    def test_exact_zero_midpoint_is_returned(self):
+        # c is the third midpoint of the grid bracket around r = 1: m1, then m2, then c
+        grid = protocol._ROOT_GRID
+        k = np.searchsorted(grid, 1.0)
+        lo, hi = grid[k - 1], grid[k]
+        m1 = 0.5 * (lo + hi)
+        m2 = 0.5 * (lo + m1)
+        c = 0.5 * (m2 + m1)
         calls = []
 
         def mu(r, epsilon):
             calls.append(r.size)
-            return r + 0.625
+            return 1.0 + (c - r)  # exactly 1.0 at r = c
 
-        root = protocol._bisect_root(mu, 0.0, 0.0, 1.0, -0.375)
-        assert root == 0.375 == _one_midpoint_bisect(mu, 0.0, 0.0, 1.0, -0.375)
-        assert calls[0] == 2 ** protocol._ROOT_LEVELS - 1
+        assert protocol._threshold_root(mu, 0.0, c) == c
+        assert len(calls) == 1
+        assert protocol._threshold_root(mu, 0.0, float("nan")) == c == _one_midpoint_bisect(mu, 0.0, lo, hi)
 
-    def test_bracket_already_narrow(self):
-        def mu(r, epsilon):
-            raise AssertionError("no midpoint is needed")
-
+    def test_bracket_already_narrow(self, monkeypatch):
         lo, hi = 0.25, 0.25 + 0.5 * protocol._ROOT_XTOL
-        assert protocol._bisect_root(mu, 0.0, lo, hi, 1.0) == 0.5 * (lo + hi)
+        monkeypatch.setattr(protocol, "_ROOT_GRID", np.array([0.0, lo, hi, 1.0]))
+        calls = []
+
+        def mu(r, epsilon):
+            calls.append(r.size)
+            return np.where(r <= lo, 1.5, 0.5)
+
+        # a hint inside the bracket predicts no midpoint, so the one call is the grid's
+        assert protocol._threshold_root(mu, 0.0, lo + 0.25 * protocol._ROOT_XTOL) == 0.5 * (lo + hi)
+        assert calls == [4]
+        # a hint elsewhere evaluates a path the walk never reads, and needs no second call
+        assert protocol._threshold_root(mu, 0.0, 0.6) == 0.5 * (lo + hi)
+        assert len(calls) == 2
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(eps=st.floats(0.0, 4.0), r=st.lists(st.floats(0.0, 5.0), min_size=63, max_size=63))
+    @given(eps=st.floats(0.0, 4.0), r=st.lists(st.floats(0.0, 5.0), min_size=160, max_size=160))
     def test_array_calls_are_bitwise_per_element(self, eps, r):
-        # the tree evaluates many midpoints per call; each must be the one-element value
+        # one call evaluates the grid and the predicted path; each value must be the one-element value
         for mu in (protocol._pair_mu, protocol._homodyne_mu):
             single = np.array([mu(np.array([x]), eps)[0] for x in r])
-            for n in (15, 63):
+            for n in (15, 63, 160):
                 assert mu(np.array(r[:n]), eps).tobytes() == single[:n].tobytes()
 
 
