@@ -64,11 +64,13 @@ def _check_entries(m: np.ndarray) -> None:
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
-    """Cholesky factor of ``m`` or of each matrix of a stack; ``UnphysicalError`` if one is not positive definite."""
+    """Finite Cholesky factor of ``m`` or of each stacked matrix; ``UnphysicalError`` if one has none."""
     try:
-        return np.linalg.cholesky(m)
+        if np.isfinite(chol := np.linalg.cholesky(m)).all():  # LAPACK factors a matrix holding inf without error
+            return chol
     except np.linalg.LinAlgError:
-        raise UnphysicalError("covariance matrix is not positive definite") from None
+        pass
+    raise UnphysicalError("covariance matrix is not positive definite")
 
 
 def _williamson(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,8 +18,7 @@ import numpy as np
 from .core import GaussianState, _cholesky
 from .errors import DomainError, NumericalFailureError
 from .ops import _preparation_cm, embed_vacuum
-from .separability import (_PAIR_QUADS, SeparabilityReport, _localizable_mu, _pt_metrics, _splittings,
-                           classify_three_mode)
+from .separability import _PAIR_QUADS, SeparabilityReport, _localizable_mu, _pt_metrics, _splittings, _three_mode_report
 
 _SQRT2 = np.sqrt(2.0)
 _C8 = 8.0 * _SQRT2  # recurring constant in the pair-entanglement threshold
@@ -270,9 +269,9 @@ def _threshold_root(mu, epsilon: float, hint: float) -> float:
     a bracket that leaves the path evaluates a new one in one more call.  Every
     step reads the sign of ``mu``, so the root has the bits of one-midpoint
     bisection whatever the hint.  Both thresholds are ``epsilon`` plus a
-    nonnegative ``log1p``: from ``epsilon = _ROOT_R_MAX`` no crossing can lie on the grid.
+    nonnegative ``log1p``: from ``epsilon = _ROOT_R_MAX`` no crossing can lie on the grid.  Each caller's
+    ``hint``, the closed form at ``epsilon``, has checked ``epsilon``'s domain.
     """
-    _check_domain(epsilon=epsilon)
     if epsilon >= _ROOT_R_MAX:
         raise NumericalFailureError(f"no threshold crossing found on [0, {_ROOT_R_MAX}]")
     n = len(_ROOT_GRID)
@@ -338,13 +337,13 @@ def sweep_profile(r, epsilon: float) -> dict:
     bits of the one-state functions: ``r``, ``mu_pair`` (of the reduced pair, sliced from
     the final state via A'), ``mu_m``, ``sigma_shared_A`` (the shared state's ``A|(A'B)`` value)
     and ``class_final`` (the label of the final state via A').  Two stage stacks are built.
-    A row whose shared or final matrix is not positive definite raises ``UnphysicalError``."""
+    A row whose shared or final matrix has no finite Cholesky factor raises ``UnphysicalError``."""
     r = np.asarray(r, dtype=float)
     _check_domain(r=r)
     _check_domain(epsilon=epsilon)
     blocks = _blocks(r, epsilon)
     shared, final = _stage_matrix(blocks, STAGE_SHARED), _stage_matrix(blocks, STAGE_FINAL_VIA_APRIME)
-    # from r ~ 18.4 the entries (exp(2r) +- 1)/2 lose the +-1; analyze refuses those states too
+    # from r ~ 18.4 the entries (exp(2r) +- 1)/2 lose the +-1; stage_state refuses those states with this gate
     _cholesky(shared)
     _cholesky(final)
     return {"r": r, "mu_pair": _pt_metrics(final[..., _AB[:, None], _AB])[0], "mu_m": _mu_m(r, epsilon),
@@ -354,11 +353,12 @@ def sweep_profile(r, epsilon: float) -> dict:
 def stage_state(params: ProtocolParams, stage: str) -> StageState:
     """Three-mode state and separability report at one protocol stage.
 
-    The initial stage is represented as the fully separable three-mode
-    product of the two-mode initial state with the vacuum ancilla A'.
+    The initial stage is the fully separable product of the two-mode initial state with the vacuum ancilla
+    A'.  A matrix with no finite Cholesky factor raises ``UnphysicalError``, as a :func:`sweep_profile` row does.
     """
     if stage == STAGE_INITIAL:
         state = embed_vacuum(initial_cm(params), 1)
     else:
         state = GaussianState(_stage_matrix(_blocks(params.r, params.epsilon), stage))
-    return StageState(stage, state, classify_three_mode(state.cm))
+    _cholesky(state.cm)
+    return StageState(stage, state, _three_mode_report(state.cm))

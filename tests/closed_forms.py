@@ -32,6 +32,12 @@ def shared_sigma(r, epsilon):
     return -np.square(a - 1.0) * (a - n - 1.0) / np.square(a)
 
 
+def sigma_closed_form(r, eps):
+    """:func:`shared_sigma` in the acceptance criteria's form ``8 exp(eps - r) sinh(eps - r) sinh^2 r``, which
+    rounds differently."""
+    return 8 * np.exp(eps - r) * np.sinh(eps - r) * np.sinh(r) ** 2
+
+
 def stage_sigmas(stage: str, r, epsilon) -> np.ndarray:
     """The three splittings' ``sigma`` of ``stage``, shaped ``np.shape(r) + (3,)``."""
     return np.multiply.outer(shared_sigma(r, epsilon), SIGMA_MULTIPLES[stage])

@@ -64,6 +64,13 @@ def random_pure_cm(n_modes, rng):
     return s @ s.T
 
 
+def tmsv_cm(r):
+    """Two-mode squeezed vacuum at squeezing ``r``: a pure state."""
+    ch, sh = np.cosh(2 * r), np.sinh(2 * r)
+    z = np.diag([1.0, -1.0])
+    return np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
+
+
 def random_symmetric(dim, rng, scale=1.0):
     m = rng.normal(0.0, scale, (dim, dim))
     return 0.5 * (m + m.T)

@@ -39,14 +39,12 @@ from gaussent.protocol import (
     initial_cm,
 )
 
+from closed_forms import sigma_closed_form
+
 
 def check(num, description, ok):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {description}")
     assert ok, f"criterion {num} failed: {description}"
-
-
-def sigma_closed_form(r, eps):
-    return 8 * np.exp(eps - r) * np.sinh(eps - r) * np.sinh(r) ** 2
 
 
 def test_criterion_01_threshold_reproduction():

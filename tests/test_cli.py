@@ -30,7 +30,8 @@ from gaussent import (
     validate_cm,
 )
 from gaussent.cli import _emit_json, _emit_profile, _json_text, main
-from gaussent.protocol import ROUTE_VIA_APRIME, STAGE_FINAL_VIA_A, STAGE_FINAL_VIA_APRIME, ProtocolParams, stage_state
+from gaussent.protocol import (ROUTE_VIA_APRIME, STAGE_FINAL_VIA_A, STAGE_FINAL_VIA_APRIME, STAGES, ProtocolParams,
+                               stage_state)
 
 from helpers import random_physical_cm, random_pure_cm
 
@@ -477,6 +478,7 @@ def plant(data, value, bad):
     return bad
 
 
+@pytest.mark.pinned
 class TestJsonWriter:
     """The one-walk writer prints the bytes and errors of ``json.dumps(round12_walk(x), indent=2)``."""
 
@@ -532,6 +534,7 @@ def csv_reference(profile):
     return ",".join(profile) + "\n" + "".join(",".join(map(format, row, fmt)) + "\n" for row in rows)
 
 
+@pytest.mark.pinned
 class TestOneNonFiniteRule:
     """JSON and CSV refuse a non-finite number by one rule, on their finished text; text that merely reads
     ``nan`` or ``inf`` costs a walk that finds nothing, and prints."""
@@ -577,22 +580,37 @@ class TestOneNonFiniteRule:
         )
 
 
+@pytest.mark.pinned
 class TestClassifyValidatesOnce:
-    """``classify`` reads a validated matrix from ``load_state`` and checks only its mode count after it."""
+    """``classify`` reads a validated matrix from ``load_state`` and checks only its mode count after it;
+    ``analyze`` judges the stage it builds by its Cholesky factor alone and never calls ``validate_cm``."""
 
-    def test_validate_cm_runs_once(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def validate_calls(self, monkeypatch):
+        """The shapes ``validate_cm`` is called with, wherever the library looks it up."""
         calls = []
 
         def counted(m):
             calls.append(m.shape)
             return validate_cm(m)
 
-        monkeypatch.setattr(gaussent.core, "validate_cm", counted)
-        monkeypatch.setattr(gaussent.separability, "validate_cm", counted)
+        for module in (gaussent.core, gaussent.separability, gaussent.protocol):
+            monkeypatch.setattr(module, "validate_cm", counted, raising=False)
+        return calls
+
+    def test_validate_cm_runs_once(self, tmp_path, capsys, validate_calls):
         path = tmp_path / "shared.json"
         save_state(shared_cm(ProtocolParams(0.4, 0.1))[0], path)
         code, out = run_cli(capsys, "classify", "--input", str(path))
-        assert code == 0 and calls == [(6, 6)]
+        assert code == 0 and validate_calls == [(6, 6)]
+
+    def test_analyze_never_runs_validate_cm(self, capsys, validate_calls):
+        for stage in STAGES:
+            code, out = run_cli(capsys, "analyze", "--r", "0.4", "--epsilon", "0.1", "--stage", stage)
+            assert code == 0, out.err
+        code, out = run_cli(capsys, "analyze", "--r", "20", "--epsilon", "0.1", "--stage", "shared")
+        assert (code, out.err) == (1, "error: covariance matrix is not positive definite\n")
+        assert validate_calls == []
 
     @pytest.mark.parametrize("make", [random_physical_cm, random_pure_cm])
     def test_report_is_the_library_report(self, tmp_path, capsys, make):
@@ -621,6 +639,7 @@ class TestClassifyValidatesOnce:
         assert (code, out.out, out.err) == (1, "", line + "\n")
 
 
+@pytest.mark.pinned
 class TestReferenceOutput:
     """Pinned sha256 of stdout: any changed byte in these outputs fails."""
 

@@ -350,6 +350,7 @@ class TestSamplePreparation:
             closed = initial_cm(ProtocolParams(r, eps)).cm
             assert np.abs(model - closed).max() < 1e-14
 
+    @pytest.mark.pinned
     def test_analytic_cm_is_bitwise_the_initial_stage(self):
         for r, eps in np.random.default_rng(61).uniform(0.0, 3.0, (200, 2)).tolist():
             params = ProtocolParams(r, eps)
@@ -367,12 +368,14 @@ class TestSamplePreparation:
         bound = 5 * np.sqrt(max_var / batch.count)
         assert np.abs(batch.empirical_mean).max() < bound
 
+    @pytest.mark.pinned
     def test_same_seed_is_bitwise_reproducible(self):
         a = sample_preparation(ProtocolParams(0.3, 0.1), 10_000, 99)
         b = sample_preparation(ProtocolParams(0.3, 0.1), 10_000, 99)
         assert np.array_equal(a.empirical_cm, b.empirical_cm)
         assert np.array_equal(a.empirical_mean, b.empirical_mean)
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize("r,eps,seed,count,digest", [
         (0.3, 0.1, 1, 5000, "919b43d991c9570a31d7626b66c8097955dedace7ff5709a850ef68bbef09e3d"),
         (1.2, 0.5, 7, 5000, "6d2a20933ca24967d0e38c21e0b36ee17a919e1ea3a5e291bb71026853a70454"),

@@ -54,7 +54,8 @@ from gaussent.separability import (
     _splittings,
 )
 
-from helpers import pt_mu_oracle, random_physical_cm, random_pure_cm, rotation, sympl_eigs_oracle
+from closed_forms import sigma_closed_form
+from helpers import pt_mu_oracle, random_physical_cm, random_pure_cm, rotation, sympl_eigs_oracle, tmsv_cm
 
 
 def assert_shared_minors_match_each_transpose(cm):
@@ -88,16 +89,6 @@ def local_image(cm, theta, z):
         s[2 * k:2 * k + 2, 2 * k:2 * k + 2] = rotation(theta[k]) @ np.diag([np.exp(z[k]), np.exp(-z[k])])
     image = s @ cm @ s.T
     return 0.5 * (image + image.T)
-
-
-def sigma_closed_form(r, eps):
-    return 8 * np.exp(eps - r) * np.sinh(eps - r) * np.sinh(r) ** 2
-
-
-def tmsv_cm(r):
-    ch, sh = np.cosh(2 * r), np.sinh(2 * r)
-    z = np.diag([1.0, -1.0])
-    return np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
 
 
 # symmetric indefinite 4x4 with delta_tilde^2 - 4 det < 0 (no real PT
@@ -146,6 +137,7 @@ class TestSplittingSigma:
         with pytest.raises(BadModeIndexError):
             splitting_sigma(np.eye(6), 3)
 
+    @pytest.mark.pinned
     def test_stack_kernel_is_bitwise_per_matrix(self):
         rng = np.random.default_rng(41)
         cms = [random_physical_cm(3, rng) for _ in range(12)]
@@ -161,6 +153,7 @@ class TestSplittingSigma:
                 assert sigma[k, mode] == verdict.sigma == i3 - i2 + i1 - 1.0
                 assert (entangled[k, mode], boundary[k, mode]) == (verdict.entangled, verdict.boundary)
 
+    @pytest.mark.pinned
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6))
     def test_shared_minors_are_bitwise_each_transpose_on_random_states(self, seeds):
@@ -169,6 +162,7 @@ class TestSplittingSigma:
             assert_shared_minors_match_each_transpose(cm)
         assert_shared_minors_match_each_transpose(cms.reshape(2, 3, 6, 6))
 
+    @pytest.mark.pinned
     def test_shared_minors_are_bitwise_each_transpose_on_every_stage(self):
         for cm in LADDER_CMS:
             assert_shared_minors_match_each_transpose(cm)
@@ -358,6 +352,7 @@ class TestClassifyThreeMode:
         assert len(payload["verdicts"]) == 3
         assert len(payload["pairwise"]) == 3
 
+    @pytest.mark.pinned
     def test_reports_unchanged_by_the_stacked_kernels(self):
         # sha256 of the full-precision reports, taken with the one-splitting-at-a-time
         # implementation that preceded the stacked kernels
@@ -465,6 +460,7 @@ class TestLocalizableMu:
         with pytest.raises(NotBisymmetricError):
             localizable_mu(final_cm(ProtocolParams(0.3, 0.1)).cm, 0)
 
+    @pytest.mark.pinned
     def test_scalar_values_pinned(self):
         # sha256 of the float64 results on 40 seeded shared states, taken
         # before localizable_mu became a wrapper of the stacked kernel
