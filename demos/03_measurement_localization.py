@@ -2,8 +2,10 @@
 
 Conditions the three-mode state on Gaussian measurements of mode B and
 compares three routes to the minimal conditioned PT eigenvalue: the
-piecewise closed form, homodyne conditioning through the generic Schur
-machinery, and a brute-force scan over measurement seeds.
+closed form, the lower of the conditioned pair's two PT eigenvalues
+``exp(r)`` and the homodyne branch, which cross at ``r_l``; homodyne
+conditioning through the generic Schur machinery; and a brute-force scan
+over measurement seeds.
 """
 
 import numpy as np

@@ -42,7 +42,6 @@ from .protocol import (
     ProtocolParams,
     StageState,
     ThresholdReport,
-    cubic_pq,
     final_cm,
     gap_profile,
     initial_cm,

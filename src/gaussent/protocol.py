@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import GaussianState, _cholesky
+from .core import GaussianState, _cholesky, _quadratures
 from .errors import DomainError, NumericalFailureError
 from .ops import _preparation_cm, embed_vacuum
 from .separability import _PAIR_QUADS, SeparabilityReport, _localizable_mu, _pt_metrics, _splittings, _three_mode_report
@@ -23,6 +23,7 @@ from .separability import _PAIR_QUADS, SeparabilityReport, _localizable_mu, _pt_
 _SQRT2 = np.sqrt(2.0)
 _C8 = 8.0 * _SQRT2  # recurring constant in the pair-entanglement threshold
 _AB = _PAIR_QUADS[1]  # quadratures of the entangled pair: modes A and B of the final stage via A'
+_MIRROR = _quadratures([1, 0, 2])  # swaps A and A'
 
 ROUTE_VIA_APRIME = "via-A'"
 ROUTE_VIA_A = "via-A"
@@ -125,23 +126,24 @@ def _join(rows) -> np.ndarray:
 
 
 def _stage_matrix(b: BlockSet, stage: str) -> np.ndarray:
-    """The shared or a final stage's matrix, or its ``(..., 6, 6)`` stack, from the four blocks."""
+    """The shared or a final stage's matrix, or its ``(..., 6, 6)`` stack, from the four blocks.  The shared state
+    is symmetric under A <-> A', so the stage via A mirrors the one via A': swap A and A', then flip the new A's
+    sign (a local phase of pi) as ``0.0 - x``, which is exact and keeps a zero ``+0.0``."""
     al, be, ta, de = b.alpha, b.beta, b.tau, b.delta
     if stage == STAGE_SHARED:
         return _join([[al, de, ta], [de, al, ta], [ta, ta, be]])
-    if stage == STAGE_FINAL_VIA_APRIME:
-        return _join([
-            [al, (ta - de) / _SQRT2, (ta + de) / _SQRT2],
-            [(ta - de) / _SQRT2, (al + be - 2.0 * ta) / 2.0, (be - al) / 2.0],
-            [(ta + de) / _SQRT2, (be - al) / 2.0, (al + be + 2.0 * ta) / 2.0],
-        ])
+    if stage not in (STAGE_FINAL_VIA_APRIME, STAGE_FINAL_VIA_A):
+        raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
+    m = _join([
+        [al, (ta - de) / _SQRT2, (ta + de) / _SQRT2],
+        [(ta - de) / _SQRT2, (al + be - 2.0 * ta) / 2.0, (be - al) / 2.0],
+        [(ta + de) / _SQRT2, (be - al) / 2.0, (al + be + 2.0 * ta) / 2.0],
+    ])
     if stage == STAGE_FINAL_VIA_A:
-        return _join([
-            [(al + be - 2.0 * ta) / 2.0, (de - ta) / _SQRT2, (al - be) / 2.0],
-            [(de - ta) / _SQRT2, al, (de + ta) / _SQRT2],
-            [(al - be) / 2.0, (de + ta) / _SQRT2, (al + be + 2.0 * ta) / 2.0],
-        ])
-    raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
+        m = m[..., _MIRROR[:, None], _MIRROR]
+        m[..., :2, 2:] = 0.0 - m[..., :2, 2:]
+        m[..., 2:, :2] = 0.0 - m[..., 2:, :2]
+    return m
 
 
 def _reduced_pair_matrix(b: BlockSet) -> np.ndarray:
@@ -200,20 +202,12 @@ def threshold_r_m(epsilon):
     return epsilon + 0.5 * np.log1p(np.sqrt(-np.expm1(-2.0 * epsilon)))
 
 
-def cubic_pq(epsilon):
-    """Depressed-cubic coefficients behind the branch point of :func:`mu_m`.
-
-    ``p`` is negative for every epsilon >= 0, so the trigonometric root is
-    always real.
-    """
-    e2 = np.exp(2.0 * epsilon)
-    return 1.0 / 6.0 - e2, 5.0 / 54.0 + e2 / 6.0
-
-
 def threshold_r_l(epsilon):
-    """Squeezing at which the two branches of :func:`mu_m` meet."""
+    """Squeezing at which the two branches of :func:`mu_m` cross, an output only: the trigonometric root of a
+    depressed cubic whose ``p`` is negative for every epsilon >= 0, so the root is always real."""
     _check_domain(epsilon=epsilon)
-    p, q = cubic_pq(epsilon)
+    e2 = np.exp(2.0 * epsilon)
+    p, q = 1.0 / 6.0 - e2, 5.0 / 54.0 + e2 / 6.0
     # -(q/2) sqrt(-27/p^3) written so p^3 is never formed (overflows early);
     # np.power, unlike a float64 scalar's **, rounds a float as it does an array
     arg = -(q / 2.0) * np.sqrt(27.0) * np.power(-p, -1.5)
@@ -226,9 +220,10 @@ def threshold_r_l(epsilon):
 def mu_m(params: ProtocolParams) -> float:
     """Minimal conditioned PT eigenvalue over all Gaussian measurements on B.
 
-    Piecewise: ``exp(r)`` below the branch squeezing, otherwise the square
-    root of the conditional position variance left after homodyne detection
-    of x_B.
+    The (A, A') pair left after homodyne detection of x_B has two PT
+    symplectic eigenvalues, ``exp(r)`` and the square root of the
+    conditional position variance; ``mu_m`` is the lower of these two
+    branches, which cross at :func:`threshold_r_l`.
     """
     return float(_mu_m(params.r, params.epsilon))
 
@@ -237,7 +232,7 @@ def _mu_m(r, epsilon):
     """:func:`mu_m` at squeezing ``r`` and noise ``epsilon``, floats or arrays that broadcast."""
     em = np.exp(-2.0 * r)
     homodyne = np.sqrt(1.0 + em * (np.exp(2.0 * epsilon) - 1.0) - np.square(em - 1.0) / (2.0 - em))
-    return np.where(r < threshold_r_l(epsilon), np.exp(r), homodyne)
+    return np.minimum(np.exp(r), homodyne)
 
 
 _ROOT_R_MAX = 5.0  # upper end of the threshold scan grid

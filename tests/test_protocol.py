@@ -47,12 +47,11 @@ from gaussent.protocol import (
     STAGE_SHARED,
     STAGES,
     ProtocolParams,
-    cubic_pq,
 )
 from gaussent.core import _quadratures
 from gaussent.separability import _splittings
 
-from helpers import random_pure_cm
+from helpers import pt_mu_oracle, random_pure_cm
 
 
 def pipeline_shared(params):
@@ -194,10 +193,12 @@ class TestClosedFormsMatchPipeline:
             assert mus[k] == mu_m(params)
 
     @pytest.mark.pinned
-    @pytest.mark.parametrize("eps", [0.1, 0.7, 3.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.7, 3.0, 20.0, 300.0])
+    @np.errstate(all="ignore")
     def test_stage_builders_are_bitwise_np_block(self, eps):
-        # the np.block expressions the concatenating builders replaced; tobytes so signed zeros count
-        rs = np.concatenate((np.linspace(0.0, 1.5, 11), np.linspace(2.0, 18.0, 17)))
+        # the np.block expressions the concatenating builders replaced; tobytes so signed zeros count, and the
+        # overflowed rows (r = 400) so inf entries do; the via-A reference is its own layout, not the mirror
+        rs = np.concatenate((np.linspace(0.0, 1.5, 11), np.linspace(2.0, 18.0, 17), [25.0, 400.0]))
         for r in [rs, *rs.tolist()]:
             b = protocol._blocks(r, eps)
             al, be, ta, de, s = b.alpha, b.beta, b.tau, b.delta, np.sqrt(2.0)
@@ -313,9 +314,6 @@ class TestThresholds:
         grid = np.array(eps)
         for fn in (threshold_r_e, threshold_r_m, threshold_r_l):
             assert np.array_equal(fn(grid), [fn(e) for e in eps])
-        p, q = cubic_pq(grid)
-        assert np.array_equal(p, [cubic_pq(e)[0] for e in eps])
-        assert np.array_equal(q, [cubic_pq(e)[1] for e in eps])
 
 
 #: Seeded noise values for the pinned numeric roots, both ends included.
@@ -504,12 +502,6 @@ class TestBisectionPath:
 
 
 class TestMuM:
-    def test_cubic_coefficients(self):
-        p, q = cubic_pq(0.0)
-        assert p == pytest.approx(1 / 6 - 1, abs=1e-15)
-        assert q == pytest.approx(5 / 54 + 1 / 6, abs=1e-15)
-        assert cubic_pq(2.0)[0] < 0  # trigonometric root stays real
-
     def test_first_branch_below_r_l(self):
         eps = 0.5
         r = 0.5 * threshold_r_l(eps)
@@ -521,6 +513,24 @@ class TestMuM:
         em = np.exp(-2 * r_l)
         second = np.sqrt(1 + em * (np.exp(2 * eps) - 1) - (em - 1) ** 2 / (2 - em))
         assert abs(np.exp(r_l) - second) < 1e-6
+
+    @pytest.mark.pinned
+    @pytest.mark.parametrize("eps", [1e-12, 0.1, 3.0])
+    def test_is_the_lower_pt_eigenvalue_of_the_conditioned_pair(self, eps):
+        # x-homodyne on B leaves the (A, A') pair; its two PT eigenvalues are the branches exp(r) and homodyne
+        r_l = threshold_r_l(eps)
+        rs = [*(r_l * np.array([0.1, 0.5, 0.9, 1.1, 1.5, 2.0])).tolist(), 0.5, 1.0, 2.0]
+        for r in rs:
+            cm = shared_cm(ProtocolParams(r, eps))[0].cm
+            conditioned = cm[:4, :4] - np.outer(cm[:4, 4], cm[:4, 4]) / cm[4, 4]
+            want = pt_mu_oracle(conditioned)
+            assert abs(protocol._mu_m(r, eps) - want) <= 1e-13 * want, r
+
+    @pytest.mark.pinned
+    def test_overflowed_noise_gives_the_exp_r_branch(self):
+        # exp(2 epsilon) overflows, so the homodyne branch is inf and the lower one is exp(r)
+        with np.errstate(over="ignore"):
+            assert mu_m(ProtocolParams(1.0, 400.0)) == np.exp(1.0)
 
     @pytest.mark.pinned
     def test_outer_grid_is_bitwise_the_scalar_calls(self):
