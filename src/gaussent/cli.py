@@ -8,8 +8,8 @@ configurations produce byte-identical output.  JSON is rounded and
 formatted in one walk of the payload, into the bytes that
 ``json.dumps(..., indent=2)`` prints for the rounded payload.  ``sweep`` and
 ``gap-sweep`` print the columns of :func:`gaussent.protocol.sweep_profile`
-and :func:`gaussent.protocol.gap_profile` by name, which have the numbers
-and checks of the one-state functions.  ``classify`` validates the matrix
+and :func:`gaussent.protocol.gap_profile` by name: closed forms in ``r`` and
+``epsilon``, with the stage gate of ``analyze``.  ``classify`` validates the matrix
 it reads once, in :func:`gaussent.core.load_state`, then checks its mode
 count.  Numeric options must be finite and nonnegative.  JSON and CSV share
 one non-finite rule: a NaN or infinity formats as ``nan`` or ``inf``, and

@@ -10,7 +10,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -189,37 +188,8 @@ _QUADS = np.array(list(combinations(range(6), 4)))
 #: (``[k, 0]`` and ``[k, 1]``; mode 3 is absent, so row 3 flips none): one per x or p of mode k it holds.
 _PT_SIGNS = np.array([[[(-1.0) ** len({*s} & {*_quadratures([k])}) for s in q.tolist()] for q in (_PAIRS.T, _QUADS)]
                       for k in range(4)])
-#: The three-mode symplectic form; the flat cells of ``Omega @ cm`` in each principal 4x4 minor, shaped
-#: (15, 4, 4); the minors holding three x or three p quadratures; and the x-x and p-p cells of ``Omega @ cm``,
-#: all zero when no entry of ``cm`` pairs an x with a p (as in every protocol stage).
+#: The three-mode symplectic form.
 _OMEGA3 = symplectic_form(3)
-_QUAD_CELLS = 6 * _QUADS[:, :, None] + _QUADS[:, None, :]
-_LOPSIDED = np.array([sum(q) % 2 == 1 for q in _QUADS.tolist()])  # an odd index sum: one or three p quadratures
-_LIKE_CELLS = (np.add.outer(np.arange(6), np.arange(6)) % 2 == 0).ravel()
-
-
-def _live_quads(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The principal 4x4 minors of ``(..., 6, 6)`` stacks ``m`` that LAPACK must factor, as a mask over ``_QUADS``
-    and the rows it keeps; LAPACK returns exactly ``+0.0`` for the rest.  Decided once per stack."""
-    # with a non-finite entry 0 * inf is NaN, so every minor is factored
-    finite = np.isfinite(m).all()
-    return _live_quads_of_pattern((m != 0).reshape(-1, 36).any(0).tobytes() if finite else None)
-
-
-@functools.lru_cache(maxsize=256)
-def _live_quads_of_pattern(pattern: bytes | None) -> tuple[np.ndarray, np.ndarray]:
-    """``_live_quads`` of a finite stack whose flat nonzero cells are ``pattern`` (``None``: not finite).  A
-    minor is skipped when it has a zero row or column (elimination keeps the line zero, so a pivot is 0) or,
-    when no x-x or p-p cell is nonzero, three x or three p quadratures (those rows keep multiplier 0, or
-    change only by ``l * 0``).  No other structural rule is exact: elimination fill cancels inexactly."""
-    live = np.ones(len(_QUADS), dtype=bool)
-    if pattern is not None:
-        nonzero = np.frombuffer(pattern, dtype=bool)
-        cells = nonzero[_QUAD_CELLS]
-        live = cells.any(-1).all(-1) & cells.any(-2).all(-1)
-        if not nonzero[_LIKE_CELLS].any():
-            live &= ~_LOPSIDED
-    return live, _QUADS[live]
 
 
 def _pt_invariants(cm: np.ndarray, rows) -> InvariantTriple:
@@ -230,10 +200,8 @@ def _pt_invariants(cm: np.ndarray, rows) -> InvariantTriple:
     minors = (m[..., a, a] * m[..., b, b] - m[..., a, b] * m[..., b, a])[..., None, :] * _PT_SIGNS[rows, 0]
     # builtin sum adds the minors left to right; np.sum's pairwise order differs in the last bits
     i1 = sum(np.moveaxis(minors, -1, 0))
-    # a fresh C-ordered det4 sums each matrix's 15 minors in pairwise order, as the single-matrix np.sum does
-    live, quads = _live_quads(m)
-    det4 = np.zeros(m.shape[:-2] + (len(_QUADS),))
-    det4[..., live] = np.linalg.det(m[..., quads[:, :, None], quads[:, None, :]])
+    # a C-ordered det4 sums each matrix's 15 minors in pairwise order, as the single-matrix np.sum does
+    det4 = np.ascontiguousarray(np.linalg.det(m[..., _QUADS[:, :, None], _QUADS[:, None, :]]))
     return InvariantTriple(i1, (det4[..., None, :] * _PT_SIGNS[rows, 1]).sum(-1), np.linalg.det(m)[..., None])
 
 

@@ -16,9 +16,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import GaussianState, _cholesky, _quadratures
-from .errors import DomainError, NumericalFailureError
+from .errors import NumericalFailureError
 from .ops import _preparation_cm, embed_vacuum
-from .separability import _PAIR_QUADS, SeparabilityReport, _localizable_mu, _pt_metrics, _splittings, _three_mode_report
+from .separability import (_CLASS_BY_COUNT, _PAIR_QUADS, SeparabilityReport, _localizable_mu, _pt_metrics,
+                           _three_mode_report)
 
 _SQRT2 = np.sqrt(2.0)
 _C8 = 8.0 * _SQRT2  # recurring constant in the pair-entanglement threshold
@@ -203,18 +204,21 @@ def threshold_r_m(epsilon):
 
 
 def threshold_r_l(epsilon):
-    """Squeezing at which the two branches of :func:`mu_m` cross, an output only: the trigonometric root of a
-    depressed cubic whose ``p`` is negative for every epsilon >= 0, so the root is always real."""
+    """Squeezing at which the two branches of :func:`mu_m` cross, an output only.  ``a = exp(2 r_l)`` is the
+    largest root of ``2a^3 - 2a^2 - (2n + 1) a + n + 1``, ``n = exp(2 epsilon) - 1``; in ``w = a t`` with
+    ``t = exp(-epsilon)`` it is ``2w^3 - 2t w^2 - (2 - t^2) w + t``, whose trigonometric root never overflows.
+    One Newton step in ``r``, its terms in ``b = exp(-2r)``, ``y = 1 - b`` and ``m = n b^2``, restores the
+    digits that the log of ``w`` near 1 loses at small noise.  The start is clamped to ``r_l < epsilon``
+    (``epsilon > 0``), so ``r_l(0)`` is 0."""
     _check_domain(epsilon=epsilon)
-    e2 = np.exp(2.0 * epsilon)
-    p, q = 1.0 / 6.0 - e2, 5.0 / 54.0 + e2 / 6.0
-    # -(q/2) sqrt(-27/p^3) written so p^3 is never formed (overflows early);
-    # np.power, unlike a float64 scalar's **, rounds a float as it does an array
-    arg = -(q / 2.0) * np.sqrt(27.0) * np.power(-p, -1.5)
-    if (~(np.abs(arg) <= 1.0)).any():  # NaN, from overflow at large epsilon, fails too
-        raise DomainError(f"arccos argument {arg} outside [-1, 1]")
-    root = 2.0 * np.sqrt(-p / 3.0) * np.cos(np.arccos(arg) / 3.0)
-    return 0.5 * np.log(1.0 / 3.0 + root)
+    t = np.exp(-epsilon)
+    p, q = t * t / 6.0 - 1.0, t / 6.0 + 5.0 / 54.0 * t * t * t
+    # -(q/2) sqrt(-27/p^3) in [-0.89, 0]; np.power, unlike a float64 scalar's **, rounds a float as it does an array
+    w = t / 3.0 + 2.0 * np.sqrt(-p / 3.0) * np.cos(np.arccos(-(q / 2.0) * np.sqrt(27.0) * np.power(-p, -1.5)) / 3.0)
+    r = np.minimum(0.5 * (epsilon + np.log(w)), epsilon)
+    b, y, m = np.exp(-2.0 * r), -np.expm1(-2.0 * r), np.exp(2.0 * epsilon - 4.0 * r) * -np.expm1(-2.0 * epsilon)
+    residual = y * (2.0 * y * y + 4.0 * y * b + b * b) - m * (1.0 + y)  # the cubic over a^3
+    return r - residual / (2.0 * (b * b - 2.0 * m + 8.0 * y * b + 6.0 * y * y))
 
 
 def mu_m(params: ProtocolParams) -> float:
@@ -327,22 +331,41 @@ def gap_profile(epsilons) -> dict:
     return {"epsilon": eps, "r_l": threshold_r_l(eps), "r_e": r_e, "r_m": r_m, "gap": r_m - r_e}
 
 
+def _entangled_pair(b, x, c):
+    """Invariants of the entangled pair (A-B of the final stage via A') with ``b = exp(-2r)``, ``x = 1 - b``
+    and ``c = (exp(2 epsilon) - 1) b``: ``16 b delta_tilde``, ``4 det X``, ``4 b det P`` and
+    ``256 b^2 (delta_tilde^2 - 4 det X det P)``.  The one term of the last that can be negative, ``c x r1``, is
+    outweighed by the other two, since ``r1^2 - 4 (11b + 1)^2 q2`` is ``(28160 sqrt 2 - 43776) b (b + 3)
+    (b + (61 + 60 sqrt 2) / 71)^2 < 0``, so the discriminant is never negative and keeps its digits as
+    ``r -> 0``.  Plain arithmetic, so the derivation script can pass sympy symbols."""
+    trace = 14.0 + 2.0 * _SQRT2 + c + (24.0 - 12.0 * _SQRT2) * b + 11.0 * c * b + (10.0 * _SQRT2 - 6.0) * b * b
+    det_x = 5.0 - 2.0 * _SQRT2 + 2.0 * _SQRT2 * b - b * b + c * (4.0 - b)
+    r1 = (68.0 - 220.0 * _SQRT2) * b * b + (24.0 * _SQRT2 - 384.0) * b + 28.0 + 4.0 * _SQRT2
+    q2 = (300.0 - 120.0 * _SQRT2) * b * b + (24.0 + 256.0 * _SQRT2) * b + 204.0 + 56.0 * _SQRT2
+    disc = c * c * (11.0 * b + 1.0) * (11.0 * b + 1.0) + c * x * r1 + x * x * q2
+    return trace, det_x, 3.0 + b, disc
+
+
 def sweep_profile(r, epsilon: float) -> dict:
-    """Sweep columns by name over the squeezing values ``r``, each an array with the
-    bits of the one-state functions: ``r``, ``mu_pair`` (of the reduced pair, sliced from
-    the final state via A'), ``mu_m``, ``sigma_shared_A`` (the shared state's ``A|(A'B)`` value)
-    and ``class_final`` (the label of the final state via A').  Two stage stacks are built.
-    A row whose shared or final matrix has no finite Cholesky factor raises ``UnphysicalError``."""
+    """Sweep columns by name over the squeezing values ``r``, from closed forms in ``(r, epsilon)``: ``r``,
+    ``mu_pair`` (the entangled pair's PT eigenvalue, :func:`_entangled_pair`), ``mu_m``, ``sigma_shared_A``
+    (the shared state's ``A|(A'B)`` value, ``-(1 - exp(-2r))^2 exp(2 epsilon) expm1(2 (r - epsilon))``) and
+    ``class_final`` (the final state via A' is fully inseparable iff ``r > epsilon``; its three splittings'
+    ``sigma`` are multiples of the shared one).  A row whose shared or final matrix has no finite Cholesky
+    factor raises ``UnphysicalError``, as :func:`stage_state` does; the columns read nothing else of them."""
     r = np.asarray(r, dtype=float)
     _check_domain(r=r)
     _check_domain(epsilon=epsilon)
     blocks = _blocks(r, epsilon)
-    shared, final = _stage_matrix(blocks, STAGE_SHARED), _stage_matrix(blocks, STAGE_FINAL_VIA_APRIME)
     # from r ~ 18.4 the entries (exp(2r) +- 1)/2 lose the +-1; stage_state refuses those states with this gate
-    _cholesky(shared)
-    _cholesky(final)
-    return {"r": r, "mu_pair": _pt_metrics(final[..., _AB[:, None], _AB])[0], "mu_m": _mu_m(r, epsilon),
-            "sigma_shared_A": _splittings(shared)[0][..., 0], "class_final": _splittings(final)[3]}
+    _cholesky(_stage_matrix(blocks, STAGE_SHARED))
+    _cholesky(_stage_matrix(blocks, STAGE_FINAL_VIA_APRIME))
+    b, x = np.exp(-2.0 * r), -np.expm1(-2.0 * r)
+    trace, det_x, det_p, disc = _entangled_pair(b, x, np.expm1(2.0 * epsilon) * b)
+    return {"r": r, "mu_pair": np.sqrt(2.0 * det_x * det_p / (trace + np.sqrt(disc))), "mu_m": _mu_m(r, epsilon),
+            # + 0.0 prints r = 0 and r == epsilon as 0, not -0
+            "sigma_shared_A": -(x * x) * np.exp(2.0 * epsilon) * np.expm1(2.0 * (r - epsilon)) + 0.0,
+            "class_final": _CLASS_BY_COUNT[3 * (r > epsilon)]}
 
 
 def stage_state(params: ProtocolParams, stage: str) -> StageState:

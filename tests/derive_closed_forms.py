@@ -7,17 +7,24 @@ It needs sympy and mpmath, which the tests do not import; pytest does not collec
 * that the final stage via A is the mirror of the one via A' (swap A and A', flip the sign of the new A),
   as ``protocol._stage_matrix`` builds it;
 * that the (A, A') pair left after x-homodyne detection of B has the PT spectrum ``nu^2`` in
-  ``{exp(2r), homodyne^2}``, the two branches whose lower one is ``protocol.mu_m``;
+  ``{exp(2r), homodyne^2}``, the two branches whose lower one is ``protocol.mu_m``, and that they cross where
+  ``a = exp(2r)`` is a root of the cubic ``protocol.threshold_r_l`` solves;
+* that ``protocol._entangled_pair``, from which ``sweep_profile`` takes ``mu_pair``, holds the entangled pair's
+  ``delta_tilde``, ``det X``, ``det P`` and discriminant, coefficient by coefficient, and that the discriminant
+  is positive wherever ``r > 0``;
 
 prints
 
 * each protocol stage's three splitting ``sigma`` values and three pair products, factored, with
   ``a = exp(2r)`` and ``n = exp(2 epsilon) - 1`` (held in ``tests/closed_forms.py``);
-* ``r_e`` and ``r_m`` at 80 digits, from their closed forms, rounded to float64 (held in
-  ``tests/test_protocol.py``);
+* ``r_e`` and ``r_m`` at 80 digits, from their closed forms, and ``r_l`` at 80 digits, the root of the branch
+  crossing, rounded to float64 (held in ``tests/test_protocol.py``);
+* ``sweep``'s ``mu_pair`` and ``sigma_shared_A`` at 60 digits, from the stage matrices, rounded to float64
+  (held in ``tests/test_protocol.py``);
 
-and exits nonzero unless every numpy form of ``tests/closed_forms.py`` agrees with the derived one at a few
-dyadic ``(r, epsilon)``, in value and in the sign that decides entanglement.
+and exits nonzero unless every numpy form of ``tests/closed_forms.py``, and every ``sweep_profile`` column,
+agrees with the derived one at a few dyadic ``(r, epsilon)``, in value and in the sign that decides
+entanglement.
 
 Every stage matrix has no x-p correlation, so it is ``X`` on the positions and ``P`` on the momenta.  The
 partial transpose of mode k flips the sign of ``p_k``, ``P -> D P D``, and the product of ``nu^2 - 1`` over
@@ -32,6 +39,8 @@ import numpy as np
 import sympy as sp
 
 import closed_forms
+from gaussent.protocol import _entangled_pair, sweep_profile
+from gaussent.separability import _CLASS_BY_COUNT
 
 a, n = sp.symbols("a n", positive=True)
 S2 = sp.sqrt(2)
@@ -110,6 +119,9 @@ def check_conditioned_pair():
     homodyne2 = 1 + n / a - (1 / a - 1) ** 2 / (2 - 1 / a)  # protocol._mu_m's radicand, with exp(-2r) = 1/a
     charpoly = (x_cond * d * p[:2, :2] * d).charpoly(lam).as_expr()
     assert sp.simplify(charpoly - (lam - a) * (lam - homodyne2)) == 0, "the conditioned pair's spectrum moved"
+    # the branches cross where exp(2r) = homodyne^2: a - homodyne^2 is r_l's cubic over a (2a - 1) > 0
+    cubic = 2 * a**3 - 2 * a**2 - (2 * n + 1) * a + n + 1
+    assert sp.simplify((a - homodyne2) * a * (2 * a - 1) - cubic) == 0, "r_l's cubic moved"
 
 
 mp.mp.dps = 80
@@ -124,6 +136,85 @@ def r_e(eps):
 
 def r_m(eps):
     return eps + mp.log(1 + mp.sqrt(1 - mp.exp(-2 * eps))) / 2
+
+
+def r_l(eps):
+    """Bisection of the sign of r_l's cubic at ``a = exp(2r)`` on [0, epsilon]: it is ``-n`` at ``r = 0`` and
+    ``2 n^2 (n + 1) > 0`` at ``r = epsilon``."""
+    n = mp.expm1(2 * eps)
+    lo, hi = mp.mpf(0), eps
+    for _ in range(400):
+        mid = (lo + hi) / 2
+        e = mp.exp(2 * mid)
+        lo, hi = (mid, hi) if 2 * e**3 - 2 * e**2 - (2 * n + 1) * e + n + 1 < 0 else (lo, mid)
+    return (lo + hi) / 2
+
+
+def entangled_pair():
+    """``delta_tilde``, ``det X`` and ``det P`` of the entangled pair, A-B of the final stage via A'."""
+    x, p = x_and_p(STAGES["final-via-A'"])
+    x, p, d = x.extract([0, 2], [0, 2]), p.extract([0, 2], [0, 2]), sp.diag(1, -1)
+    return sp.simplify((x * d * p * d).trace()), sp.factor(x.det()), sp.factor(p.det())
+
+
+def check_entangled_pair_forms(trace, det_x, det_p):
+    """One message per invariant of ``protocol._entangled_pair`` whose coefficient of some ``b^i c^j`` misses the
+    derived one by more than 1e-13 (1 + |coefficient|); ``b = 1/a`` and ``c = n/a``."""
+    b, c = sp.symbols("b c", positive=True)
+    derived = [sp.expand(sp.cancel(e.subs(n, c * a).subs(a, 1 / b))) for e in
+               (16 * trace / a, 4 * det_x, 4 * det_p / a, 256 * (trace**2 - 4 * det_x * det_p) / a**2)]
+    # the discriminant, a quadratic in c >= 0, is positive for 0 < b < 1: its own discriminant in c is negative
+    disc = [derived[3].coeff(c, k) for k in range(3)]
+    sign = (28160 * S2 - 43776) * b * (b + 3) * (b + (61 + 60 * S2) / 71) ** 2 * (1 - b) ** 2
+    assert sp.simplify(disc[1] ** 2 - 4 * disc[2] * disc[0] - sign) == 0, "the pair's discriminant can vanish"
+    bad = []
+    for name, got, want in zip(("16 b delta_tilde", "4 det X", "4 b det P", "256 b^2 disc"),
+                               _entangled_pair(b, 1 - b, c), derived):
+        want = sp.Poly(want, b, c)
+        got = sp.Poly(sp.expand(got), b, c)
+        monomials = set(want.as_dict()) | set(got.as_dict())
+        miss = {m: (float(got.as_dict().get(m, 0)), float(want.as_dict().get(m, 0))) for m in monomials}
+        if any(abs(g - w) > 1e-13 * (1 + abs(w)) for g, w in miss.values()):
+            bad.append(f"_entangled_pair's {name}: (b, c) powers -> (library, derived) {miss}")
+    return bad
+
+
+def check_sweep_columns(trace, det_x, det_p, derived):
+    """One message per ``sweep_profile`` column that misses the derivation at a dyadic point: ``mu_pair`` and
+    ``sigma_shared_A`` by more than 1e-14 (1 + |value|), ``class_final`` at all."""
+    bad = []
+    for r, eps in POINTS:
+        at = {a: sp.exp(2 * r), n: sp.exp(2 * eps) - 1}
+        tr, det = trace.subs(at), (det_x * det_p).subs(at)
+        mu = float(sp.N(sp.sqrt(2 * det / (tr + sp.sqrt(tr**2 - 4 * det))), 30))
+        sigma = float(sp.N(derived["shared"][0][0].subs(at), 30))
+        count = sum(bool(sp.N(e.subs(at), 30) < 0) for e in derived["final-via-A'"][0])
+        got = sweep_profile([float(r)], float(eps))
+        for name, want in (("mu_pair", mu), ("sigma_shared_A", sigma)):
+            if not abs(got[name][0] - want) <= 1e-14 * (1 + abs(want)):
+                bad.append(f"sweep_profile {name} at r={r}, epsilon={eps}: {got[name][0]!r} != {want!r}")
+        if got["class_final"][0] != _CLASS_BY_COUNT[count]:
+            bad.append(f"sweep_profile class_final at r={r}, epsilon={eps}: {got['class_final'][0]} with {count}")
+    return bad
+
+
+#: The sweep reference grid: each epsilon with r at 0, near 0, at epsilon and up to the r ~ 18.37 refusal.
+SWEEP_EPSILONS = (0.0, 1e-8, 0.1, 0.2, 3.0, 10.0)
+SWEEP_RS = (0.0, 1e-8, 1e-4, 0.01, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 18.3)
+
+
+def print_sweep_reference(trace, det_x, det_p, shared_sigma):
+    """``mu_pair`` and ``sigma_shared_A`` at 60 digits at the float64 ``(r, epsilon)`` of the grid.  A ``sigma``
+    below 1e-40 is the determinant's 60-digit rounding at ``r == epsilon``, where it is 0."""
+    with mp.workdps(60):
+        tr, det, sigma = (sp.lambdify((a, n), e, "mpmath") for e in (trace, det_x * det_p, shared_sigma))
+        print("# (r, epsilon): (mu_pair, sigma_shared_A)")
+        for eps in SWEEP_EPSILONS:
+            for r in sorted({*SWEEP_RS, eps}):
+                at = mp.exp(2 * mp.mpf(r)), mp.expm1(2 * mp.mpf(eps))
+                t, d = tr(*at), det(*at)
+                mu = mp.sqrt(2 * d / (t + mp.sqrt(max(t * t - 4 * d, 0))))
+                print(f"    ({r!r}, {eps!r}): ({float(mu)!r}, {float(mp.chop(sigma(*at), 1e-40))!r}),")
 
 
 #: Dyadic (r, epsilon), exact in float64: at 1/8 noise, below r_e, between r_e and r_b, and above r_b.
@@ -171,10 +262,17 @@ def main():
     for eps in ("1e-15", "1e-12", "1e-8", "1e-4", "1e-3", "0.1", "1", "3", "30", "300"):
         e = mp.mpf(float(eps))  # the float64 epsilon the library sees
         print(f"    {eps}: ({float(r_e(e))!r}, {float(r_m(e))!r}),")
-    bad = check_numpy_forms(derived)
+    print("# epsilon: r_l")
+    for eps in ("1e-15", "1e-12", "1e-8", "1e-4", "1e-3", "0.01", "0.03", "0.1", "1", "3", "30", "300", "354",
+                "360", "700"):
+        print(f"    {eps}: {float(r_l(mp.mpf(float(eps))))!r},")
+    pair = entangled_pair()
+    print_sweep_reference(*pair, derived["shared"][0][0])
+    bad = check_numpy_forms(derived) + check_entangled_pair_forms(*pair) + check_sweep_columns(*pair, derived)
     if bad:
         sys.exit("closed_forms disagrees with the derivation:\n" + "\n".join(bad))
-    print(f"the mirror, the conditioned pair and every closed_forms value at {len(POINTS)} points agree")
+    print(f"the mirror, the conditioned pair, r_l's cubic, the sweep forms and every closed_forms value and sweep "
+          f"column at {len(POINTS)} points agree")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from gaussent import (
     save_state,
     shared_cm,
     splitting_sigma,
+    sweep_profile,
     threshold_r_e,
     threshold_r_l,
     threshold_r_m,
@@ -87,6 +88,13 @@ class TestThresholdsCommand:
         assert payload["r_m"] == round12(threshold_r_m(0.37))
         assert payload["gap"] == round12(threshold_r_m(0.37) - threshold_r_e(0.37))
 
+    @pytest.mark.parametrize("eps", ["400", "700"])
+    def test_noise_past_the_exp_overflow(self, capsys, eps):
+        # exp(2 epsilon) overflows from epsilon ~ 354.9; r_l is epsilon / 2 to the printed digits there
+        code, out = run_cli(capsys, "thresholds", "--epsilon", eps)
+        assert (code, out.err) == (0, "")
+        assert json.loads(out.out)["r_l"] == float(eps) / 2.0
+
     def test_output_file_round_trips(self, tmp_path, capsys):
         target = tmp_path / "thresholds.json"
         code, out = run_cli(capsys, "thresholds", "--epsilon", "0.1", "--output", str(target))
@@ -119,12 +127,17 @@ class TestSweepCommand:
         _, out = run_cli(capsys, "sweep", "--epsilon", "0.2", "--r-min", "0.1",
                          "--r-max", "0.5", "--steps", "5")
         rows = [line.split(",") for line in out.out.strip().split("\n")[1:]]
+        profile = sweep_profile(np.linspace(0.1, 0.5, 5), 0.2)
         assert len(rows) == 5
-        for row in rows:
+        for k, row in enumerate(rows):
+            assert [float(x) for x in row[:4]] == [round12(profile[name][k]) for name in list(profile)[:4]]
+            assert row[4] == profile["class_final"][k]
             params = ProtocolParams(float(row[0]), 0.2)
-            assert float(row[1]) == round12(two_mode_metrics(reduced_pair_cm(params)).mu)
             assert float(row[2]) == round12(mu_m(params))
-            assert float(row[3]) == round12(splitting_sigma(shared_cm(params)[0].cm, 0).sigma)
+            # the one-state kernels, to the 12 printed digits (tests/test_protocol.py bounds them on a wider grid)
+            assert float(row[1]) == pytest.approx(two_mode_metrics(reduced_pair_cm(params)).mu, rel=1e-11)
+            sigma = splitting_sigma(shared_cm(params)[0].cm, 0).sigma
+            assert float(row[3]) == pytest.approx(sigma, rel=1e-11, abs=1e-14)
             assert row[4] == classify_three_mode(final_cm(params, ROUTE_VIA_APRIME).cm).class_label
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -398,7 +411,7 @@ class TestNonFiniteOutput:
 
     @pytest.mark.parametrize("argv", [
         "sweep --epsilon 400 --steps 3",
-        "thresholds --epsilon 400",
+        "montecarlo --r 400 --epsilon 0.1 --samples 10",
         "analyze --r 400 --epsilon 0.1 --stage shared",
     ])
     def test_overflow_fails_with_one_stderr_line(self, argv):
@@ -644,9 +657,9 @@ class TestReferenceOutput:
     """Pinned sha256 of stdout: any changed byte in these outputs fails."""
 
     @pytest.mark.parametrize("argv,digest", [
-        ("sweep --epsilon 0.1", "be1be61a975e610e35c52e005c8089279ea6e47fa4eb5f85c3bf6ceb37264893"),
+        ("sweep --epsilon 0.1", "7a75fe0e1fcdf651e85ca6e911fca86b59349079e13f01cc4bcbf9c5867588a7"),
         ("sweep --epsilon 2 --r-max 1.5 --format json",
-         "658e95e770f9dada9493e1c7e6946af68e3511033b0e90cbcbf0740cfc2a337c"),
+         "82168f1d601b2601f8a1289752ba9b2ac26775058abc23d2501977b08899dd80"),
         ("gap-sweep", "8e6746fb195e5155db72b5b0e487d7b37a5cb0830226e6b99bd1e2f491f35669"),
         ("analyze --r 0.4 --epsilon 0.1 --stage shared",
          "4f20387a9322f425c7fbcb4a2f603f21ea8c0e38044a46ab044d3382913ed15a"),

@@ -1,7 +1,8 @@
 """Every stage's splitting and pair verdicts, and ``sweep``'s final label, against their exact closed forms
 (``tests/closed_forms.py``).
 
-A label must match the closed form or read ``boundary``; a row refused as unphysical fails too.  The cases
+A stage's label must match the closed form or read ``boundary``, and ``sweep``'s must match it; a row refused
+as unphysical fails too.  The cases
 that disagree today are strict xfails naming the ROADMAP item that closes them.
 """
 
@@ -51,12 +52,10 @@ KNOWN_PAIR_DISAGREEMENTS = {
     (STAGE_FINAL_VIA_A, 20.0): "10 refused rows (ROADMAP item 12)",
 }
 
-#: Cases whose ``sweep`` ``class_final``, the final-via-A' label, disagrees today.  At epsilon 5 that stage's
-#: one wrong splitting flag sits beside a ``boundary`` one, so its label is excused there.
+#: Cases whose ``sweep`` ``class_final``, the final-via-A' label, disagrees today: the label is exact, but the
+#: built matrices' gate refuses physical rows.
 KNOWN_SWEEP_DISAGREEMENTS = {
-    (STAGE_FINAL_VIA_APRIME, 10.0): "2 wrong labels, at r = 0 and r = epsilon (ROADMAP item 8)",
-    (STAGE_FINAL_VIA_APRIME, 20.0): "1 wrong label (ROADMAP item 8) and 11 rows refused by the shared or "
-                                    "final gate (ROADMAP item 12)",
+    (STAGE_FINAL_VIA_APRIME, 20.0): "11 rows refused by the shared or final gate (ROADMAP item 3)",
 }
 
 
@@ -102,19 +101,17 @@ def test_pair_labels_match_the_closed_form_or_read_boundary(stage, epsilon):
 
 
 @pytest.mark.parametrize("stage,epsilon", cases(EPSILONS, KNOWN_SWEEP_DISAGREEMENTS, (STAGE_FINAL_VIA_APRIME,)))
-def test_sweep_class_final_matches_the_closed_form_or_reads_boundary(stage, epsilon):
+def test_sweep_class_final_is_the_closed_form_label(stage, epsilon):
     # one row per call, so a refused row is counted, not the whole grid; the stacked sweep is bit for bit
-    # its rows (tests/test_protocol.py), and the boundary flags come from the same stage's analyze report
+    # its rows (tests/test_protocol.py)
     wrong, refused = [], []
     for r in R_GRID.tolist():
         try:
             label = sweep_profile([r], epsilon)["class_final"][0]
-            report = stage_state(ProtocolParams(r, epsilon), stage).report
         except UnphysicalError:
             refused.append(r)
             continue
-        want = _CLASS_BY_COUNT[stage_entangled(stage, r, epsilon).sum()]
-        if label != want and not any(v.boundary for v in report.verdicts):
+        if label != _CLASS_BY_COUNT[stage_entangled(stage, r, epsilon).sum()]:
             wrong.append(r)
     assert (wrong, refused) == ([], [])
 

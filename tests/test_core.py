@@ -27,9 +27,8 @@ from gaussent import (
     symplectic_form,
     validate_cm,
 )
-from gaussent import protocol
-from gaussent.core import _PAIRS, _PT_SIGNS, _QUADS, _cholesky, _live_quads, _pt_invariants
-from gaussent.protocol import STAGE_FINAL_VIA_A, STAGE_FINAL_VIA_APRIME, STAGE_SHARED, ProtocolParams
+from gaussent.core import _cholesky
+from gaussent.protocol import ProtocolParams
 
 from helpers import (
     random_physical_cm,
@@ -334,73 +333,6 @@ class TestCharPolyInvariants:
             want = reference(cm)
             assert tuple(char_poly_invariants(cm)) == want
             assert (i1.flat[k], i2.flat[k], i3.flat[k]) == want
-
-
-def full_lapack_pt_invariants(cm, rows):
-    """``_pt_invariants`` as it was before minors were skipped: LAPACK factors all 15 principal 4x4 minors."""
-    m = symplectic_form(3) @ cm
-    a, b = _PAIRS
-    minors = (m[..., a, a] * m[..., b, b] - m[..., a, b] * m[..., b, a])[..., None, :] * _PT_SIGNS[rows, 0]
-    i1 = sum(np.moveaxis(minors, -1, 0))
-    det4 = np.ascontiguousarray(np.linalg.det(m[..., _QUADS[:, :, None], _QUADS[:, None, :]]))
-    return i1, (det4[..., None, :] * _PT_SIGNS[rows, 1]).sum(-1), np.linalg.det(m)[..., None]
-
-
-def assert_skipping_is_bitwise_full_lapack(cm):
-    for rows in ([0, 1, 2], [3]):
-        for got, want in zip(_pt_invariants(cm, rows), full_lapack_pt_invariants(cm, rows)):
-            assert got.tobytes() == want.tobytes()
-
-
-#: the x-x and p-p cells of a 6x6 matrix; a matrix with zeros elsewhere pairs no x with a p
-X_P_DECOUPLED = np.add.outer(np.arange(6), np.arange(6)) % 2 == 0
-
-
-@pytest.mark.pinned
-class TestSkippedMinors:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (1,), (7,), (2, 3)]),
-           kind=st.sampled_from(["sparse", "symmetric-sparse", "decoupled", "integer", "non-finite"]))
-    def test_skipped_minors_are_bitwise_full_lapack(self, seed, shape, kind):
-        # random zero patterns shared by the stack, so both skip rules fire; integer entries provoke
-        # exact cancellation in elimination, and a non-finite entry must switch skipping off
-        rng = np.random.default_rng(seed)
-        pattern = rng.random((6, 6)) < rng.uniform(0.2, 0.9)
-        if kind != "sparse":
-            pattern |= pattern.T
-        if kind == "decoupled":
-            pattern &= X_P_DECOUPLED
-        cm = pattern * rng.standard_normal(shape + (6, 6)) * 10.0 ** rng.integers(-3, 4)
-        if kind == "integer":
-            cm = np.round(cm)
-        if kind == "non-finite":
-            cm.flat[rng.integers(cm.size)] = (np.inf, -np.inf, np.nan)[rng.integers(3)]
-        with np.errstate(all="ignore"):  # 0 * inf in the reference's products
-            assert_skipping_is_bitwise_full_lapack(cm)
-
-    @pytest.mark.parametrize("eps", [0.1, 0.7, 3.0])
-    def test_stage_grid_is_bitwise_full_lapack(self, eps):
-        # the 28-point r grid of the stage builders' bitwise test, to r = 18, as a stack and one matrix at a time
-        rs = np.concatenate((np.linspace(0.0, 1.5, 11), np.linspace(2.0, 18.0, 17)))
-        blocks = protocol._blocks(rs, eps)
-        for stage in (STAGE_SHARED, STAGE_FINAL_VIA_APRIME, STAGE_FINAL_VIA_A):
-            stack = protocol._stage_matrix(blocks, stage)
-            assert_skipping_is_bitwise_full_lapack(stack)
-            for cm in stack:
-                assert_skipping_is_bitwise_full_lapack(cm)
-
-    def test_sweep_rows_factor_fourteen_of_thirty_minors(self):
-        # the shared stage has 10 minors with a zero line or three like quadratures, the final stage 6
-        blocks = protocol._blocks(np.linspace(0.0, 1.5, 100), 0.1)
-        skipped = [(~_live_quads(symplectic_form(3) @ protocol._stage_matrix(blocks, stage))[0]).sum()
-                   for stage in (STAGE_SHARED, STAGE_FINAL_VIA_APRIME)]
-        assert skipped == [10, 6]
-
-    def test_non_finite_stack_factors_every_minor(self):
-        m = np.stack([symplectic_form(3)] * 2)  # Omega @ I: only the minors on two whole modes have no zero line
-        assert np.array_equal(_QUADS[_live_quads(m)[0]], [[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]])
-        m[1, 5, 5] = np.inf
-        assert _live_quads(m)[0].all()
 
 
 class TestReduceModes:

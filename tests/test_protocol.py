@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussent import (
-    DomainError,
     GaussianState,
     NumericalFailureError,
     UnphysicalError,
@@ -48,8 +47,8 @@ from gaussent.protocol import (
     STAGES,
     ProtocolParams,
 )
-from gaussent.core import _quadratures
-from gaussent.separability import _splittings
+from gaussent.core import _pt_invariants, _quadratures
+from gaussent.separability import _CLASS_BY_COUNT, _splittings
 
 from helpers import pt_mu_oracle, random_pure_cm
 
@@ -98,6 +97,102 @@ class TestInitialCm:
             ProtocolParams(r, eps)
 
 
+#: sweep's (mu_pair, sigma_shared_A) by (r, epsilon): 60-digit values from the stage matrices, rounded to float64
+#: (``tests/derive_closed_forms.py``).  ``sigma_shared_A`` is exactly 0 at r = 0 and at r == epsilon.
+SWEEP_REFERENCE = {
+    (0.0, 0.0): (1.0, 0.0),
+    (1e-08, 0.0): (0.9999999938782337, -7.999999920000002e-24),
+    (0.0001, 0.0): (0.9999387865757381, -7.999200079994668e-12),
+    (0.01, 0.0): (0.99392048289208, -7.920794698507384e-06),
+    (0.5, 0.0): (0.7828203181677047, -0.6865848687367595),
+    (1.0, 0.0): (0.6857076206466178, -4.776746309751754),
+    (2.0, 0.0): (0.6311670323746533, -51.65276148718254),
+    (4.0, 0.0): (0.6223598702163928, -2977.958993317077),
+    (6.0, 0.0): (0.6221973894144729, -162751.7914374365),
+    (8.0, 0.0): (0.6221944130758867, -8886107.520508211),
+    (12.0, 0.0): (0.6221943575637573, -26489122126.84347),
+    (16.0, 0.0): (0.6221943575451351, -78962960182677.69),
+    (18.3, 0.0): (0.6221943575451289, -7855576054835266.0),
+    (0.0, 1e-08): (1.0, 0.0),
+    (1e-08, 1e-08): (1.0000000003407417, 0.0),
+    (0.0001, 1e-08): (0.9999387934166705, -7.998400239968004e-12),
+    (0.01, 1e-08): (0.9939204896401793, -7.92078685665653e-06),
+    (0.5, 1e-08): (0.7828203213966392, -0.6865848607452314),
+    (1.0, 1e-08): (0.6857076220060775, -4.776746294798852),
+    (2.0, 1e-08): (0.6311670325748496, -51.652761467908455),
+    (4.0, 1e-08): (0.6223598702201124, -2977.9589932970903),
+    (6.0, 1e-08): (0.622197389414541, -162751.7914374165),
+    (8.0, 1e-08): (0.622194413075888, -8886107.52050819),
+    (12.0, 1e-08): (0.6221943575637573, -26489122126.84347),
+    (16.0, 1e-08): (0.6221943575451351, -78962960182677.69),
+    (18.3, 1e-08): (0.6221943575451289, -7855576054835266.0),
+    (0.0, 0.1): (1.0, 0.0),
+    (1e-08, 0.1): (1.0000000099999997, 8.856109349284598e-17),
+    (0.0001, 0.1): (1.000099971494799, 8.846340110886381e-09),
+    (0.01, 0.1): (1.0096423581720912, 7.888957484862681e-05),
+    (0.1, 0.1): (1.0031505372810985, 0.0),
+    (0.5, 0.1): (0.8175702639630633, -0.5981175514831744),
+    (1.0, 0.1): (0.7005676892795126, -4.611215628594101),
+    (2.0, 0.1): (0.6333788205607024, -51.43939472260615),
+    (4.0, 0.1): (0.6224010451887058, -2977.7377390787033),
+    (6.0, 0.1): (0.622198143788834, -162751.57003739904),
+    (8.0, 0.1): (0.6221944268928118, -8886107.299105503),
+    (12.0, 0.1): (0.6221943575683924, -26489122126.62207),
+    (16.0, 0.1): (0.6221943575451366, -78962960182677.47),
+    (18.3, 0.1): (0.6221943575451289, -7855576054835266.0),
+    (0.0, 0.2): (1.0, 0.0),
+    (1e-08, 0.2): (1.00000001, 1.967298671219107e-16),
+    (0.0001, 0.2): (1.000099988097555, 1.9661054566986733e-08),
+    (0.01, 0.2): (1.009865581469867, 0.00018491999965040013),
+    (0.2, 0.2): (1.0058252303829585, 0.0),
+    (0.5, 0.2): (0.8575303485243131, -0.49006332618261467),
+    (1.0, 0.2): (0.7182273804306378, -4.409035998068011),
+    (2.0, 0.2): (0.6360684264836183, -51.17878796785285),
+    (4.0, 0.2): (0.6224513322253818, -2977.467498541699),
+    (6.0, 0.2): (0.6221990651823531, -162751.29961878262),
+    (8.0, 0.2): (0.6221944437688417, -8886107.028683623),
+    (12.0, 0.2): (0.6221943575740536, -26489122126.351646),
+    (16.0, 0.2): (0.6221943575451385, -78962960182677.2),
+    (18.3, 0.2): (0.6221943575451289, -7855576054835265.0),
+    (0.0, 3.0): (1.0, 0.0),
+    (1e-08, 3.0): (1.00000001, 1.6097151416966375e-13),
+    (0.0001, 3.0): (1.0001000016503183, 1.60939246857294e-05),
+    (0.01, 3.0): (1.0100167162302593, 0.15778140653716155),
+    (0.5, 3.0): (1.5548018053166113, 160.11446405109567),
+    (1.0, 3.0): (2.1582359125742467, 296.09715814321004),
+    (2.0, 3.0): (1.9647876065160688, 336.16955090607746),
+    (3.0, 3.0): (1.0190126798779062, 0.0),
+    (4.0, 3.0): (0.6926397605016649, -2575.8001541781646),
+    (6.0, 3.0): (0.6235668569744758, -162349.36758914453),
+    (8.0, 3.0): (0.6222195265903635, -8885705.091805292),
+    (12.0, 3.0): (0.6221943659885962, -26489121724.41468),
+    (16.0, 3.0): (0.6221943575479613, -78962960182275.27),
+    (18.3, 3.0): (0.6221943575451573, -7855576054834863.0),
+    (0.0, 10.0): (1.0, 0.0),
+    (1e-08, 10.0): (1.00000001, 1.940660738825946e-07),
+    (0.0001, 10.0): (1.0001000016668888, 19.402726907610372),
+    (0.01, 10.0): (1.010016886449736, 190229.65281172495),
+    (0.5, 10.0): (1.556882281915971, 193860561.534585),
+    (1.0, 10.0): (2.2065443526139608, 362731362.13124573),
+    (2.0, 10.0): (3.1627046556497453, 467555676.5437279),
+    (4.0, 10.0): (3.4576044744770718, 484836761.4667798),
+    (6.0, 10.0): (3.4545648559733286, 484996480.7207067),
+    (8.0, 10.0): (3.0436733246884877, 476278977.6929884),
+    (10.0, 10.0): (1.0190653687577382, 0.0),
+    (12.0, 10.0): (0.632258838586225, -26003956932.470314),
+    (16.0, 10.0): (0.6221977648029705, -78962475017483.28),
+    (18.3, 10.0): (0.6221943917944301, -7855575569670071.0),
+}
+SWEEP_EPSILONS = sorted({eps for _, eps in SWEEP_REFERENCE})
+#: Relative bounds against ``SWEEP_REFERENCE``, measured 2.2e-16 and 2.8e-15: ``sigma_shared_A``'s error grows like
+#: ``2 |r - epsilon|`` ulp, from rounding ``r - epsilon`` before ``expm1``.
+SWEEP_MU_BOUND, SWEEP_SIGMA_BOUND = 5e-16, 5e-15
+#: ``sweep_profile`` against the one-state kernels on the built matrices, r <= 6 and epsilon <= 3: ``mu_pair``
+#: relative and ``sigma_shared_A`` in units of ``1 + |i1| + |i2| + |i3|`` of the shared matrix.  Measured 7.0e-12
+#: (at r = 6) and 1.1e-15 on the test's grid, 1.2e-11 and 3.6e-15 on 241 r in [0, 6] x 8 epsilon in [0, 3].
+KERNEL_MU_BOUND, KERNEL_SIGMA_BOUND = 3e-11, 1e-14
+
+
 class TestClosedFormsMatchPipeline:
     def test_shared_vacuum_limit(self):
         state, _ = shared_cm(ProtocolParams(0.0, 0.0))
@@ -134,28 +229,42 @@ class TestClosedFormsMatchPipeline:
                 assert reduce_modes(final_cm(params, ROUTE_VIA_APRIME).cm, [0, 2]).tobytes() == pair.tobytes()
                 assert reduce_modes(final_cm(params, ROUTE_VIA_A).cm, [1, 2]).tobytes() == pair.tobytes()
 
-    @pytest.mark.pinned
-    @pytest.mark.parametrize("eps", [0.001, 0.7, 3.0])
-    def test_sweep_profile_is_bitwise_the_one_state_functions(self, eps):
-        # mu_pair comes from the reduced pair, which is bit for bit the A-B pair of the final state via A'
-        rs = np.concatenate((np.linspace(0.0, 1.5, 11), [4.0, 8.0, 12.0]))
+    @pytest.mark.parametrize("eps", SWEEP_EPSILONS)
+    def test_sweep_profile_against_the_60_digit_reference(self, eps):
+        rs = np.array([r for r, e in SWEEP_REFERENCE if e == eps])
+        want_mu, want_sigma = np.array([SWEEP_REFERENCE[r, eps] for r in rs.tolist()]).T
         profile = sweep_profile(rs, eps)
         assert np.array_equal(profile["r"], rs)
+        assert (np.abs(profile["mu_pair"] - want_mu) <= SWEEP_MU_BOUND * want_mu).all()
+        # r = 0 and r == epsilon are exact zeros, and print as 0, not -0
+        assert (np.abs(profile["sigma_shared_A"] - want_sigma) <= SWEEP_SIGMA_BOUND * np.abs(want_sigma)).all()
+        assert not np.signbit(profile["sigma_shared_A"]).any(where=want_sigma == 0.0)
+        assert np.array_equal(profile["mu_m"], [mu_m(ProtocolParams(r, eps)) for r in rs.tolist()])
+        assert profile["class_final"].tolist() == [_CLASS_BY_COUNT[3 * (r > eps)] for r in rs.tolist()]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.001, 0.7, 3.0])
+    def test_sweep_profile_matches_the_one_state_kernels(self, eps):
+        # where the kernels resolve the values, r <= 6 and epsilon <= 3; their own error grows like exp(2r) ulp
+        rs = np.concatenate((np.linspace(0.0, 1.5, 11), [eps, 4.0, 6.0]))
+        profile = sweep_profile(rs, eps)
         for k, r in enumerate(rs.tolist()):
             params = ProtocolParams(r, eps)
-            assert profile["mu_pair"][k] == two_mode_metrics(reduced_pair_cm(params)).mu
-            assert profile["mu_m"][k] == mu_m(params)
-            assert profile["sigma_shared_A"][k] == splitting_sigma(shared_cm(params)[0].cm, 0).sigma
-            assert profile["class_final"][k] == classify_three_mode(final_cm(params, ROUTE_VIA_APRIME).cm).class_label
+            mu = two_mode_metrics(reduced_pair_cm(params)).mu
+            assert abs(profile["mu_pair"][k] - mu) <= KERNEL_MU_BOUND * mu, r
+            shared = shared_cm(params)[0].cm
+            scale = 1.0 + sum(abs(x[0]) for x in _pt_invariants(shared, [0]))
+            assert abs(profile["sigma_shared_A"][k] - splitting_sigma(shared, 0).sigma) <= KERNEL_SIGMA_BOUND * scale
+            report = classify_three_mode(final_cm(params, ROUTE_VIA_APRIME).cm)
+            assert profile["class_final"][k] == report.class_label or any(v.boundary for v in report.verdicts)
 
     @pytest.mark.pinned
-    def test_sweep_profile_is_bitwise_the_one_state_functions_on_a_fine_grid(self):
-        # at r = 0.156 a float64 scalar's ** (C pow) rounds delta_tilde^2 one ulp
-        # away from the product an array's ** forms, so the kernel squares by product
+    def test_sweep_rows_are_bitwise_one_row_calls(self):
+        # so a sweep prints each row's bytes whatever grid holds it; mu_m is bitwise the one-state function
         rs = np.linspace(0.0, 0.6, 601)
         profile = sweep_profile(rs, 0.1)
-        pair = [two_mode_metrics(reduced_pair_cm(ProtocolParams(r, 0.1))).mu for r in rs.tolist()]
-        assert np.array_equal(profile["mu_pair"], pair)
+        for k, r in enumerate(rs.tolist()):
+            row = sweep_profile([r], 0.1)
+            assert all(profile[name][k:k + 1].tobytes() == row[name].tobytes() for name in profile), r
         assert np.array_equal(profile["mu_m"], [mu_m(ProtocolParams(r, 0.1)) for r in rs.tolist()])
 
     @pytest.mark.pinned
@@ -248,6 +357,26 @@ THRESHOLD_REFERENCE = {
 }
 
 
+#: r_l by epsilon: the root of its cubic at 80 digits, rounded to float64 (``tests/derive_closed_forms.py``).
+R_L_REFERENCE = {
+    1e-15: 9.999999999999961e-16,
+    1e-12: 9.99999999996e-13,
+    1e-8: 9.99999960000004e-09,
+    1e-4: 9.996003995113353e-05,
+    1e-3: 0.0009960395172660108,
+    0.01: 0.009635691136428192,
+    0.03: 0.02719719301179882,
+    0.1: 0.07875771606668633,
+    1: 0.5364670395789302,
+    3: 1.5060663219548602,
+    30: 15.000000000000012,
+    300: 150.0,
+    354: 177.0,
+    360: 180.0,
+    700: 350.0,
+}
+
+
 class TestThresholds:
     def test_reference_values_at_tenth_noise(self):
         assert threshold_r_l(0.1) == pytest.approx(0.079, abs=1e-3)
@@ -291,13 +420,15 @@ class TestThresholds:
         with pytest.raises(ValueError):
             threshold_r_e(-0.1)
 
-    def test_r_l_refuses_an_overflowed_argument(self):
-        # exp(2 epsilon) overflows at 400, making the arccos argument inf * 0 = NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DomainError, match=r"^arccos argument nan outside"):
-                threshold_r_l(400.0)
-            with pytest.raises(DomainError, match=r"^arccos argument \[.* nan\] outside"):
-                gap_profile([0.1, 400.0])
+    @pytest.mark.parametrize("eps", sorted(R_L_REFERENCE))
+    def test_r_l_full_precision_against_the_reference(self, eps):
+        # past epsilon ~ 354, where exp(2 epsilon) overflows, too; no floating-point warning is raised
+        with np.errstate(all="raise", under="ignore"):
+            assert abs(threshold_r_l(eps) - R_L_REFERENCE[eps]) <= 4e-16 * R_L_REFERENCE[eps]
+            assert np.array_equal(gap_profile([eps, 0.1])["r_l"], [threshold_r_l(eps), threshold_r_l(0.1)])
+
+    def test_r_l_is_exact_at_zero_and_subnormal_noise(self):
+        assert threshold_r_l(0.0) == 0.0 and threshold_r_l(5e-324) == 5e-324 and threshold_r_l(1e-300) == 1e-300
 
     @pytest.mark.parametrize("fn", [threshold_r_e, threshold_r_m, threshold_r_l, gap_profile])
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1])
