@@ -9,14 +9,14 @@ formatted in one walk of the payload, into the bytes that
 ``json.dumps(..., indent=2)`` prints for the rounded payload.  ``sweep`` and
 ``gap-sweep`` print the columns of :func:`gaussent.protocol.sweep_profile`
 and :func:`gaussent.protocol.gap_profile` by name: closed forms in ``r`` and
-``epsilon``, with the stage gate of ``analyze``.  ``classify`` validates the matrix
-it reads once, in :func:`gaussent.core.load_state`, then checks its mode
-count.  Numeric options must be finite and nonnegative.  JSON and CSV share
-one non-finite rule: a NaN or infinity formats as ``nan`` or ``inf``, and
-finished text holding either fails the command rather than print, naming
-its key path (or row and column); so does a floating-point overflow,
-division by zero, invalid operation or array too large to allocate, with
-one line on stderr.
+``epsilon``, no matrix.  ``classify`` validates the matrix it reads once, in
+:func:`gaussent.core.load_state`, then checks its mode count.  Numeric
+options must be finite and nonnegative.  JSON and CSV share one non-finite
+rule: a NaN or infinity formats as ``nan`` or ``inf``, and finished text
+holding either fails the command rather than print, naming its key path (or
+row and column); so does a floating-point overflow (a ``sweep`` row past its
+forms' range), division by zero, invalid operation or array too large to
+allocate, with one line on stderr.
 Exit codes: 0 success, 1 validation or numerical failure, 2 usage error.
 """
 

@@ -48,8 +48,8 @@ class ProtocolParams:
 
 
 def _check_domain(**values) -> None:
-    """Raise ``ValueError`` unless every value (floats, or arrays of one shape) is finite and >= 0."""
-    v = np.asarray(tuple(values.values()), dtype=float)
+    """Raise ``ValueError`` unless every value (a float or an array of any shape) is finite and >= 0."""
+    v = np.concatenate([np.asarray(x, dtype=float).ravel() for x in values.values()])
     if not ((v >= 0.0) & (v < np.inf)).all():
         got = ", ".join(f"{name}={value}" for name, value in values.items())
         raise ValueError(f"{' and '.join(values)} must be finite and nonnegative, got {got}")
@@ -190,17 +190,21 @@ def threshold_r_e(epsilon):
     overflow; as ``log1p``, rationalized by ``a - b^2 = 4 (C8 - 1)(12 - C8) x``
     with ``x = 1 - exp(-2 epsilon)``, small noise keeps its digits.
     """
-    _check_domain(epsilon=epsilon)
-    em, x = np.exp(-2.0 * epsilon), -np.expm1(-2.0 * epsilon)
-    u = 11.0 + (_C8 - 13.0) * em
-    a, b = u * u + 4.0 * (_C8 - 1.0) * em, _C8 + (_C8 - 13.0) * x
-    return epsilon + 0.5 * np.log1p(2.0 * (12.0 - _C8) * x / (np.sqrt(a) + b))
+    return epsilon + _threshold_excesses(epsilon)[0]
 
 
 def threshold_r_m(epsilon):
     """Squeezing above which a Gaussian measurement on B can localize entanglement; full digits at small noise."""
+    return epsilon + _threshold_excesses(epsilon)[1]
+
+
+def _threshold_excesses(epsilon):
+    """The ``log1p`` terms ``threshold_r_e - epsilon`` and ``threshold_r_m - epsilon``, after checking ``epsilon``."""
     _check_domain(epsilon=epsilon)
-    return epsilon + 0.5 * np.log1p(np.sqrt(-np.expm1(-2.0 * epsilon)))
+    em, x = np.exp(-2.0 * epsilon), -np.expm1(-2.0 * epsilon)
+    u = 11.0 + (_C8 - 13.0) * em
+    a, b = u * u + 4.0 * (_C8 - 1.0) * em, _C8 + (_C8 - 13.0) * x
+    return 0.5 * np.log1p(2.0 * (12.0 - _C8) * x / (np.sqrt(a) + b)), 0.5 * np.log1p(np.sqrt(x))
 
 
 def threshold_r_l(epsilon):
@@ -324,11 +328,11 @@ def threshold_report(epsilon: float) -> ThresholdReport:
 
 
 def gap_profile(epsilons) -> dict:
-    """Threshold columns by name over a grid of noise values, one array call per
-    column: ``epsilon``, ``r_l``, ``r_e``, ``r_m`` and ``gap`` (``r_m - r_e``)."""
+    """Threshold columns by name over a grid of noise values, one array call per column: ``epsilon``, ``r_l``,
+    ``r_e``, ``r_m`` and ``gap`` (``r_m - r_e`` as the difference of their ``log1p`` terms, with no ``epsilon``)."""
     eps = np.asarray(epsilons, dtype=float)
-    r_e, r_m = threshold_r_e(eps), threshold_r_m(eps)
-    return {"epsilon": eps, "r_l": threshold_r_l(eps), "r_e": r_e, "r_m": r_m, "gap": r_m - r_e}
+    ex_e, ex_m = _threshold_excesses(eps)
+    return {"epsilon": eps, "r_l": threshold_r_l(eps), "r_e": eps + ex_e, "r_m": eps + ex_m, "gap": ex_m - ex_e}
 
 
 def _entangled_pair(b, x, c):
@@ -351,15 +355,11 @@ def sweep_profile(r, epsilon: float) -> dict:
     ``mu_pair`` (the entangled pair's PT eigenvalue, :func:`_entangled_pair`), ``mu_m``, ``sigma_shared_A``
     (the shared state's ``A|(A'B)`` value, ``-(1 - exp(-2r))^2 exp(2 epsilon) expm1(2 (r - epsilon))``) and
     ``class_final`` (the final state via A' is fully inseparable iff ``r > epsilon``; its three splittings'
-    ``sigma`` are multiples of the shared one).  A row whose shared or final matrix has no finite Cholesky
-    factor raises ``UnphysicalError``, as :func:`stage_state` does; the columns read nothing else of them."""
+    ``sigma`` are multiples of the shared one).  It builds no matrix; a row is finite until a form overflows:
+    ``sigma_shared_A`` from ``r = ln(DBL_MAX) / 2 = 354.89``, and the discriminant's term ``c^2 (11b + 1)^2``, an
+    artifact of its form, from ``epsilon`` 176.2 at ``r = 0``, 178.0 at ``r = 1`` and ``min(r + 177.4, 354.89)``."""
     r = np.asarray(r, dtype=float)
-    _check_domain(r=r)
-    _check_domain(epsilon=epsilon)
-    blocks = _blocks(r, epsilon)
-    # from r ~ 18.4 the entries (exp(2r) +- 1)/2 lose the +-1; stage_state refuses those states with this gate
-    _cholesky(_stage_matrix(blocks, STAGE_SHARED))
-    _cholesky(_stage_matrix(blocks, STAGE_FINAL_VIA_APRIME))
+    _check_domain(r=r, epsilon=epsilon)
     b, x = np.exp(-2.0 * r), -np.expm1(-2.0 * r)
     trace, det_x, det_p, disc = _entangled_pair(b, x, np.expm1(2.0 * epsilon) * b)
     return {"r": r, "mu_pair": np.sqrt(2.0 * det_x * det_p / (trace + np.sqrt(disc))), "mu_m": _mu_m(r, epsilon),
@@ -372,8 +372,7 @@ def stage_state(params: ProtocolParams, stage: str) -> StageState:
     """Three-mode state and separability report at one protocol stage.
 
     The initial stage is the fully separable product of the two-mode initial state with the vacuum ancilla
-    A'.  A matrix with no finite Cholesky factor raises ``UnphysicalError``, as a :func:`sweep_profile` row does.
-    """
+    A'.  A matrix with no finite Cholesky factor (the rounded stages from r ~ 18.4) raises ``UnphysicalError``."""
     if stage == STAGE_INITIAL:
         state = embed_vacuum(initial_cm(params), 1)
     else:

@@ -17,10 +17,11 @@ prints
 
 * each protocol stage's three splitting ``sigma`` values and three pair products, factored, with
   ``a = exp(2r)`` and ``n = exp(2 epsilon) - 1`` (held in ``tests/closed_forms.py``);
-* ``r_e`` and ``r_m`` at 80 digits, from their closed forms, and ``r_l`` at 80 digits, the root of the branch
-  crossing, rounded to float64 (held in ``tests/test_protocol.py``);
-* ``sweep``'s ``mu_pair`` and ``sigma_shared_A`` at 60 digits, from the stage matrices, rounded to float64
-  (held in ``tests/test_protocol.py``);
+* ``r_e`` and ``r_m`` at 80 digits, from their closed forms, their ``gap`` at 80 digits, from their ``log1p``
+  terms, and ``r_l`` at 80 digits, the root of the branch crossing, rounded to float64 (held in
+  ``tests/test_protocol.py``);
+* ``sweep``'s ``mu_pair``, ``mu_m`` and ``sigma_shared_A`` at 60 digits, from the stage matrices and the
+  conditioned pair, rounded to float64 (held in ``tests/test_protocol.py``);
 
 and exits nonzero unless every numpy form of ``tests/closed_forms.py``, and every ``sweep_profile`` column,
 agrees with the derived one at a few dyadic ``(r, epsilon)``, in value and in the sign that decides
@@ -110,18 +111,21 @@ def check_mirror():
     assert sp.simplify(mirrored - sp.Matrix(STAGES["final-via-A"])) == sp.zeros(6, 6), "via A is not the mirror"
 
 
+#: ``protocol._mu_m``'s radicand, with ``exp(-2r) = 1/a``; ``mu_m`` is the lower of ``sqrt(a)`` and its root.
+HOMODYNE2 = 1 + n / a - (1 / a - 1) ** 2 / (2 - 1 / a)
+
+
 def check_conditioned_pair():
     """x-homodyne on B updates only the positions of (A, A'); the PT spectrum left is {exp(2r), homodyne^2}."""
     x, p = x_and_p(STAGES["shared"])
     x_cond = x[:2, :2] - x[:2, 2] * x[2, :2] / x[2, 2]
     d = sp.diag(1, -1)
     lam = sp.Symbol("lam")
-    homodyne2 = 1 + n / a - (1 / a - 1) ** 2 / (2 - 1 / a)  # protocol._mu_m's radicand, with exp(-2r) = 1/a
     charpoly = (x_cond * d * p[:2, :2] * d).charpoly(lam).as_expr()
-    assert sp.simplify(charpoly - (lam - a) * (lam - homodyne2)) == 0, "the conditioned pair's spectrum moved"
+    assert sp.simplify(charpoly - (lam - a) * (lam - HOMODYNE2)) == 0, "the conditioned pair's spectrum moved"
     # the branches cross where exp(2r) = homodyne^2: a - homodyne^2 is r_l's cubic over a (2a - 1) > 0
     cubic = 2 * a**3 - 2 * a**2 - (2 * n + 1) * a + n + 1
-    assert sp.simplify((a - homodyne2) * a * (2 * a - 1) - cubic) == 0, "r_l's cubic moved"
+    assert sp.simplify((a - HOMODYNE2) * a * (2 * a - 1) - cubic) == 0, "r_l's cubic moved"
 
 
 mp.mp.dps = 80
@@ -136,6 +140,13 @@ def r_e(eps):
 
 def r_m(eps):
     return eps + mp.log(1 + mp.sqrt(1 - mp.exp(-2 * eps))) / 2
+
+
+def gap(eps):
+    """``r_m - r_e`` without ``epsilon``: the difference of their two log terms."""
+    em = mp.exp(-2 * eps)
+    u = 11 + (C8 - 13) * em
+    return (mp.log(1 + mp.sqrt(1 - em)) - mp.log((u + mp.sqrt(u * u + 4 * (C8 - 1) * em)) / (2 * (C8 - 1)))) / 2
 
 
 def r_l(eps):
@@ -180,17 +191,18 @@ def check_entangled_pair_forms(trace, det_x, det_p):
 
 
 def check_sweep_columns(trace, det_x, det_p, derived):
-    """One message per ``sweep_profile`` column that misses the derivation at a dyadic point: ``mu_pair`` and
-    ``sigma_shared_A`` by more than 1e-14 (1 + |value|), ``class_final`` at all."""
+    """One message per ``sweep_profile`` column that misses the derivation at a dyadic point: ``mu_pair``, ``mu_m``
+    and ``sigma_shared_A`` by more than 1e-14 (1 + |value|), ``class_final`` at all."""
     bad = []
     for r, eps in POINTS:
         at = {a: sp.exp(2 * r), n: sp.exp(2 * eps) - 1}
         tr, det = trace.subs(at), (det_x * det_p).subs(at)
         mu = float(sp.N(sp.sqrt(2 * det / (tr + sp.sqrt(tr**2 - 4 * det))), 30))
         sigma = float(sp.N(derived["shared"][0][0].subs(at), 30))
+        homodyne = float(sp.N(sp.Min(sp.sqrt(at[a]), sp.sqrt(HOMODYNE2.subs(at))), 30))
         count = sum(bool(sp.N(e.subs(at), 30) < 0) for e in derived["final-via-A'"][0])
         got = sweep_profile([float(r)], float(eps))
-        for name, want in (("mu_pair", mu), ("sigma_shared_A", sigma)):
+        for name, want in (("mu_pair", mu), ("mu_m", homodyne), ("sigma_shared_A", sigma)):
             if not abs(got[name][0] - want) <= 1e-14 * (1 + abs(want)):
                 bad.append(f"sweep_profile {name} at r={r}, epsilon={eps}: {got[name][0]!r} != {want!r}")
         if got["class_final"][0] != _CLASS_BY_COUNT[count]:
@@ -198,23 +210,29 @@ def check_sweep_columns(trace, det_x, det_p, derived):
     return bad
 
 
-#: The sweep reference grid: each epsilon with r at 0, near 0, at epsilon and up to the r ~ 18.37 refusal.
-SWEEP_EPSILONS = (0.0, 1e-8, 0.1, 0.2, 3.0, 10.0)
-SWEEP_RS = (0.0, 1e-8, 1e-4, 0.01, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 18.3)
+#: The sweep reference grid: each epsilon with r at 0, near 0, at epsilon, across the r ~ 18.37 where the
+#: rounded stage matrices stop being positive definite, and up to the r = 354.89 where ``sigma_shared_A``
+#: overflows; epsilon up to 170, below the 176.2 where the pair's discriminant overflows at r = 0.
+SWEEP_EPSILONS = (0.0, 1e-8, 0.1, 0.2, 3.0, 10.0, 20.0, 100.0, 170.0)
+SWEEP_RS = (0.0, 1e-8, 1e-4, 0.01, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 18.3, 50.0, 200.0, 354.0)
 
 
 def print_sweep_reference(trace, det_x, det_p, shared_sigma):
-    """``mu_pair`` and ``sigma_shared_A`` at 60 digits at the float64 ``(r, epsilon)`` of the grid.  A ``sigma``
-    below 1e-40 is the determinant's 60-digit rounding at ``r == epsilon``, where it is 0."""
+    """``mu_pair``, ``mu_m`` and ``sigma_shared_A`` at 60 digits at the float64 ``(r, epsilon)`` of the grid.  A
+    ``sigma`` below 1e-40 of ``exp(2 max(r, epsilon))`` is the determinant's 60-digit rounding at ``r == epsilon``,
+    where it is 0."""
     with mp.workdps(60):
-        tr, det, sigma = (sp.lambdify((a, n), e, "mpmath") for e in (trace, det_x * det_p, shared_sigma))
-        print("# (r, epsilon): (mu_pair, sigma_shared_A)")
+        tr, det, sigma, homodyne2 = (sp.lambdify((a, n), e, "mpmath")
+                                     for e in (trace, det_x * det_p, shared_sigma, HOMODYNE2))
+        print("# (r, epsilon): (mu_pair, mu_m, sigma_shared_A)")
         for eps in SWEEP_EPSILONS:
             for r in sorted({*SWEEP_RS, eps}):
                 at = mp.exp(2 * mp.mpf(r)), mp.expm1(2 * mp.mpf(eps))
                 t, d = tr(*at), det(*at)
                 mu = mp.sqrt(2 * d / (t + mp.sqrt(max(t * t - 4 * d, 0))))
-                print(f"    ({r!r}, {eps!r}): ({float(mu)!r}, {float(mp.chop(sigma(*at), 1e-40))!r}),")
+                mu_m = min(mp.sqrt(at[0]), mp.sqrt(homodyne2(*at)))
+                sig = mp.chop(sigma(*at), 1e-40 * mp.exp(2 * max(r, eps)))
+                print(f"    ({r!r}, {eps!r}): ({float(mu)!r}, {float(mu_m)!r}, {float(sig)!r}),")
 
 
 #: Dyadic (r, epsilon), exact in float64: at 1/8 noise, below r_e, between r_e and r_b, and above r_b.
@@ -262,6 +280,9 @@ def main():
     for eps in ("1e-15", "1e-12", "1e-8", "1e-4", "1e-3", "0.1", "1", "3", "30", "300"):
         e = mp.mpf(float(eps))  # the float64 epsilon the library sees
         print(f"    {eps}: ({float(r_e(e))!r}, {float(r_m(e))!r}),")
+    print("# epsilon: gap")
+    for eps in ("0.1", "3", "30", "1e3", "1e6", "1e12", "1e16", "1e300"):
+        print(f"    {eps}: {float(gap(mp.mpf(float(eps))))!r},")
     print("# epsilon: r_l")
     for eps in ("1e-15", "1e-12", "1e-8", "1e-4", "1e-3", "0.01", "0.03", "0.1", "1", "3", "30", "300", "354",
                 "360", "700"):

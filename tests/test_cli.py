@@ -153,10 +153,13 @@ class TestSweepCommand:
         assert len(payload) == 3
         assert list(payload[0]) == ["r", "mu_pair", "mu_m", "sigma_shared_A", "class_final"]
 
-    def test_rows_beyond_double_precision_exit_1(self, capsys):
-        # from r of about 18.4 the stage entries (exp(2r) +- 1)/2 lose the +-1; analyze refuses those states too
+    def test_rows_past_the_rounded_stages_print(self, capsys):
+        # from r of about 18.4 the stage entries (exp(2r) +- 1)/2 lose the +-1 and analyze refuses those states;
+        # sweep builds no matrix, and its pair's mu is at its r -> inf limit
         code, out = run_cli(capsys, "sweep", "--epsilon", "0.1", "--r-min", "18", "--r-max", "40")
-        assert (code, out.out, out.err) == (1, "", "error: covariance matrix is not positive definite\n")
+        assert (code, out.err) == (0, "")
+        rows = [line.split(",") for line in out.out.splitlines()[1:]]
+        assert len(rows) == 600 and {row[1] for row in rows} == {"0.622194357545"}
         assert run_cli(capsys, "sweep", "--epsilon", "0.1", "--r-min", "16", "--r-max", "18")[0] == 0
 
     def test_bounds_violation_exits_2(self, capsys):
@@ -166,6 +169,50 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--epsilon", "0.1", "--steps", "1"])
         assert exc.value.code == 2
+
+
+#: ``sweep``'s envelope, derived from its forms (``protocol.sweep_profile``): ``sigma_shared_A``, about
+#: ``exp(2 epsilon) - exp(2r)``, leaves float64 at ``r = ln(DBL_MAX) / 2``, and the discriminant's term
+#: ``c^2 (11b + 1)^2``, with ``c ~ exp(2 (epsilon - r))`` and ``b = exp(-2r)``, where ``4 (epsilon - r)`` reaches
+#: ``ln(DBL_MAX) - 2 ln(1 + 11 exp(-2r))``.  Both agree with a bisection of the CLI to the last float.
+LN_MAX = float(np.log(np.finfo(float).max))
+R_EDGE = LN_MAX / 2.0
+
+
+def epsilon_edge(r):
+    return r + (LN_MAX - 2.0 * math.log1p(11.0 * math.exp(-2.0 * r))) / 4.0
+
+
+#: relative distance from an edge to the rows just inside and just past it
+EDGE_STEP = 1e-13
+
+
+class TestSweepEnvelope:
+    def assert_finite_rows(self, capsys, *argv):
+        code, out = run_cli(capsys, "sweep", *argv, "--steps", "3")
+        assert (code, out.err) == (0, "")
+        rows = [line.split(",") for line in out.out.splitlines()[1:]]
+        assert len(rows) == 3 and all(math.isfinite(float(x)) for row in rows for x in row[:4])
+
+    def assert_fails(self, capsys, ufunc, *argv):
+        code, out = run_cli(capsys, "sweep", *argv, "--steps", "3")
+        assert (code, out.out, out.err) == (1, "", f"error: overflow encountered in {ufunc}\n")
+
+    # at epsilon 0 the factor exp(2 epsilon) is 1, so expm1(2 (r - epsilon)) overflows first
+    @pytest.mark.parametrize("eps,ufunc", [(0.0, "expm1"), (0.1, "multiply"), (100.0, "multiply"),
+                                           (170.0, "multiply")])
+    def test_r_axis(self, capsys, eps, ufunc):
+        r_min, inside, past = str(R_EDGE - 1.0), str(R_EDGE * (1 - EDGE_STEP)), str(R_EDGE * (1 + EDGE_STEP))
+        self.assert_finite_rows(capsys, "--epsilon", str(eps), "--r-min", r_min, "--r-max", inside)
+        self.assert_fails(capsys, ufunc, "--epsilon", str(eps), "--r-min", r_min, "--r-max", past)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 5.0])
+    def test_epsilon_axis(self, capsys, r):
+        # the edge rises with r, so the row at --r-min is the first to overflow
+        assert epsilon_edge(0.0) == pytest.approx(176.2032, abs=1e-4) and epsilon_edge(1.0) > 177.98
+        edge, rs = epsilon_edge(r), ("--r-min", str(r), "--r-max", str(r + 1.0))
+        self.assert_finite_rows(capsys, "--epsilon", str(edge * (1 - EDGE_STEP)), *rs)
+        self.assert_fails(capsys, "multiply", "--epsilon", str(edge * (1 + EDGE_STEP)), *rs)
 
 
 class TestGapSweepCommand:
@@ -409,18 +456,18 @@ class TestNonFiniteOutput:
         assert code == 1 and out.out == ""
         assert out.err == "error: covariance matrix is not positive definite\n"
 
-    @pytest.mark.parametrize("argv", [
-        "sweep --epsilon 400 --steps 3",
-        "montecarlo --r 400 --epsilon 0.1 --samples 10",
-        "analyze --r 400 --epsilon 0.1 --stage shared",
+    @pytest.mark.parametrize("argv,line", [
+        ("sweep --epsilon 400 --steps 3", "error: overflow encountered in expm1"),
+        ("montecarlo --r 400 --epsilon 0.1 --samples 10", "error: overflow encountered in exp"),
+        ("analyze --r 400 --epsilon 0.1 --stage shared", "error: overflow encountered in exp"),
     ])
-    def test_overflow_fails_with_one_stderr_line(self, argv):
+    def test_overflow_fails_with_one_stderr_line(self, argv, line):
         # a child process, so numpy warnings would reach its stderr as they do a user's
         env = dict(os.environ, PYTHONPATH=str(Path(gaussent.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-m", "gaussent", *argv.split()],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.splitlines() == ["error: overflow encountered in exp"]
+        assert proc.stderr.splitlines() == [line]
 
     # petabytes of rows or samples: numpy refuses the allocation before it takes any memory
     @pytest.mark.parametrize("argv", [

@@ -1,9 +1,8 @@
 """Every stage's splitting and pair verdicts, and ``sweep``'s final label, against their exact closed forms
 (``tests/closed_forms.py``).
 
-A stage's label must match the closed form or read ``boundary``, and ``sweep``'s must match it; a row refused
-as unphysical fails too.  The cases
-that disagree today are strict xfails naming the ROADMAP item that closes them.
+A stage's label must match the closed form or read ``boundary``, and ``sweep``'s must match it; a stage refused
+as unphysical fails too.  The cases that disagree today are strict xfails naming the ROADMAP item that closes them.
 """
 
 import numpy as np
@@ -52,12 +51,6 @@ KNOWN_PAIR_DISAGREEMENTS = {
     (STAGE_FINAL_VIA_A, 20.0): "10 refused rows (ROADMAP item 12)",
 }
 
-#: Cases whose ``sweep`` ``class_final``, the final-via-A' label, disagrees today: the label is exact, but the
-#: built matrices' gate refuses physical rows.
-KNOWN_SWEEP_DISAGREEMENTS = {
-    (STAGE_FINAL_VIA_APRIME, 20.0): "11 rows refused by the shared or final gate (ROADMAP item 3)",
-}
-
 
 def cases(epsilons, known=KNOWN_DISAGREEMENTS, stages=STAGES):
     for stage in stages:
@@ -100,20 +93,12 @@ def test_pair_labels_match_the_closed_form_or_read_boundary(stage, epsilon):
     assert (wrong, refused) == ([], [])
 
 
-@pytest.mark.parametrize("stage,epsilon", cases(EPSILONS, KNOWN_SWEEP_DISAGREEMENTS, (STAGE_FINAL_VIA_APRIME,)))
+@pytest.mark.parametrize("stage,epsilon", cases(EPSILONS, {}, (STAGE_FINAL_VIA_APRIME,)))
 def test_sweep_class_final_is_the_closed_form_label(stage, epsilon):
-    # one row per call, so a refused row is counted, not the whole grid; the stacked sweep is bit for bit
-    # its rows (tests/test_protocol.py)
-    wrong, refused = [], []
-    for r in R_GRID.tolist():
-        try:
-            label = sweep_profile([r], epsilon)["class_final"][0]
-        except UnphysicalError:
-            refused.append(r)
-            continue
-        if label != _CLASS_BY_COUNT[stage_entangled(stage, r, epsilon).sum()]:
-            wrong.append(r)
-    assert (wrong, refused) == ([], [])
+    # sweep builds no matrix, so no row is refused; the stacked sweep is bit for bit its rows (tests/test_protocol.py)
+    labels = sweep_profile(R_GRID, epsilon)["class_final"].tolist()
+    want = [_CLASS_BY_COUNT[stage_entangled(stage, r, epsilon).sum()] for r in R_GRID.tolist()]
+    assert [r for r, got, w in zip(R_GRID.tolist(), labels, want) if got != w] == []
 
 
 #: Bound on ``|printed sigma - closed form|`` in units of ``1 + |i1| + |i2| + |i3|``, the terms ``sigma``

@@ -97,96 +97,169 @@ class TestInitialCm:
             ProtocolParams(r, eps)
 
 
-#: sweep's (mu_pair, sigma_shared_A) by (r, epsilon): 60-digit values from the stage matrices, rounded to float64
-#: (``tests/derive_closed_forms.py``).  ``sigma_shared_A`` is exactly 0 at r = 0 and at r == epsilon.
+#: sweep's (mu_pair, mu_m, sigma_shared_A) by (r, epsilon): 60-digit values from the stage matrices and the conditioned
+#: pair, rounded to float64 (``tests/derive_closed_forms.py``).  ``sigma_shared_A`` is exactly 0 at r = 0 and at
+#: r == epsilon.  The rows run past the r ~ 18.37 where the rounded stage matrices stop being positive definite,
+#: to r = 354 and epsilon = 170, inside the envelope where the forms overflow.
 SWEEP_REFERENCE = {
-    (0.0, 0.0): (1.0, 0.0),
-    (1e-08, 0.0): (0.9999999938782337, -7.999999920000002e-24),
-    (0.0001, 0.0): (0.9999387865757381, -7.999200079994668e-12),
-    (0.01, 0.0): (0.99392048289208, -7.920794698507384e-06),
-    (0.5, 0.0): (0.7828203181677047, -0.6865848687367595),
-    (1.0, 0.0): (0.6857076206466178, -4.776746309751754),
-    (2.0, 0.0): (0.6311670323746533, -51.65276148718254),
-    (4.0, 0.0): (0.6223598702163928, -2977.958993317077),
-    (6.0, 0.0): (0.6221973894144729, -162751.7914374365),
-    (8.0, 0.0): (0.6221944130758867, -8886107.520508211),
-    (12.0, 0.0): (0.6221943575637573, -26489122126.84347),
-    (16.0, 0.0): (0.6221943575451351, -78962960182677.69),
-    (18.3, 0.0): (0.6221943575451289, -7855576054835266.0),
-    (0.0, 1e-08): (1.0, 0.0),
-    (1e-08, 1e-08): (1.0000000003407417, 0.0),
-    (0.0001, 1e-08): (0.9999387934166705, -7.998400239968004e-12),
-    (0.01, 1e-08): (0.9939204896401793, -7.92078685665653e-06),
-    (0.5, 1e-08): (0.7828203213966392, -0.6865848607452314),
-    (1.0, 1e-08): (0.6857076220060775, -4.776746294798852),
-    (2.0, 1e-08): (0.6311670325748496, -51.652761467908455),
-    (4.0, 1e-08): (0.6223598702201124, -2977.9589932970903),
-    (6.0, 1e-08): (0.622197389414541, -162751.7914374165),
-    (8.0, 1e-08): (0.622194413075888, -8886107.52050819),
-    (12.0, 1e-08): (0.6221943575637573, -26489122126.84347),
-    (16.0, 1e-08): (0.6221943575451351, -78962960182677.69),
-    (18.3, 1e-08): (0.6221943575451289, -7855576054835266.0),
-    (0.0, 0.1): (1.0, 0.0),
-    (1e-08, 0.1): (1.0000000099999997, 8.856109349284598e-17),
-    (0.0001, 0.1): (1.000099971494799, 8.846340110886381e-09),
-    (0.01, 0.1): (1.0096423581720912, 7.888957484862681e-05),
-    (0.1, 0.1): (1.0031505372810985, 0.0),
-    (0.5, 0.1): (0.8175702639630633, -0.5981175514831744),
-    (1.0, 0.1): (0.7005676892795126, -4.611215628594101),
-    (2.0, 0.1): (0.6333788205607024, -51.43939472260615),
-    (4.0, 0.1): (0.6224010451887058, -2977.7377390787033),
-    (6.0, 0.1): (0.622198143788834, -162751.57003739904),
-    (8.0, 0.1): (0.6221944268928118, -8886107.299105503),
-    (12.0, 0.1): (0.6221943575683924, -26489122126.62207),
-    (16.0, 0.1): (0.6221943575451366, -78962960182677.47),
-    (18.3, 0.1): (0.6221943575451289, -7855576054835266.0),
-    (0.0, 0.2): (1.0, 0.0),
-    (1e-08, 0.2): (1.00000001, 1.967298671219107e-16),
-    (0.0001, 0.2): (1.000099988097555, 1.9661054566986733e-08),
-    (0.01, 0.2): (1.009865581469867, 0.00018491999965040013),
-    (0.2, 0.2): (1.0058252303829585, 0.0),
-    (0.5, 0.2): (0.8575303485243131, -0.49006332618261467),
-    (1.0, 0.2): (0.7182273804306378, -4.409035998068011),
-    (2.0, 0.2): (0.6360684264836183, -51.17878796785285),
-    (4.0, 0.2): (0.6224513322253818, -2977.467498541699),
-    (6.0, 0.2): (0.6221990651823531, -162751.29961878262),
-    (8.0, 0.2): (0.6221944437688417, -8886107.028683623),
-    (12.0, 0.2): (0.6221943575740536, -26489122126.351646),
-    (16.0, 0.2): (0.6221943575451385, -78962960182677.2),
-    (18.3, 0.2): (0.6221943575451289, -7855576054835265.0),
-    (0.0, 3.0): (1.0, 0.0),
-    (1e-08, 3.0): (1.00000001, 1.6097151416966375e-13),
-    (0.0001, 3.0): (1.0001000016503183, 1.60939246857294e-05),
-    (0.01, 3.0): (1.0100167162302593, 0.15778140653716155),
-    (0.5, 3.0): (1.5548018053166113, 160.11446405109567),
-    (1.0, 3.0): (2.1582359125742467, 296.09715814321004),
-    (2.0, 3.0): (1.9647876065160688, 336.16955090607746),
-    (3.0, 3.0): (1.0190126798779062, 0.0),
-    (4.0, 3.0): (0.6926397605016649, -2575.8001541781646),
-    (6.0, 3.0): (0.6235668569744758, -162349.36758914453),
-    (8.0, 3.0): (0.6222195265903635, -8885705.091805292),
-    (12.0, 3.0): (0.6221943659885962, -26489121724.41468),
-    (16.0, 3.0): (0.6221943575479613, -78962960182275.27),
-    (18.3, 3.0): (0.6221943575451573, -7855576054834863.0),
-    (0.0, 10.0): (1.0, 0.0),
-    (1e-08, 10.0): (1.00000001, 1.940660738825946e-07),
-    (0.0001, 10.0): (1.0001000016668888, 19.402726907610372),
-    (0.01, 10.0): (1.010016886449736, 190229.65281172495),
-    (0.5, 10.0): (1.556882281915971, 193860561.534585),
-    (1.0, 10.0): (2.2065443526139608, 362731362.13124573),
-    (2.0, 10.0): (3.1627046556497453, 467555676.5437279),
-    (4.0, 10.0): (3.4576044744770718, 484836761.4667798),
-    (6.0, 10.0): (3.4545648559733286, 484996480.7207067),
-    (8.0, 10.0): (3.0436733246884877, 476278977.6929884),
-    (10.0, 10.0): (1.0190653687577382, 0.0),
-    (12.0, 10.0): (0.632258838586225, -26003956932.470314),
-    (16.0, 10.0): (0.6221977648029705, -78962475017483.28),
-    (18.3, 10.0): (0.6221943917944301, -7855575569670071.0),
+    (0.0, 0.0): (1.0, 1.0, 0.0),
+    (1e-08, 0.0): (0.9999999938782337, 0.9999999999999998, -7.999999920000002e-24),
+    (0.0001, 0.0): (0.9999387865757381, 0.9999999800079973, -7.999200079994668e-12),
+    (0.01, 0.0): (0.99392048289208, 0.9998077418494832, -7.920794698507384e-06),
+    (0.5, 0.0): (0.7828203181677047, 0.8690107044169021, -0.6865848687367595),
+    (1.0, 0.0): (0.6857076206466178, 0.7739805175123827, -4.776746309751754),
+    (2.0, 0.0): (0.6311670323746533, 0.716724778960211, -51.65276148718254),
+    (4.0, 0.0): (0.6223598702163928, 0.7072846547901843, -2977.958993317077),
+    (6.0, 0.0): (0.6221973894144729, 0.7071100396363681, -162751.7914374365),
+    (8.0, 0.0): (0.6221944130758867, 0.7071068408673328, -8886107.520508211),
+    (12.0, 0.0): (0.6221943575637573, 0.7071067812065682, -26489122126.84347),
+    (16.0, 0.0): (0.6221943575451351, 0.7071067811865542, -78962960182677.69),
+    (18.3, 0.0): (0.6221943575451289, 0.7071067811865476, -7855576054835266.0),
+    (50.0, 0.0): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
+    (200.0, 0.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
+    (354.0, 0.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (0.0, 1e-08): (1.0, 1.0, 0.0),
+    (1e-08, 1e-08): (1.0000000003407417, 1.0000000099999997, 0.0),
+    (0.0001, 1e-08): (0.9999387934166705, 0.9999999900059978, -7.998400239968004e-12),
+    (0.01, 1e-08): (0.9939204896401793, 0.9998077516533548, -7.92078685665653e-06),
+    (0.5, 1e-08): (0.7828203213966392, 0.8690107086502152, -0.6865848607452314),
+    (1.0, 1e-08): (0.6857076220060775, 0.7739805192609446, -4.776746294798852),
+    (2.0, 1e-08): (0.6311670325748496, 0.7167247792157574, -51.652761467908455),
+    (4.0, 1e-08): (0.6223598702201124, 0.7072846547949273, -2977.9589932970903),
+    (6.0, 1e-08): (0.622197389414541, 0.707110039636455, -162751.7914374165),
+    (8.0, 1e-08): (0.622194413075888, 0.7071068408673343, -8886107.52050819),
+    (12.0, 1e-08): (0.6221943575637573, 0.7071067812065682, -26489122126.84347),
+    (16.0, 1e-08): (0.6221943575451351, 0.7071067811865542, -78962960182677.69),
+    (18.3, 1e-08): (0.6221943575451289, 0.7071067811865476, -7855576054835266.0),
+    (50.0, 1e-08): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
+    (200.0, 1e-08): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
+    (354.0, 1e-08): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (0.0, 0.1): (1.0, 1.0, 0.0),
+    (1e-08, 0.1): (1.0000000099999997, 1.00000001, 8.856109349284598e-17),
+    (0.0001, 0.1): (1.000099971494799, 1.0001000050001667, 8.846340110886381e-09),
+    (0.01, 0.1): (1.0096423581720912, 1.010050167084168, 7.888957484862681e-05),
+    (0.1, 0.1): (1.0031505372810985, 1.073989267551084, 0.0),
+    (0.5, 0.1): (0.8175702639630633, 0.9146743285656046, -0.5981175514831744),
+    (1.0, 0.1): (0.7005676892795126, 0.7931011577810927, -4.611215628594101),
+    (2.0, 0.1): (0.6333788205607024, 0.7195481510941396, -51.43939472260615),
+    (4.0, 0.1): (0.6224010451887058, 0.7073371581167975, -2977.7377390787033),
+    (6.0, 0.1): (0.622198143788834, 0.7071110015408527, -162751.57003739904),
+    (8.0, 0.1): (0.6221944268928118, 0.7071068584853194, -8886107.299105503),
+    (12.0, 0.1): (0.6221943575683924, 0.7071067812124784, -26489122126.62207),
+    (16.0, 0.1): (0.6221943575451366, 0.7071067811865562, -78962960182677.47),
+    (18.3, 0.1): (0.6221943575451289, 0.7071067811865476, -7855576054835266.0),
+    (50.0, 0.1): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
+    (200.0, 0.1): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
+    (354.0, 0.1): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (0.0, 0.2): (1.0, 1.0, 0.0),
+    (1e-08, 0.2): (1.00000001, 1.00000001, 1.967298671219107e-16),
+    (0.0001, 0.2): (1.000099988097555, 1.0001000050001667, 1.9661054566986733e-08),
+    (0.01, 0.2): (1.009865581469867, 1.010050167084168, 0.00018491999965040013),
+    (0.2, 0.2): (1.0058252303829585, 1.1171120480023276, 0.0),
+    (0.5, 0.2): (0.8575303485243131, 0.9675287072297878, -0.49006332618261467),
+    (1.0, 0.2): (0.7182273804306378, 0.8158474589325988, -4.409035998068011),
+    (2.0, 0.2): (0.6360684264836183, 0.7229816680484518, -51.17878796785285),
+    (4.0, 0.2): (0.6224513322253818, 0.707401280538287, -2977.467498541699),
+    (6.0, 0.2): (0.6221990651823531, 0.7071121764118682, -162751.29961878262),
+    (8.0, 0.2): (0.6221944437688417, 0.7071068800039763, -8886107.028683623),
+    (12.0, 0.2): (0.6221943575740536, 0.7071067812196971, -26489122126.351646),
+    (16.0, 0.2): (0.6221943575451385, 0.7071067811865587, -78962960182677.2),
+    (18.3, 0.2): (0.6221943575451289, 0.7071067811865477, -7855576054835265.0),
+    (50.0, 0.2): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
+    (200.0, 0.2): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
+    (354.0, 0.2): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (0.0, 3.0): (1.0, 1.0, 0.0),
+    (1e-08, 3.0): (1.00000001, 1.00000001, 1.6097151416966375e-13),
+    (0.0001, 3.0): (1.0001000016503183, 1.0001000050001667, 1.60939246857294e-05),
+    (0.01, 3.0): (1.0100167162302593, 1.010050167084168, 0.15778140653716155),
+    (0.5, 3.0): (1.5548018053166113, 1.6487212707001282, 160.11446405109567),
+    (1.0, 3.0): (2.1582359125742467, 2.718281828459045, 296.09715814321004),
+    (2.0, 3.0): (1.9647876065160688, 2.8079235867126937, 336.16955090607746),
+    (3.0, 3.0): (1.0190126798779062, 1.2244915446732305, 0.0),
+    (4.0, 3.0): (0.6926397605016649, 0.7970266015073653, -2575.8001541781646),
+    (6.0, 3.0): (0.6235668569744758, 0.7088562732450486, -162349.36758914453),
+    (8.0, 3.0): (0.6222195265903635, 0.7071388631633586, -8885705.091805292),
+    (12.0, 3.0): (0.6221943659885962, 0.7071067919490959, -26489121724.41468),
+    (16.0, 3.0): (0.6221943575479613, 0.7071067811901579, -78962960182275.27),
+    (18.3, 3.0): (0.6221943575451573, 0.7071067811865838, -7855576054834863.0),
+    (50.0, 3.0): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
+    (200.0, 3.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
+    (354.0, 3.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (0.0, 10.0): (1.0, 1.0, 0.0),
+    (1e-08, 10.0): (1.00000001, 1.00000001, 1.940660738825946e-07),
+    (0.0001, 10.0): (1.0001000016668888, 1.0001000050001667, 19.402726907610372),
+    (0.01, 10.0): (1.010016886449736, 1.010050167084168, 190229.65281172495),
+    (0.5, 10.0): (1.556882281915971, 1.6487212707001282, 193860561.534585),
+    (1.0, 10.0): (2.2065443526139608, 2.718281828459045, 362731362.13124573),
+    (2.0, 10.0): (3.1627046556497453, 7.38905609893065, 467555676.5437279),
+    (4.0, 10.0): (3.4576044744770718, 54.598150033144236, 484836761.4667798),
+    (6.0, 10.0): (3.4545648559733286, 54.60272873681013, 484996480.7207067),
+    (8.0, 10.0): (3.0436733246884877, 7.42281280950897, 476278977.6929884),
+    (10.0, 10.0): (1.0190653687577382, 1.2247448711812234, 0.0),
+    (12.0, 10.0): (0.632258838586225, 0.7199414135048048, -26003956932.470314),
+    (16.0, 10.0): (0.6221977648029705, 0.7071111257874183, -78962475017483.28),
+    (18.3, 10.0): (0.6221943917944301, 0.7071068248578947, -7855575569670071.0),
+    (50.0, 10.0): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
+    (200.0, 10.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
+    (354.0, 10.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (0.0, 20.0): (1.0, 1.0, 0.0),
+    (1e-08, 20.0): (1.00000001, 1.00000001, 94.15410485172589),
+    (0.0001, 20.0): (1.0001000016668888, 1.0001000050001667, 9413527811.020191),
+    (0.01, 20.0): (1.0100168864498773, 1.010050167084168, 92292806873209.64),
+    (0.5, 20.0): (1.556882283622088, 1.6487212707001282, 9.405439774614624e+16),
+    (1.0, 20.0): (2.206544391456128, 2.718281828459045, 1.7598463486990765e+17),
+    (2.0, 20.0): (3.1627066341604646, 7.38905609893065, 2.2684176670297222e+17),
+    (4.0, 20.0): (3.457776142350904, 54.598150033144236, 2.3522736740577376e+17),
+    (6.0, 20.0): (3.463985444889294, 403.4287934927351, 2.3538237433161475e+17),
+    (8.0, 20.0): (3.464099486234881, 2980.9579870417283, 2.353852138498926e+17),
+    (12.0, 20.0): (3.464098440106951, 2980.958070907384, 2.3538524033012563e+17),
+    (16.0, 20.0): (3.454679400896643, 54.60272875087589, 2.3530630387683136e+17),
+    (18.3, 20.0): (2.797061886730391, 5.5194293226199544, 2.2752969078218467e+17),
+    (20.0, 20.0): (1.0190653688015627, 1.224744871391589, 0.0),
+    (50.0, 20.0): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
+    (200.0, 20.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
+    (354.0, 20.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (0.0, 100.0): (1.0, 1.0, 0.0),
+    (1e-08, 100.0): (1.00000001, 1.00000001, 2.8903894494425103e+71),
+    (0.0001, 100.0): (1.0001000016668888, 1.0001000050001667, 2.8898114967854915e+79),
+    (0.01, 100.0): (1.0100168864498773, 1.010050167084168, 2.833250400137711e+83),
+    (0.5, 100.0): (1.556882283622088, 1.6487212707001282, 2.887328591220177e+86),
+    (1.0, 100.0): (2.2065443914561285, 2.718281828459045, 5.402463681142942e+86),
+    (2.0, 100.0): (3.1627066341604686, 7.38905609893065, 6.963701159962245e+86),
+    (4.0, 100.0): (3.457776142351258, 54.598150033144236, 7.22112649300315e+86),
+    (6.0, 100.0): (3.4639854449087943, 403.4287934927351, 7.225884972563957e+86),
+    (8.0, 100.0): (3.4640994872997437, 2980.9579870417283, 7.2259721417734e+86),
+    (12.0, 100.0): (3.4641016144239436, 162754.79141900392, 7.225973767580169e+86),
+    (16.0, 100.0): (3.464101615137515, 8886110.520507872, 7.225973768125567e+86),
+    (18.3, 100.0): (3.464101615137752, 88631687.64519419, 7.225973768125748e+86),
+    (50.0, 100.0): (3.4641016151377544, 5.184705528587072e+21, 7.225973768125749e+86),
+    (100.0, 100.0): (1.0190653688015627, 1.224744871391589, 0.0),
+    (200.0, 100.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
+    (354.0, 100.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (0.0, 170.0): (1.0, 1.0, 0.0),
+    (1e-08, 170.0): (1.00000001, 1.00000001, 1.8288741848430515e+132),
+    (0.0001, 170.0): (1.0001000016668888, 1.0001000050001667, 1.8285084892463258e+140),
+    (0.01, 170.0): (1.0100168864498773, 1.010050167084168, 1.79271984161426e+144),
+    (0.5, 170.0): (1.556882283622088, 1.6487212707001282, 1.8269374477063416e+147),
+    (1.0, 170.0): (2.2065443914561285, 2.718281828459045, 3.418371999282034e+147),
+    (2.0, 170.0): (3.1627066341604686, 7.38905609893065, 4.406234351870124e+147),
+    (4.0, 170.0): (3.457776142351258, 54.598150033144236, 4.569118473320934e+147),
+    (6.0, 170.0): (3.4639854449087943, 403.4287934927351, 4.5721293687660254e+147),
+    (8.0, 170.0): (3.4640994872997437, 2980.9579870417283, 4.572184524487997e+147),
+    (12.0, 170.0): (3.4641016144239436, 162754.79141900392, 4.572185553206126e+147),
+    (16.0, 170.0): (3.464101615137515, 8886110.520507872, 4.572185553551223e+147),
+    (18.3, 170.0): (3.464101615137752, 88631687.64519419, 4.5721855535513376e+147),
+    (50.0, 170.0): (3.4641016151377544, 5.184705528587072e+21, 4.572185553551339e+147),
+    (170.0, 170.0): (1.0190653688015627, 1.224744871391589, 0.0),
+    (200.0, 170.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
+    (354.0, 170.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
 }
 SWEEP_EPSILONS = sorted({eps for _, eps in SWEEP_REFERENCE})
-#: Relative bounds against ``SWEEP_REFERENCE``, measured 2.2e-16 and 2.8e-15: ``sigma_shared_A``'s error grows like
-#: ``2 |r - epsilon|`` ulp, from rounding ``r - epsilon`` before ``expm1``.
-SWEEP_MU_BOUND, SWEEP_SIGMA_BOUND = 5e-16, 5e-15
+#: Bounds against ``SWEEP_REFERENCE``: ``mu_pair`` and ``mu_m`` relative, both measured 2.2e-16;
+#: ``sigma_shared_A`` relative, in ulp times ``1 + |r - epsilon|``, measured 1.65 (at r = 1e-8, epsilon = 0): its
+#: error grows like ``2 |r - epsilon|`` ulp at most, from rounding ``r - epsilon`` before ``expm1`` (measured
+#: 2.8e-15 at r = 18.3 and 4.5e-14, 204 ulp, at r = 354, epsilon = 0.1).
+SWEEP_MU_BOUND, SWEEP_SIGMA_ULPS = 5e-16, 2.0
 #: ``sweep_profile`` against the one-state kernels on the built matrices, r <= 6 and epsilon <= 3: ``mu_pair``
 #: relative and ``sigma_shared_A`` in units of ``1 + |i1| + |i2| + |i3|`` of the shared matrix.  Measured 7.0e-12
 #: (at r = 6) and 1.1e-15 on the test's grid, 1.2e-11 and 3.6e-15 on 241 r in [0, 6] x 8 epsilon in [0, 3].
@@ -215,7 +288,8 @@ class TestClosedFormsMatchPipeline:
     @pytest.mark.pinned
     @pytest.mark.parametrize("eps", [0.1, 0.7, 3.0])
     def test_both_routes_reduce_to_the_same_pair(self, eps):
-        # bit for bit, so sweep_profile may read mu_pair from the pair builder; tobytes so signed zeros count
+        # bit for bit, so the pair builder that reduced_pair_cm and the r_e root read is either route's pair;
+        # tobytes so signed zeros count
         rs = np.concatenate((np.linspace(0.0, 1.5, 11), np.linspace(2.0, 18.0, 17)))
         for r in [rs, *rs.tolist()]:
             b = protocol._blocks(r, eps)
@@ -232,12 +306,14 @@ class TestClosedFormsMatchPipeline:
     @pytest.mark.parametrize("eps", SWEEP_EPSILONS)
     def test_sweep_profile_against_the_60_digit_reference(self, eps):
         rs = np.array([r for r, e in SWEEP_REFERENCE if e == eps])
-        want_mu, want_sigma = np.array([SWEEP_REFERENCE[r, eps] for r in rs.tolist()]).T
+        want_mu, want_mu_m, want_sigma = np.array([SWEEP_REFERENCE[r, eps] for r in rs.tolist()]).T
         profile = sweep_profile(rs, eps)
         assert np.array_equal(profile["r"], rs)
         assert (np.abs(profile["mu_pair"] - want_mu) <= SWEEP_MU_BOUND * want_mu).all()
+        assert (np.abs(profile["mu_m"] - want_mu_m) <= SWEEP_MU_BOUND * want_mu_m).all()
         # r = 0 and r == epsilon are exact zeros, and print as 0, not -0
-        assert (np.abs(profile["sigma_shared_A"] - want_sigma) <= SWEEP_SIGMA_BOUND * np.abs(want_sigma)).all()
+        sigma_bound = SWEEP_SIGMA_ULPS * np.finfo(float).eps * (1.0 + np.abs(rs - eps)) * np.abs(want_sigma)
+        assert (np.abs(profile["sigma_shared_A"] - want_sigma) <= sigma_bound).all()
         assert not np.signbit(profile["sigma_shared_A"]).any(where=want_sigma == 0.0)
         assert np.array_equal(profile["mu_m"], [mu_m(ProtocolParams(r, eps)) for r in rs.tolist()])
         assert profile["class_final"].tolist() == [_CLASS_BY_COUNT[3 * (r > eps)] for r in rs.tolist()]
@@ -354,6 +430,20 @@ THRESHOLD_REFERENCE = {
     3: (3.0321263264454648, 3.346263457850675),
     30: (30.032210670111592, 30.346573590279974),
     300: (300.03221067011157, 300.34657359027995),
+}
+
+
+#: r_m - r_e by epsilon: the difference of their log terms at 80 digits, rounded to float64
+#: (``tests/derive_closed_forms.py``).  From epsilon 30 it is the limit (1/2) ln(2 (8 sqrt 2 - 1) / 11) in float64.
+GAP_REFERENCE = {
+    0.1: 0.17179059878557318,
+    3: 0.31413713140521027,
+    30: 0.3143629201683815,
+    1e3: 0.3143629201683815,
+    1e6: 0.3143629201683815,
+    1e12: 0.3143629201683815,
+    1e16: 0.3143629201683815,
+    1e300: 0.3143629201683815,
 }
 
 
@@ -692,6 +782,13 @@ class TestGapProfile:
         for k, eps in enumerate(grid.tolist()):
             assert threshold_report(eps).to_json_dict() == {name: col[k] for name, col in profile.items()}
 
+    @pytest.mark.parametrize("eps", sorted(GAP_REFERENCE))
+    def test_gap_against_the_reference(self, eps):
+        # from the two log1p terms: r_m - r_e, two numbers near epsilon, read 0.375 at 1e15 and 0 from 1e16;
+        # measured within 1.8e-16 relative
+        with np.errstate(all="raise", under="ignore"):
+            assert abs(threshold_report(eps).gap - GAP_REFERENCE[eps]) <= 4e-16 * GAP_REFERENCE[eps]
+
     def test_gap_at_zero_noise_vanishes(self):
         assert threshold_report(0.0).gap == pytest.approx(0.0, abs=1e-12)
 
@@ -777,33 +874,29 @@ def _built_cm(params, stage):
 
 
 class TestOneGate:
-    """A built stage passes one gate, its Cholesky factor, in ``stage_state`` and in ``sweep_profile``."""
+    """A built stage passes one gate, its Cholesky factor, in ``stage_state``; ``sweep_profile`` builds none
+    (its envelope is ``TestSweepEnvelope`` in ``tests/test_cli.py``)."""
 
     #: the small-squeezing range, then step 0.001 across the r ~ 18.37 where the rounded stages stop being
     #: positive definite
     R = np.concatenate((np.linspace(0.0, 1.2, 121), np.linspace(18.30, 18.45, 151))).tolist()
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 3.0, 20.0, 300.0])
-    def test_stage_state_refuses_where_validate_cm_and_sweep_profile_do(self, eps):
+    def test_stage_state_refuses_where_validate_cm_does(self, eps):
         refused = {}
         with np.errstate(over="ignore", invalid="ignore"):  # epsilon 300 overflows the reports of passed stages
             for stage in STAGES:
                 refused[stage] = [_refuses(stage_state, ProtocolParams(r, eps), stage) for r in self.R]
                 assert refused[stage] == [_refuses(validate_cm, _built_cm(ProtocolParams(r, eps), stage))
                                           for r in self.R]
-            # a sweep row holds the shared and the final stage via A', and is refused if either is
-            sweep = [_refuses(sweep_profile, np.array([r]), eps) for r in self.R]
-        assert sweep == [a or b for a, b in zip(refused[STAGE_SHARED], refused[STAGE_FINAL_VIA_APRIME])]
         assert not any(refused[STAGE_INITIAL])
         for stage in STAGES[1:]:
             # below epsilon 20 only rows from r ~ 18.37 are refused; from epsilon 20, rows from r = 0 on
             assert any(refused[stage]) and (refused[stage][0] if eps >= 20.0 else not any(refused[stage][:121]))
 
-    def test_an_infinite_row_is_refused(self):
+    def test_an_infinite_stage_is_refused(self):
         # exp(2 r) overflows at r = 400; LAPACK factors a matrix holding inf without error
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(UnphysicalError, match="^covariance matrix is not positive definite$"):
-                sweep_profile(np.array([0.5, 400.0]), 0.1)
             with pytest.raises(UnphysicalError, match="^covariance matrix is not positive definite$"):
                 stage_state(ProtocolParams(400.0, 0.1), STAGE_SHARED)
 
