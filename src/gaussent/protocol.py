@@ -335,18 +335,19 @@ def gap_profile(epsilons) -> dict:
     return {"epsilon": eps, "r_l": threshold_r_l(eps), "r_e": eps + ex_e, "r_m": eps + ex_m, "gap": ex_m - ex_e}
 
 
-def _entangled_pair(b, x, c):
-    """Invariants of the entangled pair (A-B of the final stage via A') with ``b = exp(-2r)``, ``x = 1 - b``
-    and ``c = (exp(2 epsilon) - 1) b``: ``16 b delta_tilde``, ``4 det X``, ``4 b det P`` and
-    ``256 b^2 (delta_tilde^2 - 4 det X det P)``.  The one term of the last that can be negative, ``c x r1``, is
-    outweighed by the other two, since ``r1^2 - 4 (11b + 1)^2 q2`` is ``(28160 sqrt 2 - 43776) b (b + 3)
-    (b + (61 + 60 sqrt 2) / 71)^2 < 0``, so the discriminant is never negative and keeps its digits as
-    ``r -> 0``.  Plain arithmetic, so the derivation script can pass sympy symbols."""
-    trace = 14.0 + 2.0 * _SQRT2 + c + (24.0 - 12.0 * _SQRT2) * b + 11.0 * c * b + (10.0 * _SQRT2 - 6.0) * b * b
-    det_x = 5.0 - 2.0 * _SQRT2 + 2.0 * _SQRT2 * b - b * b + c * (4.0 - b)
+def _entangled_pair(b, x, c, w):
+    """Invariants of the entangled pair (A-B of the final stage via A') with ``b = exp(-2r)``, ``x = 1 - b``,
+    ``c = (exp(2 epsilon) - 1) b w`` and a power of two ``w`` that scales them exactly: ``16 b w delta_tilde``,
+    ``4 w det X``, ``4 b det P`` and ``256 b^2 w^2 (delta_tilde^2 - 4 det X det P)``.  The one term of the last
+    that can be negative, ``c x r1 w``, is outweighed by the other two, since ``r1^2 - 4 (11b + 1)^2 q2`` is
+    ``(28160 sqrt 2 - 43776) b (b + 3) (b + (61 + 60 sqrt 2) / 71)^2 < 0``, so the discriminant is never negative
+    and keeps its digits as ``r -> 0``.  Plain arithmetic, so the derivation script can pass sympy symbols."""
+    trace = ((14.0 + 2.0 * _SQRT2) * w + c + (24.0 - 12.0 * _SQRT2) * b * w + 11.0 * c * b
+             + (10.0 * _SQRT2 - 6.0) * b * b * w)
+    det_x = (5.0 - 2.0 * _SQRT2 + 2.0 * _SQRT2 * b - b * b) * w + c * (4.0 - b)
     r1 = (68.0 - 220.0 * _SQRT2) * b * b + (24.0 * _SQRT2 - 384.0) * b + 28.0 + 4.0 * _SQRT2
     q2 = (300.0 - 120.0 * _SQRT2) * b * b + (24.0 + 256.0 * _SQRT2) * b + 204.0 + 56.0 * _SQRT2
-    disc = c * c * (11.0 * b + 1.0) * (11.0 * b + 1.0) + c * x * r1 + x * x * q2
+    disc = c * c * (11.0 * b + 1.0) * (11.0 * b + 1.0) + c * x * r1 * w + x * x * q2 * w * w
     return trace, det_x, 3.0 + b, disc
 
 
@@ -355,13 +356,14 @@ def sweep_profile(r, epsilon: float) -> dict:
     ``mu_pair`` (the entangled pair's PT eigenvalue, :func:`_entangled_pair`), ``mu_m``, ``sigma_shared_A``
     (the shared state's ``A|(A'B)`` value, ``-(1 - exp(-2r))^2 exp(2 epsilon) expm1(2 (r - epsilon))``) and
     ``class_final`` (the final state via A' is fully inseparable iff ``r > epsilon``; its three splittings'
-    ``sigma`` are multiples of the shared one).  It builds no matrix; a row is finite until a form overflows:
-    ``sigma_shared_A`` from ``r = ln(DBL_MAX) / 2 = 354.89``, and the discriminant's term ``c^2 (11b + 1)^2``, an
-    artifact of its form, from ``epsilon`` 176.2 at ``r = 0``, 178.0 at ``r = 1`` and ``min(r + 177.4, 354.89)``."""
+    ``sigma`` are multiples of the shared one).  It builds no matrix, and scales each row's pair form by the power
+    of two that brings ``c`` below 1; a row is finite while ``max(r, epsilon) < ln(DBL_MAX) / 2 = 354.89``."""
     r = np.asarray(r, dtype=float)
     _check_domain(r=r, epsilon=epsilon)
     b, x = np.exp(-2.0 * r), -np.expm1(-2.0 * r)
-    trace, det_x, det_p, disc = _entangled_pair(b, x, np.expm1(2.0 * epsilon) * b)
+    c = np.expm1(2.0 * epsilon) * b
+    w = np.ldexp(1.0, -np.maximum(np.frexp(c)[1], 0))
+    trace, det_x, det_p, disc = _entangled_pair(b, x, c * w, w)
     return {"r": r, "mu_pair": np.sqrt(2.0 * det_x * det_p / (trace + np.sqrt(disc))), "mu_m": _mu_m(r, epsilon),
             # + 0.0 prints r = 0 and r == epsilon as 0, not -0
             "sigma_shared_A": -(x * x) * np.exp(2.0 * epsilon) * np.expm1(2.0 * (r - epsilon)) + 0.0,

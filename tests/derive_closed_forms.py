@@ -10,8 +10,12 @@ It needs sympy and mpmath, which the tests do not import; pytest does not collec
   ``{exp(2r), homodyne^2}``, the two branches whose lower one is ``protocol.mu_m``, and that they cross where
   ``a = exp(2r)`` is a root of the cubic ``protocol.threshold_r_l`` solves;
 * that ``protocol._entangled_pair``, from which ``sweep_profile`` takes ``mu_pair``, holds the entangled pair's
-  ``delta_tilde``, ``det X``, ``det P`` and discriminant, coefficient by coefficient, and that the discriminant
-  is positive wherever ``r > 0``;
+  ``delta_tilde``, ``det X``, ``det P`` and discriminant, scaled by powers of ``w``, coefficient by coefficient in
+  ``(b, c, w)``, and that the discriminant is positive wherever ``r > 0``;
+* that any two parties are separable at every ``(r, epsilon)`` outside the two route pairs: with ``a = 1 + u``,
+  the initial A-A' and A'-B products are 0, and the other six never-entangled pair products are a numerator
+  with only positive coefficients in ``(u, n)`` over a positive denominator, while the four route pairs' keep
+  mixed signs;
 
 prints
 
@@ -103,6 +107,30 @@ def pair_products(cm):
     return [pt_product(x.extract(modes, modes), p.extract(modes, modes), 1) for modes in map(list, PAIRS.values())]
 
 
+#: The pairs that no stage entangles, by stage; the rest are the route pairs, A-B and A'-B of each final stage.
+NEVER_ENTANGLED = {"initial": ("A-A'", "A-B", "A'-B"), "shared": ("A-A'", "A-B", "A'-B"),
+                   "final-via-A'": ("A-A'",), "final-via-A": ("A-A'",)}
+
+
+def check_pairs_separable(derived):
+    """Any two parties outside the route pairs are separable at every ``a = 1 + u >= 1`` and ``n >= 0``: their
+    product is 0 or has a numerator with only positive coefficients in ``(u, n)`` over a positive denominator.
+    The route pairs' numerators keep mixed signs, so the test tells the two kinds apart."""
+    u = sp.Symbol("u", positive=True)
+    for stage, (_, products) in derived.items():
+        for pair, product in zip(PAIRS, products):
+            num, den = (sp.Poly(sp.expand(e), u, n) for e in sp.fraction(sp.cancel(product.subs(a, 1 + u))))
+            signs = {bool(k.is_positive) for k in num.coeffs()}
+            where = f"{stage} {pair}"
+            if stage == "initial" and pair != "A-B":
+                assert num.is_zero, f"{where} is not identically 0"
+            elif pair in NEVER_ENTANGLED[stage]:
+                assert signs == {True}, f"{where} has a coefficient that is not positive in (u, n)"
+                assert all(k.is_positive for k in den.coeffs()), f"{where}'s denominator is not positive"
+            else:
+                assert signs == {True, False}, f"{where} keeps one sign in (u, n)"
+
+
 def check_mirror():
     """The via-A layout above, written by hand, is the via-A' one with A and A' swapped and the new A's sign flipped."""
     swap = [2, 3, 0, 1, 4, 5]
@@ -169,24 +197,26 @@ def entangled_pair():
 
 
 def check_entangled_pair_forms(trace, det_x, det_p):
-    """One message per invariant of ``protocol._entangled_pair`` whose coefficient of some ``b^i c^j`` misses the
-    derived one by more than 1e-13 (1 + |coefficient|); ``b = 1/a`` and ``c = n/a``."""
-    b, c = sp.symbols("b c", positive=True)
+    """One message per invariant of ``protocol._entangled_pair`` whose coefficient of some ``b^i c^j w^k`` misses
+    the derived one by more than 1e-13 (1 + |coefficient|); ``b = 1/a``, ``c = n w / a``, and each derived form
+    takes the power of ``w`` that the library's scaling gives it."""
+    b, c, w = sp.symbols("b c w", positive=True)
     derived = [sp.expand(sp.cancel(e.subs(n, c * a).subs(a, 1 / b))) for e in
                (16 * trace / a, 4 * det_x, 4 * det_p / a, 256 * (trace**2 - 4 * det_x * det_p) / a**2)]
     # the discriminant, a quadratic in c >= 0, is positive for 0 < b < 1: its own discriminant in c is negative
     disc = [derived[3].coeff(c, k) for k in range(3)]
     sign = (28160 * S2 - 43776) * b * (b + 3) * (b + (61 + 60 * S2) / 71) ** 2 * (1 - b) ** 2
     assert sp.simplify(disc[1] ** 2 - 4 * disc[2] * disc[0] - sign) == 0, "the pair's discriminant can vanish"
+    scaled = [sp.expand(e.subs(c, c / w) * w**k) for e, k in zip(derived, (1, 1, 0, 2))]
     bad = []
-    for name, got, want in zip(("16 b delta_tilde", "4 det X", "4 b det P", "256 b^2 disc"),
-                               _entangled_pair(b, 1 - b, c), derived):
-        want = sp.Poly(want, b, c)
-        got = sp.Poly(sp.expand(got), b, c)
+    for name, got, want in zip(("16 b w delta_tilde", "4 w det X", "4 b det P", "256 b^2 w^2 disc"),
+                               _entangled_pair(b, 1 - b, c, w), scaled):
+        want = sp.Poly(want, b, c, w)
+        got = sp.Poly(sp.expand(got), b, c, w)
         monomials = set(want.as_dict()) | set(got.as_dict())
         miss = {m: (float(got.as_dict().get(m, 0)), float(want.as_dict().get(m, 0))) for m in monomials}
         if any(abs(g - w) > 1e-13 * (1 + abs(w)) for g, w in miss.values()):
-            bad.append(f"_entangled_pair's {name}: (b, c) powers -> (library, derived) {miss}")
+            bad.append(f"_entangled_pair's {name}: (b, c, w) powers -> (library, derived) {miss}")
     return bad
 
 
@@ -211,10 +241,11 @@ def check_sweep_columns(trace, det_x, det_p, derived):
 
 
 #: The sweep reference grid: each epsilon with r at 0, near 0, at epsilon, across the r ~ 18.37 where the
-#: rounded stage matrices stop being positive definite, and up to the r = 354.89 where ``sigma_shared_A``
-#: overflows; epsilon up to 170, below the 176.2 where the pair's discriminant overflows at r = 0.
-SWEEP_EPSILONS = (0.0, 1e-8, 0.1, 0.2, 3.0, 10.0, 20.0, 100.0, 170.0)
-SWEEP_RS = (0.0, 1e-8, 1e-4, 0.01, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 18.3, 50.0, 200.0, 354.0)
+#: rounded stage matrices stop being positive definite, and up to 354.8, below the ln(DBL_MAX) / 2 = 354.89
+#: where ``exp(2r)`` and ``exp(2 epsilon)`` overflow; epsilon 300 and r 200 need the pair form's scaling where
+#: ``b`` is small.
+SWEEP_EPSILONS = (0.0, 1e-8, 0.1, 0.2, 3.0, 10.0, 20.0, 100.0, 170.0, 200.0, 300.0, 354.8)
+SWEEP_RS = (0.0, 1e-8, 1e-4, 0.01, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 18.3, 50.0, 200.0, 354.0, 354.8)
 
 
 def print_sweep_reference(trace, det_x, det_p, shared_sigma):
@@ -287,13 +318,14 @@ def main():
     for eps in ("1e-15", "1e-12", "1e-8", "1e-4", "1e-3", "0.01", "0.03", "0.1", "1", "3", "30", "300", "354",
                 "360", "700"):
         print(f"    {eps}: {float(r_l(mp.mpf(float(eps))))!r},")
+    check_pairs_separable(derived)
     pair = entangled_pair()
     print_sweep_reference(*pair, derived["shared"][0][0])
     bad = check_numpy_forms(derived) + check_entangled_pair_forms(*pair) + check_sweep_columns(*pair, derived)
     if bad:
         sys.exit("closed_forms disagrees with the derivation:\n" + "\n".join(bad))
-    print(f"the mirror, the conditioned pair, r_l's cubic, the sweep forms and every closed_forms value and sweep "
-          f"column at {len(POINTS)} points agree")
+    print(f"the mirror, the conditioned pair, r_l's cubic, the separable pairs, the sweep forms and every "
+          f"closed_forms value and sweep column at {len(POINTS)} points agree")
 
 
 if __name__ == "__main__":

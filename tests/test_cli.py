@@ -154,7 +154,7 @@ class TestSweepCommand:
         assert list(payload[0]) == ["r", "mu_pair", "mu_m", "sigma_shared_A", "class_final"]
 
     def test_rows_past_the_rounded_stages_print(self, capsys):
-        # from r of about 18.4 the stage entries (exp(2r) +- 1)/2 lose the +-1 and analyze refuses those states;
+        # from r of about 18.2 the stage entries (exp(2r) +- 1)/2 lose the +-1 and analyze refuses those states;
         # sweep builds no matrix, and its pair's mu is at its r -> inf limit
         code, out = run_cli(capsys, "sweep", "--epsilon", "0.1", "--r-min", "18", "--r-max", "40")
         assert (code, out.err) == (0, "")
@@ -171,16 +171,17 @@ class TestSweepCommand:
         assert exc.value.code == 2
 
 
-#: ``sweep``'s envelope, derived from its forms (``protocol.sweep_profile``): ``sigma_shared_A``, about
-#: ``exp(2 epsilon) - exp(2r)``, leaves float64 at ``r = ln(DBL_MAX) / 2``, and the discriminant's term
-#: ``c^2 (11b + 1)^2``, with ``c ~ exp(2 (epsilon - r))`` and ``b = exp(-2r)``, where ``4 (epsilon - r)`` reaches
-#: ``ln(DBL_MAX) - 2 ln(1 + 11 exp(-2r))``.  Both agree with a bisection of the CLI to the last float.
+#: ``sweep``'s envelope, derived from its forms (``protocol.sweep_profile``): every row is finite while
+#: ``max(r, epsilon) < ln(DBL_MAX) / 2``.  On the epsilon axis ``exp(2 epsilon)`` leaves float64 there; on the
+#: r axis ``sigma_shared_A``, about ``exp(2 epsilon) - exp(2r)``, does, where ``exp(2r) = DBL_MAX + exp(2 epsilon)``:
+#: ``ln(DBL_MAX) / 2`` to the last float at small epsilon, 355.19 at epsilon 354.8.  Both agree with a bisection of
+#: the CLI to the last float.
 LN_MAX = float(np.log(np.finfo(float).max))
-R_EDGE = LN_MAX / 2.0
+EDGE = LN_MAX / 2.0
 
 
-def epsilon_edge(r):
-    return r + (LN_MAX - 2.0 * math.log1p(11.0 * math.exp(-2.0 * r))) / 4.0
+def r_edge(eps):
+    return float(np.logaddexp(LN_MAX, 2.0 * eps)) / 2.0
 
 
 #: relative distance from an edge to the rows just inside and just past it
@@ -200,19 +201,19 @@ class TestSweepEnvelope:
 
     # at epsilon 0 the factor exp(2 epsilon) is 1, so expm1(2 (r - epsilon)) overflows first
     @pytest.mark.parametrize("eps,ufunc", [(0.0, "expm1"), (0.1, "multiply"), (100.0, "multiply"),
-                                           (170.0, "multiply")])
+                                           (354.8, "multiply")])
     def test_r_axis(self, capsys, eps, ufunc):
-        r_min, inside, past = str(R_EDGE - 1.0), str(R_EDGE * (1 - EDGE_STEP)), str(R_EDGE * (1 + EDGE_STEP))
+        edge = r_edge(eps)
+        assert edge == (EDGE if eps <= 100.0 else pytest.approx(355.1943, abs=1e-4))
+        r_min, inside, past = str(edge - 1.0), str(edge * (1 - EDGE_STEP)), str(edge * (1 + EDGE_STEP))
         self.assert_finite_rows(capsys, "--epsilon", str(eps), "--r-min", r_min, "--r-max", inside)
         self.assert_fails(capsys, ufunc, "--epsilon", str(eps), "--r-min", r_min, "--r-max", past)
 
-    @pytest.mark.parametrize("r", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("r", [0.0, 1.0, 5.0, 354.8])
     def test_epsilon_axis(self, capsys, r):
-        # the edge rises with r, so the row at --r-min is the first to overflow
-        assert epsilon_edge(0.0) == pytest.approx(176.2032, abs=1e-4) and epsilon_edge(1.0) > 177.98
-        edge, rs = epsilon_edge(r), ("--r-min", str(r), "--r-max", str(r + 1.0))
-        self.assert_finite_rows(capsys, "--epsilon", str(edge * (1 - EDGE_STEP)), *rs)
-        self.assert_fails(capsys, "multiply", "--epsilon", str(edge * (1 + EDGE_STEP)), *rs)
+        rs = ("--r-min", str(r), "--r-max", str(r + 0.05))
+        self.assert_finite_rows(capsys, "--epsilon", str(EDGE * (1 - EDGE_STEP)), *rs)
+        self.assert_fails(capsys, "expm1", "--epsilon", str(EDGE * (1 + EDGE_STEP)), *rs)
 
 
 class TestGapSweepCommand:

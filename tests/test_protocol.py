@@ -100,7 +100,7 @@ class TestInitialCm:
 #: sweep's (mu_pair, mu_m, sigma_shared_A) by (r, epsilon): 60-digit values from the stage matrices and the conditioned
 #: pair, rounded to float64 (``tests/derive_closed_forms.py``).  ``sigma_shared_A`` is exactly 0 at r = 0 and at
 #: r == epsilon.  The rows run past the r ~ 18.37 where the rounded stage matrices stop being positive definite,
-#: to r = 354 and epsilon = 170, inside the envelope where the forms overflow.
+#: to r and epsilon 354.8, inside the ln(DBL_MAX) / 2 = 354.89 where the forms overflow.
 SWEEP_REFERENCE = {
     (0.0, 0.0): (1.0, 1.0, 0.0),
     (1e-08, 0.0): (0.9999999938782337, 0.9999999999999998, -7.999999920000002e-24),
@@ -118,6 +118,7 @@ SWEEP_REFERENCE = {
     (50.0, 0.0): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
     (200.0, 0.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
     (354.0, 0.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (354.8, 0.0): (0.6221943575451288, 0.7071067811865476, -1.4974914744969295e+308),
     (0.0, 1e-08): (1.0, 1.0, 0.0),
     (1e-08, 1e-08): (1.0000000003407417, 1.0000000099999997, 0.0),
     (0.0001, 1e-08): (0.9999387934166705, 0.9999999900059978, -7.998400239968004e-12),
@@ -134,6 +135,7 @@ SWEEP_REFERENCE = {
     (50.0, 1e-08): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
     (200.0, 1e-08): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
     (354.0, 1e-08): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (354.8, 1e-08): (0.6221943575451288, 0.7071067811865476, -1.4974914744969295e+308),
     (0.0, 0.1): (1.0, 1.0, 0.0),
     (1e-08, 0.1): (1.0000000099999997, 1.00000001, 8.856109349284598e-17),
     (0.0001, 0.1): (1.000099971494799, 1.0001000050001667, 8.846340110886381e-09),
@@ -151,6 +153,7 @@ SWEEP_REFERENCE = {
     (50.0, 0.1): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
     (200.0, 0.1): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
     (354.0, 0.1): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (354.8, 0.1): (0.6221943575451288, 0.7071067811865476, -1.4974914744969295e+308),
     (0.0, 0.2): (1.0, 1.0, 0.0),
     (1e-08, 0.2): (1.00000001, 1.00000001, 1.967298671219107e-16),
     (0.0001, 0.2): (1.000099988097555, 1.0001000050001667, 1.9661054566986733e-08),
@@ -168,6 +171,7 @@ SWEEP_REFERENCE = {
     (50.0, 0.2): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
     (200.0, 0.2): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
     (354.0, 0.2): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (354.8, 0.2): (0.6221943575451288, 0.7071067811865476, -1.4974914744969295e+308),
     (0.0, 3.0): (1.0, 1.0, 0.0),
     (1e-08, 3.0): (1.00000001, 1.00000001, 1.6097151416966375e-13),
     (0.0001, 3.0): (1.0001000016503183, 1.0001000050001667, 1.60939246857294e-05),
@@ -185,6 +189,7 @@ SWEEP_REFERENCE = {
     (50.0, 3.0): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
     (200.0, 3.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
     (354.0, 3.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (354.8, 3.0): (0.6221943575451288, 0.7071067811865476, -1.4974914744969295e+308),
     (0.0, 10.0): (1.0, 1.0, 0.0),
     (1e-08, 10.0): (1.00000001, 1.00000001, 1.940660738825946e-07),
     (0.0001, 10.0): (1.0001000016668888, 1.0001000050001667, 19.402726907610372),
@@ -202,6 +207,7 @@ SWEEP_REFERENCE = {
     (50.0, 10.0): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
     (200.0, 10.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
     (354.0, 10.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (354.8, 10.0): (0.6221943575451288, 0.7071067811865476, -1.4974914744969295e+308),
     (0.0, 20.0): (1.0, 1.0, 0.0),
     (1e-08, 20.0): (1.00000001, 1.00000001, 94.15410485172589),
     (0.0001, 20.0): (1.0001000016668888, 1.0001000050001667, 9413527811.020191),
@@ -219,6 +225,7 @@ SWEEP_REFERENCE = {
     (50.0, 20.0): (0.6221943575451288, 0.7071067811865476, -2.6881171418161356e+43),
     (200.0, 20.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
     (354.0, 20.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (354.8, 20.0): (0.6221943575451288, 0.7071067811865476, -1.4974914744969295e+308),
     (0.0, 100.0): (1.0, 1.0, 0.0),
     (1e-08, 100.0): (1.00000001, 1.00000001, 2.8903894494425103e+71),
     (0.0001, 100.0): (1.0001000016668888, 1.0001000050001667, 2.8898114967854915e+79),
@@ -236,6 +243,7 @@ SWEEP_REFERENCE = {
     (100.0, 100.0): (1.0190653688015627, 1.224744871391589, 0.0),
     (200.0, 100.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
     (354.0, 100.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (354.8, 100.0): (0.6221943575451288, 0.7071067811865476, -1.4974914744969295e+308),
     (0.0, 170.0): (1.0, 1.0, 0.0),
     (1e-08, 170.0): (1.00000001, 1.00000001, 1.8288741848430515e+132),
     (0.0001, 170.0): (1.0001000016668888, 1.0001000050001667, 1.8285084892463258e+140),
@@ -253,6 +261,59 @@ SWEEP_REFERENCE = {
     (170.0, 170.0): (1.0190653688015627, 1.224744871391589, 0.0),
     (200.0, 170.0): (0.6221943575451288, 0.7071067811865476, -5.221469689764144e+173),
     (354.0, 170.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (354.8, 170.0): (0.6221943575451288, 0.7071067811865476, -1.4974914744969295e+308),
+    (0.0, 200.0): (1.0, 1.0, 0.0),
+    (1e-08, 200.0): (1.00000001, 1.00000001, 2.0885878341339007e+158),
+    (0.0001, 200.0): (1.0001000016668888, 1.0001000050001667, 2.0881702070600167e+166),
+    (0.01, 200.0): (1.0100168864498773, 1.010050167084168, 2.0472993069926884e+170),
+    (0.5, 200.0): (1.556882283622088, 1.6487212707001282, 2.0863760660116475e+173),
+    (1.0, 200.0): (2.2065443914561285, 2.718281828459045, 3.9038060843190977e+173),
+    (2.0, 200.0): (3.1627066341604686, 7.38905609893065, 5.031952191095404e+173),
+    (4.0, 200.0): (3.457776142351258, 54.598150033144236, 5.217967061475865e+173),
+    (6.0, 200.0): (3.4639854449087943, 403.4287934927351, 5.22140552632412e+173),
+    (8.0, 200.0): (3.4640994872997437, 2980.9579870417283, 5.221468514566202e+173),
+    (12.0, 200.0): (3.4641016144239436, 162754.79141900392, 5.221469689369909e+173),
+    (16.0, 200.0): (3.464101615137515, 8886110.520507872, 5.221469689764011e+173),
+    (18.3, 200.0): (3.464101615137752, 88631687.64519419, 5.221469689764143e+173),
+    (50.0, 200.0): (3.4641016151377544, 5.184705528587072e+21, 5.221469689764144e+173),
+    (200.0, 200.0): (1.0190653688015627, 1.224744871391589, 0.0),
+    (354.0, 200.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (354.8, 200.0): (0.6221943575451288, 0.7071067811865476, -1.4974914744969295e+308),
+    (0.0, 300.0): (1.0, 1.0, 0.0),
+    (1e-08, 300.0): (1.00000001, 1.00000001, 1.5092080901878138e+245),
+    (0.0001, 300.0): (1.0001000016668888, 1.0001000050001667, 1.5089063139597395e+253),
+    (0.01, 300.0): (1.0100168864498773, 1.010050167084168, 1.479373108783119e+257),
+    (0.5, 300.0): (1.556882283622088, 1.6487212707001282, 1.5076098723445562e+260),
+    (1.0, 300.0): (2.2065443914561285, 2.718281828459045, 2.8208800361139496e+260),
+    (2.0, 300.0): (3.1627066341604686, 7.38905609893065, 3.6360754535318273e+260),
+    (4.0, 300.0): (3.457776142351258, 54.598150033144236, 3.7704893109168795e+260),
+    (6.0, 300.0): (3.4639854449087943, 403.4287934927351, 3.772973936596492e+260),
+    (8.0, 300.0): (3.4640994872997437, 2980.9579870417283, 3.77301945173499e+260),
+    (12.0, 300.0): (3.4641016144239436, 162754.79141900392, 3.7730203006450664e+260),
+    (16.0, 300.0): (3.464101615137515, 8886110.520507872, 3.773020300929844e+260),
+    (18.3, 300.0): (3.464101615137752, 88631687.64519419, 3.773020300929939e+260),
+    (50.0, 300.0): (3.4641016151377544, 5.184705528587072e+21, 3.7730203009299397e+260),
+    (200.0, 300.0): (3.4641016151377544, 2.6881171418161356e+43, 3.7730203009299397e+260),
+    (300.0, 300.0): (1.0190653688015627, 1.224744871391589, 0.0),
+    (354.0, 300.0): (0.6221943575451288, 0.7071067811865476, -3.023383144276055e+307),
+    (354.8, 300.0): (0.6221943575451288, 0.7071067811865476, -1.4974914744969295e+308),
+    (0.0, 354.8): (1.0, 1.0, 0.0),
+    (1e-08, 354.8): (1.00000001, 1.00000001, 5.989965778188401e+292),
+    (0.0001, 354.8): (1.0001000016668888, 1.0001000050001667, 5.988768044562013e+300),
+    (0.01, 354.8): (1.0100168864498773, 1.010050167084168, 5.871552340857324e+304),
+    (0.5, 354.8): (1.556882283622088, 1.6487212707001282, 5.98362253748525e+307),
+    (1.0, 354.8): (2.2065443914561285, 2.718281828459045, 1.1195921218918639e+308),
+    (2.0, 354.8): (3.1627066341604686, 7.38905609893065, 1.443138800750538e+308),
+    (4.0, 354.8): (3.457776142351258, 54.598150033144236, 1.4964869381668015e+308),
+    (6.0, 354.8): (3.4639854449087943, 403.4287934927351, 1.4974730727422285e+308),
+    (8.0, 354.8): (3.4640994872997437, 2980.9579870417283, 1.497491137456019e+308),
+    (12.0, 354.8): (3.4641016144239436, 162754.79141900392, 1.4974914743838647e+308),
+    (16.0, 354.8): (3.464101615137515, 8886110.520507872, 1.4974914744968915e+308),
+    (18.3, 354.8): (3.464101615137752, 88631687.64519419, 1.497491474496929e+308),
+    (50.0, 354.8): (3.4641016151377544, 5.184705528587072e+21, 1.4974914744969295e+308),
+    (200.0, 354.8): (3.4641016151377544, 1.6935023304663462e+67, 1.4974914744969295e+308),
+    (354.0, 354.8): (1.7400733602705203, 2.335172889615505, 1.195153160069324e+308),
+    (354.8, 354.8): (1.0190653688015627, 1.224744871391589, 0.0),
 }
 SWEEP_EPSILONS = sorted({eps for _, eps in SWEEP_REFERENCE})
 #: Bounds against ``SWEEP_REFERENCE``: ``mu_pair`` and ``mu_m`` relative, both measured 2.2e-16;
