@@ -9,7 +9,9 @@ formatted in one walk of the payload, into the bytes that
 ``json.dumps(..., indent=2)`` prints for the rounded payload.  ``sweep`` and
 ``gap-sweep`` print the columns of :func:`gaussent.protocol.sweep_profile`
 and :func:`gaussent.protocol.gap_profile` by name: closed forms in ``r`` and
-``epsilon``, no matrix.  ``classify`` validates the matrix it reads once, in
+``epsilon``, no matrix.  ``analyze`` prints a built stage's matrix and its
+report from closed forms, :func:`gaussent.protocol.stage_state`, and judges no
+matrix.  ``classify`` validates the matrix it reads once, in
 :func:`gaussent.core.load_state`, then checks its mode count.  Numeric
 options must be finite and nonnegative.  JSON and CSV share one non-finite
 rule: a NaN or infinity formats as ``nan`` or ``inf``, and finished text
@@ -42,23 +44,26 @@ _STAGE_ALIASES = {**{stage: stage for stage in protocol.STAGES}, "final-via-Apri
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+#: The exponents of a ``"%.12g"`` text that ``repr`` of its float prints without one.
+_REPR_EXPONENTS = ("e+12", "e+13", "e+14", "e+15")
 
 
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` of a payload whose floats are rounded to 12 significant digits, rounded
     and formatted in one walk: ``indent`` is the newline and indent before the next item of ``value``.  A NaN or
     infinity prints as ``nan`` or ``inf``, for ``_write_checked`` to refuse; dict keys must be strings.  Floats,
-    the most common leaf, are tested first."""
+    the most common leaf, are tested first, and a container's float items call ``_float_text`` directly."""
     if isinstance(value, (float, np.floating)):
-        return repr(float("%.12g" % value))
+        return _float_text(value)
     if isinstance(value, str):
         return _encode_str(value)
     inner = indent + "  "
-    if isinstance(value, dict):
-        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+    if isinstance(value, dict):  # a float item skips the call
+        items = [_encode_str(k) + ": " + (_float_text(v) if type(v) is float else _json_text(v, inner))
+                 for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        items = [_json_text(v, inner) for v in value]
+        items = [_float_text(v) if type(v) is float else _json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     if value is None:
         return "null"
@@ -67,6 +72,16 @@ def _json_text(value, indent: str = "\n") -> str:
     if isinstance(value, (int, np.integer)):
         return int.__repr__(int(value))
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(value) -> str:
+    """``repr`` of a float rounded to 12 significant digits: its ``"%.12g"`` text, with ``.0`` appended to an
+    integer, except where ``repr`` drops the exponent (``e+12`` to ``e+15``) or, on a subnormal (``e-3xx``),
+    prints fewer digits; those two go through ``repr``."""
+    text = "%.12g" % value
+    if "e" not in text:
+        return text if "." in text or "n" in text else text + ".0"
+    return repr(float(text)) if text[-4:] in _REPR_EXPONENTS or text[-5:-2] == "e-3" else text
 
 
 def _raise_non_finite(value, path: str = "") -> None:

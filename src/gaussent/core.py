@@ -198,8 +198,8 @@ def _pt_invariants(cm: np.ndarray, rows) -> InvariantTriple:
     m = _OMEGA3 @ cm
     a, b = _PAIRS
     minors = (m[..., a, a] * m[..., b, b] - m[..., a, b] * m[..., b, a])[..., None, :] * _PT_SIGNS[rows, 0]
-    # builtin sum adds the minors left to right; np.sum's pairwise order differs in the last bits
-    i1 = sum(np.moveaxis(minors, -1, 0))
+    # a running sum adds the minors left to right; np.sum's pairwise order differs in the last bits
+    i1 = np.add.accumulate(minors, axis=-1)[..., -1]
     # a C-ordered det4 sums each matrix's 15 minors in pairwise order, as the single-matrix np.sum does
     det4 = np.ascontiguousarray(np.linalg.det(m[..., _QUADS[:, :, None], _QUADS[:, None, :]]))
     return InvariantTriple(i1, (det4[..., None, :] * _PT_SIGNS[rows, 1]).sum(-1), np.linalg.det(m)[..., None])
@@ -338,5 +338,10 @@ def _float_field(data: dict, key: str) -> np.ndarray:
 
 
 def save_state(state: GaussianState, path: str | Path) -> None:
-    """Write a state in the JSON covariance-matrix file format."""
-    Path(path).write_text(json.dumps(state.to_json_dict(), indent=2) + "\n")
+    """Write a state in the JSON covariance-matrix file format: the bytes of ``json.dumps(record, indent=2)``
+    and a newline, ``NaN`` and ``Infinity`` included.  Each field goes through the C encoder on one line, which
+    an indent would replace by the pure-Python one at twice the cost; the record's lists are flat and nonempty, so
+    breaking their ``[``, ``, `` and ``]`` indents them as that would."""
+    fields = ",\n  ".join(f'"{key}": {json.dumps(value)}' for key, value in state.to_json_dict().items())
+    text = fields.replace("[", "[\n    ").replace(", ", ",\n    ").replace("]", "\n  ]")
+    Path(path).write_text("{\n  " + text + "\n}\n")

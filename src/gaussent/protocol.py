@@ -4,24 +4,28 @@ The protocol has two dimensionless knobs: squeezing ``r`` and noise
 ``epsilon``.  A correlated-displacement preparation leaves Alice and Bob
 with a separable two-mode state; Alice splits her mode on a balanced beam
 splitter (mode order (A, A', B)); Bob finally superimposes his mode with
-whichever of A, A' he receives.  Every covariance matrix and threshold of
-that story has a closed form here, and each one is cross-checked against
-the generic transform pipeline and root finders in the test suite.
+whichever of A, A' he receives.  Every covariance matrix, threshold and
+stage report of that story has a closed form here, and each one is
+cross-checked against the generic transform pipeline, root finders and
+kernels in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import GaussianState, _cholesky, _quadratures
+from .core import GaussianState, _quadratures
 from .errors import NumericalFailureError
 from .ops import _preparation_cm, embed_vacuum
-from .separability import (_CLASS_BY_COUNT, _PAIR_QUADS, SeparabilityReport, _localizable_mu, _pt_metrics,
-                           _three_mode_report)
+from .separability import (_CLASS_BY_COUNT, _PAIR_QUADS, SeparabilityReport, _localizable_mu, _pair_record,
+                           _pt_metrics, _report)
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
+_LN4 = math.log(4.0)
+_SQRT3_2 = math.sqrt(3.0) / 2.0
 _C8 = 8.0 * _SQRT2  # recurring constant in the pair-entanglement threshold
 _AB = _PAIR_QUADS[1]  # quadratures of the entangled pair: modes A and B of the final stage via A'
 _MIRROR = _quadratures([1, 0, 2])  # swaps A and A'
@@ -201,7 +205,8 @@ def threshold_r_m(epsilon):
 def _threshold_excesses(epsilon):
     """The ``log1p`` terms ``threshold_r_e - epsilon`` and ``threshold_r_m - epsilon``, after checking ``epsilon``."""
     _check_domain(epsilon=epsilon)
-    em, x = np.exp(-2.0 * epsilon), -np.expm1(-2.0 * epsilon)
+    e2 = -2.0 * np.minimum(epsilon, 400.0)  # exp(e2) is 0 from epsilon 373 on; the cap keeps 2 epsilon finite
+    em, x = np.exp(e2), -np.expm1(e2)
     u = 11.0 + (_C8 - 13.0) * em
     a, b = u * u + 4.0 * (_C8 - 1.0) * em, _C8 + (_C8 - 13.0) * x
     return 0.5 * np.log1p(2.0 * (12.0 - _C8) * x / (np.sqrt(a) + b)), 0.5 * np.log1p(np.sqrt(x))
@@ -220,7 +225,9 @@ def threshold_r_l(epsilon):
     # -(q/2) sqrt(-27/p^3) in [-0.89, 0]; np.power, unlike a float64 scalar's **, rounds a float as it does an array
     w = t / 3.0 + 2.0 * np.sqrt(-p / 3.0) * np.cos(np.arccos(-(q / 2.0) * np.sqrt(27.0) * np.power(-p, -1.5)) / 3.0)
     r = np.minimum(0.5 * (epsilon + np.log(w)), epsilon)
-    b, y, m = np.exp(-2.0 * r), -np.expm1(-2.0 * r), np.exp(2.0 * epsilon - 4.0 * r) * -np.expm1(-2.0 * epsilon)
+    b, y = np.exp(-2.0 * r), -np.expm1(-2.0 * r)
+    # 2 epsilon - 4r doubled last, and epsilon capped where expm1(-2 epsilon) is -1, so both stay finite
+    m = np.exp(2.0 * (epsilon - 2.0 * r)) * -np.expm1(-2.0 * np.minimum(epsilon, 400.0))
     residual = y * (2.0 * y * y + 4.0 * y * b + b * b) - m * (1.0 + y)  # the cubic over a^3
     return r - residual / (2.0 * (b * b - 2.0 * m + 8.0 * y * b + 6.0 * y * y))
 
@@ -373,11 +380,78 @@ def sweep_profile(r, epsilon: float) -> dict:
 def stage_state(params: ProtocolParams, stage: str) -> StageState:
     """Three-mode state and separability report at one protocol stage.
 
-    The initial stage is the fully separable product of the two-mode initial state with the vacuum ancilla
-    A'.  A matrix with no finite Cholesky factor (the rounded stages from r ~ 18.4) raises ``UnphysicalError``."""
+    The state is the stage's correctly rounded matrix; the initial stage is the product of the two-mode initial
+    state with the vacuum ancilla A'.  The report comes from the closed forms in ``(r, epsilon)`` of
+    :func:`_stage_report`, not from the matrix, whose rounding costs about ``exp(2r) 2^-53`` from r ~ 4 on; no gate
+    judges the matrix, so past r ~ 18.4, where it is no longer positive definite, the stage still reports.  A
+    stage whose matrix or forms overflow (``max(r, epsilon)`` at ``ln(DBL_MAX) / 2 = 354.89``) raises under
+    ``np.errstate(over="raise")`` or reports an infinity."""
     if stage == STAGE_INITIAL:
         state = embed_vacuum(initial_cm(params), 1)
     else:
         state = GaussianState(_stage_matrix(_blocks(params.r, params.epsilon), stage))
-    _cholesky(state.cm)
-    return StageState(stage, state, _three_mode_report(state.cm))
+    return StageState(stage, state, _stage_report(stage, params.r, params.epsilon))
+
+
+#: Each stage's pair kinds (:func:`_pair_forms`) in ``PAIR_LABELS`` order; the stage via A mirrors the one via A'.
+_STAGE_PAIRS = {
+    STAGE_INITIAL: ("vacuum-A", "preparation", "vacuum-B"),
+    STAGE_SHARED: ("noise", "shared", "shared"),
+    STAGE_FINAL_VIA_APRIME: ("final", "entangled", "port"),
+    STAGE_FINAL_VIA_A: ("final", "port", "entangled"),
+}
+#: Each stage's splitting ``sigma`` in ``SPLITTING_LABELS`` order, as multiples of the shared ``A|(A'B)`` one.
+_SIGMA_MULTIPLES = {STAGE_INITIAL: (0.0, 0.0, 0.0), STAGE_SHARED: (1.0, 1.0, 0.0),
+                    STAGE_FINAL_VIA_APRIME: (1.0, 0.25, 0.25), STAGE_FINAL_VIA_A: (0.25, 1.0, 0.25)}
+
+
+def _pair_forms(kind: str, u, n, b, x, c):
+    """``(S, P, p, f, g)`` of one pair kind, with ``u = expm1(2r)``, ``n = expm1(2 epsilon)``, ``b = exp(-2r)``,
+    ``x = 1 - b`` and ``c = n b``.  ``S = nu_1^2 + nu_2^2 - 2`` (``delta_tilde - 2``) and
+    ``P = (nu_1^2 - 1)(nu_2^2 - 1)`` (the ``ppt_condition_value``) over the partially transposed spectrum, and its
+    discriminant ``(nu_1^2 - nu_2^2)^2 = S^2 - 4P`` as ``p^2 + f^2 g``, the square completed in ``n``, which keeps
+    its digits where the two values meet.  Only the route pairs' ``P`` and each ``p`` mix signs; no term exceeds
+    the value it sums to, so none overflows first.  Plain arithmetic, so the derivation script can pass sympy
+    symbols."""
+    if kind == "vacuum-A":  # initial A-A', A beside the vacuum A'
+        return n + u, 0.0, n + u, 0.0, 0.0
+    if kind == "vacuum-B":  # initial A'-B
+        return x, 0.0, x, 0.0, 0.0
+    if kind == "preparation":  # initial A-B
+        return n + u + x, n * x, n + u - x, 2.0 * x, u + 1.0
+    if kind == "noise":  # shared A-A': the spectrum is {exp(2r), 1 + c}
+        return c + u, n * x, c - u, 0.0, 0.0
+    if kind == "shared":  # shared A-B and A'-B
+        h = n * (0.25 + 0.25 * b) + 0.5 * u
+        return h + x, n * (0.25 * x * (1.0 + b)) + u * (0.25 * x * x), h - x, x, u + 2.0
+    if kind == "port":  # Bob's output ports: A'-B via A', A-B via A
+        return 0.5 * (c + x) + u, n * (0.25 * x * (2.0 + b)) - (0.25 * x * x) * (u + 2.0), 0.5 * (c - x) - u, x, u + 2.0
+    # final A-A' (k = -1) and the pair the protocol entangles (k = 1) differ in the sign of each sqrt(2) term
+    k = -1.0 if kind == "final" else 1.0
+    h, s = n * (0.0625 + 0.6875 * b), k * _SQRT2
+    return (h + x * ((0.875 + 0.125 * s) * u + 1.25 - 0.5 * s),
+            n * (0.0625 * x * (11.0 + b)) + x * x * ((0.0625 - 0.5 * s) * u - 0.5 * s),
+            h + x * ((0.875 + 0.125 * s) * u - 20.75 - 0.5 * s + 240.0 / (u + 12.0)),
+            x * (5.0 * _SQRT2 + k - 60.0 * _SQRT2 / (u + 12.0)) * _SQRT3_2, u + 4.0 / 3.0)
+
+
+def _stage_report(stage: str, r: float, epsilon: float) -> SeparabilityReport:
+    """A stage's report from closed forms in ``(r, epsilon)``, in Python floats.  Each splitting ``sigma`` is a
+    multiple of the shared one, ``-(1 - exp(-2r))^2 exp(2 epsilon) expm1(2 (r - epsilon))``: entangled iff the
+    multiple is not 0 and ``r > epsilon``, ``boundary`` iff the value is exactly 0 (a 0 multiple, ``r = 0`` or
+    ``r = epsilon``).  A pair's lower PT value is ``mu^2 = 1 + t`` with ``t = P / ((S + sqrt(p^2 + f^2 g)) / 2)``
+    (:func:`_pair_forms`), and its log negativity ``-log1p(t) / ln 4``; its verdict is the caller-input one."""
+    if stage not in _STAGE_PAIRS:
+        raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
+    r, epsilon = float(r), float(epsilon)
+    u, n, b, x = math.expm1(2.0 * r), math.expm1(2.0 * epsilon), math.exp(-2.0 * r), -math.expm1(-2.0 * r)
+    multiples = _SIGMA_MULTIPLES[stage]
+    sigma = -(x * x) * math.exp(2.0 * epsilon) * math.expm1(2.0 * (r - epsilon)) if any(multiples) else 0.0
+    pairs = []
+    for kind in _STAGE_PAIRS[stage]:
+        s, prod, p, f, g = _pair_forms(kind, u, n, b, x, n * b)
+        t = prod and prod / (0.5 * s + 0.5 * math.hypot(p, f * math.sqrt(g)))  # nu^2 - 1 of the lower value
+        pairs.append(_pair_record(math.sqrt(1.0 + t), max(0.0, -math.log1p(t) / _LN4), s + 2.0, prod))
+    return _report([m * sigma + 0.0 if m else 0.0 for m in multiples],  # + 0.0 prints -0 as 0
+                   [bool(m) and r > epsilon for m in multiples],
+                   [not m or r == 0.0 or r == epsilon for m in multiples], pairs)

@@ -7,12 +7,14 @@ means entangled.  Two-mode states are judged by the lower symplectic
 eigenvalue ``mu`` of the partial transpose: below 1 means entangled.  Each
 verdict is decided once: a splitting's by the stacked kernel ``_splittings``,
 a pair's by ``_entanglement_metrics``, the one constructor of the pair record,
-from the numbers the stacked kernel ``_pt_metrics`` returns.
+from the numbers the stacked kernel ``_pt_metrics`` returns.  ``_report``
+assembles the report of either source: these kernels on a caller's matrix,
+or the protocol's closed forms on a built stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +56,8 @@ class SplittingVerdict:
     boundary: bool
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"splitting": self.splitting, "sigma": self.sigma, "entangled": self.entangled,
+                "boundary": self.boundary}
 
 
 @dataclass
@@ -75,7 +78,8 @@ class EntanglementMetrics:
     boundary: bool
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "boundary"}
+        return {"mu": self.mu, "log_negativity": self.log_negativity, "delta_tilde": self.delta_tilde,
+                "ppt_condition_value": self.ppt_condition_value, "entangled": self.entangled}
 
 
 @dataclass
@@ -163,9 +167,13 @@ def two_mode_metrics(cm: np.ndarray) -> EntanglementMetrics:
 
 
 def _entanglement_metrics(mu: float, delta_tilde: float, det_cm: float) -> EntanglementMetrics:
-    """The pair record of one matrix's ``_pt_metrics``, with its verdict against ``BOUNDARY_TOL``."""
-    return EntanglementMetrics(mu, log_negativity(mu), delta_tilde, det_cm - delta_tilde + 1.0,
-                               mu < 1.0 - BOUNDARY_TOL, abs(mu - 1.0) <= BOUNDARY_TOL)
+    """The pair record of one matrix's ``_pt_metrics``."""
+    return _pair_record(mu, log_negativity(mu), delta_tilde, det_cm - delta_tilde + 1.0)
+
+
+def _pair_record(mu: float, log_neg: float, delta_tilde: float, ppt: float) -> EntanglementMetrics:
+    """The pair record, with its verdict against ``BOUNDARY_TOL``."""
+    return EntanglementMetrics(mu, log_neg, delta_tilde, ppt, mu < 1.0 - BOUNDARY_TOL, abs(mu - 1.0) <= BOUNDARY_TOL)
 
 
 def log_negativity(mu: float) -> float:
@@ -191,14 +199,21 @@ def classify_three_mode(cm: np.ndarray) -> SeparabilityReport:
 
 def _three_mode_report(cm: np.ndarray) -> SeparabilityReport:
     """:func:`classify_three_mode` of a 6x6 matrix already judged physical."""
-    sigma, entangled, boundary, label = _splittings(cm)
+    sigma, entangled, boundary, _ = _splittings(cm)
     pairs = _pt_metrics(cm[_PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]])
-    label = label.item()
-    verdicts = map(SplittingVerdict, SPLITTING_LABELS, sigma.tolist(), entangled.tolist(), boundary.tolist())
-    pairwise = zip(PAIR_LABELS, map(_entanglement_metrics, *(x.tolist() for x in pairs)))
-    separable = SPLITTING_LABELS[entangled.argmin()] if label == CLASS_ONE_MODE_BISEPARABLE else None
-    entangled_one = SPLITTING_LABELS[entangled.argmax()] if label == CLASS_TWO_MODE_BISEPARABLE else None
-    return SeparabilityReport(tuple(verdicts), tuple(pairwise), label, separable, entangled_one)
+    pairwise = map(_entanglement_metrics, *(x.tolist() for x in pairs))
+    return _report(sigma.tolist(), entangled.tolist(), boundary.tolist(), pairwise)
+
+
+def _report(sigma: list, entangled: list, boundary: list, pairwise) -> SeparabilityReport:
+    """The report of the three splittings' ``sigma`` and flags and the three pair records, in label order; the class
+    label follows from the entangled count."""
+    count = sum(entangled)
+    separable = SPLITTING_LABELS[entangled.index(False)] if count == 2 else None
+    entangled_one = SPLITTING_LABELS[entangled.index(True)] if count == 1 else None
+    verdicts = tuple(map(SplittingVerdict, SPLITTING_LABELS, sigma, entangled, boundary))
+    label = _CLASS_BY_COUNT[count].item()
+    return SeparabilityReport(verdicts, tuple(zip(PAIR_LABELS, pairwise)), label, separable, entangled_one)
 
 
 def _localizable_mu(cm: np.ndarray, measured_mode: int) -> np.ndarray:

@@ -16,6 +16,9 @@ It needs sympy and mpmath, which the tests do not import; pytest does not collec
   the initial A-A' and A'-B products are 0, and the other six never-entangled pair products are a numerator
   with only positive coefficients in ``(u, n)`` over a positive denominator, while the four route pairs' keep
   mixed signs;
+* that ``protocol._pair_forms``, from which ``stage_state`` reports every built stage, holds each pair's
+  ``delta_tilde - 2``, ``det - delta_tilde + 1`` and discriminant ``delta_tilde^2 - 4 det``, coefficient by
+  coefficient in ``(u, n)``, and ``protocol._SIGMA_MULTIPLES`` each splitting's ``sigma`` over the shared one;
 
 prints
 
@@ -26,10 +29,12 @@ prints
   ``tests/test_protocol.py``);
 * ``sweep``'s ``mu_pair``, ``mu_m`` and ``sigma_shared_A`` at 60 digits, from the stage matrices and the
   conditioned pair, rounded to float64 (held in ``tests/test_protocol.py``);
+* the stage rows: the shared ``sigma`` and the lower PT value ``mu`` of the six pairs that are not a mode beside
+  the vacuum, at 60 digits from the stage matrices, rounded to float64 (held in ``tests/test_closed_forms.py``);
 
-and exits nonzero unless every numpy form of ``tests/closed_forms.py``, and every ``sweep_profile`` column,
-agrees with the derived one at a few dyadic ``(r, epsilon)``, in value and in the sign that decides
-entanglement.
+and exits nonzero unless every numpy form of ``tests/closed_forms.py``, every ``sweep_profile`` column and every
+number and flag of ``protocol._stage_report`` agrees with the derived one at a few dyadic ``(r, epsilon)``, in
+value and in the sign that decides entanglement.
 
 Every stage matrix has no x-p correlation, so it is ``X`` on the positions and ``P`` on the momenta.  The
 partial transpose of mode k flips the sign of ``p_k``, ``P -> D P D``, and the product of ``nu^2 - 1`` over
@@ -44,7 +49,7 @@ import numpy as np
 import sympy as sp
 
 import closed_forms
-from gaussent.protocol import _entangled_pair, sweep_profile
+from gaussent.protocol import _SIGMA_MULTIPLES, _STAGE_PAIRS, _entangled_pair, _pair_forms, _stage_report, sweep_profile
 from gaussent.separability import _CLASS_BY_COUNT
 
 a, n = sp.symbols("a n", positive=True)
@@ -105,6 +110,16 @@ def splitting_sigmas(cm):
 def pair_products(cm):
     x, p = x_and_p(cm)
     return [pt_product(x.extract(modes, modes), p.extract(modes, modes), 1) for modes in map(list, PAIRS.values())]
+
+
+def pair_invariants(cm):
+    """``(delta_tilde, det)`` of each pair, in ``PAIRS`` order: the trace and determinant of ``X D P D``."""
+    x, p = x_and_p(cm)
+    d, out = sp.diag(1, -1), []
+    for modes in map(list, PAIRS.values()):
+        xx, pp = x.extract(modes, modes), p.extract(modes, modes)
+        out.append((sp.simplify((xx * d * pp * d).trace()), sp.factor(xx.det() * pp.det())))
+    return out
 
 
 #: The pairs that no stage entangles, by stage; the rest are the route pairs, A-B and A'-B of each final stage.
@@ -240,6 +255,88 @@ def check_sweep_columns(trace, det_x, det_p, derived):
     return bad
 
 
+def check_stage_forms(derived, invariants):
+    """One message per ``protocol._pair_forms`` value whose coefficient of some ``u^i n^j`` misses the derived one
+    by more than 1e-12 (1 + |coefficient|), each side over the other's denominator: ``S`` against
+    ``delta_tilde - 2``, ``P`` against ``det - delta_tilde + 1`` and ``p^2 + f^2 g`` against
+    ``delta_tilde^2 - 4 det``, with ``a = 1 + u``, ``b = 1/a``, ``x = u/a`` and ``c = n/a``; and one per stage whose
+    ``protocol._SIGMA_MULTIPLES`` are not its ``sigma`` over the shared one."""
+    u = sp.Symbol("u", positive=True)
+    bad = []
+    shared = derived["shared"][0][0]
+    for stage, (sigmas, _) in derived.items():
+        if [sp.simplify(s - sp.Rational(m) * shared) for s, m in zip(sigmas, _SIGMA_MULTIPLES[stage])] != [0] * 3:
+            bad.append(f"_SIGMA_MULTIPLES[{stage!r}] = {_SIGMA_MULTIPLES[stage]} misses {sigmas}")
+        for pair, kind, (dt, det) in zip(PAIRS, _STAGE_PAIRS[stage], invariants[stage]):
+            s, prod, p, f, g = _pair_forms(kind, u, n, 1 / (1 + u), u / (1 + u), n / (1 + u))
+            for name, got, want in (("S", s, dt - 2), ("P", prod, det - dt + 1),
+                                    ("p^2 + f^2 g", p * p + f * f * g, dt * dt - 4 * det)):
+                got_num, got_den = sp.fraction(sp.together(sp.sympify(got)))
+                want_num, want_den = sp.fraction(sp.cancel(want.subs(a, 1 + u)))
+                lhs = sp.Poly(sp.expand(got_num * want_den), u, n).as_dict()
+                rhs = sp.Poly(sp.expand(want_num * got_den), u, n).as_dict()
+                miss = {m: (float(lhs.get(m, 0)), float(rhs.get(m, 0))) for m in set(lhs) | set(rhs)}
+                if any(abs(g - w) > 1e-12 * (1 + abs(w)) for g, w in miss.values()):
+                    bad.append(f"_pair_forms({kind!r}) {name} for {stage} {pair}: (u, n) powers -> {miss}")
+    return bad
+
+
+def check_stage_reports(derived, invariants):
+    """One message per ``protocol._stage_report`` number that misses the derivation at a dyadic point by more than
+    1e-14 (1 + |value|): each splitting's ``sigma``, each pair's ``mu``, ``delta_tilde`` and
+    ``ppt_condition_value``; and one per entangled flag that disagrees with the derived sign."""
+    bad = []
+    for r, eps in POINTS:
+        at = {a: sp.exp(2 * r), n: sp.exp(2 * eps) - 1}
+        for stage, (sigmas, products) in derived.items():
+            report = _stage_report(stage, float(r), float(eps))
+            want, got = [], []
+            for sigma, verdict in zip(sigmas, report.verdicts):
+                value = float(sp.N(sigma.subs(at), 30))
+                want.append(("sigma", value, value < 0))
+                got.append((verdict.sigma, verdict.entangled))
+            for (dt, det), product, (_, m) in zip(invariants[stage], products, report.pairwise):
+                mu = float(sp.N(sp.sqrt((dt - sp.sqrt(dt * dt - 4 * det)) / 2).subs(at), 30))
+                dt, value = (float(sp.N(e.subs(at), 30)) for e in (dt, product))
+                want += [("mu", mu, value < 0), ("delta_tilde", dt, None), ("ppt_condition_value", value, None)]
+                got += [(m.mu, m.entangled), (m.delta_tilde, None), (m.ppt_condition_value, None)]
+            for (name, w, flag), (g, got_flag) in zip(want, got):
+                if not abs(g - w) <= 1e-14 * (1 + abs(w)) or flag != got_flag:
+                    bad.append(f"_stage_report({stage!r}) {name} at r={r}, epsilon={eps}: {g!r} != {w!r}")
+    return bad
+
+
+#: The stage rows' grid: each epsilon with r at 0, near 0, at epsilon, across the r ~ 18.37 where the rounded stage
+#: matrices stop being positive definite, and up to 354, below the ln(DBL_MAX) / 2 = 354.89 where ``exp(2r)``
+#: overflows.
+STAGE_EPSILONS = (0.0, 1e-8, 0.1, 3.0, 20.0, 300.0)
+STAGE_RS = (0.0, 1e-8, 0.01, 0.5, 2.0, 6.0, 12.0, 18.3, 19.0, 50.0, 200.0, 354.0)
+#: The rows' pairs: (stage, pair) for initial A-B, shared A-A' and A-B, and the final via A' stage's three pairs.
+STAGE_ROW_PAIRS = (("initial", 1), ("shared", 0), ("shared", 1), ("final-via-A'", 0), ("final-via-A'", 1),
+                   ("final-via-A'", 2))
+
+
+def print_stage_reference(derived, invariants):
+    """The shared ``A|(A'B)`` ``sigma`` and the ``STAGE_ROW_PAIRS``' ``mu`` at 60 digits at the float64
+    ``(r, epsilon)`` of the grid, from the derived pair invariants at 900 working digits, which survive their
+    cancellation where ``exp(2r)`` nears ``DBL_MAX``.  The other stages' splittings are multiples of the shared one,
+    and the other pairs are these or a mode beside the vacuum, whose ``mu`` is 1."""
+    with mp.workdps(900):
+        sigma = sp.lambdify((a, n), derived["shared"][0][0], "mpmath")
+        pairs = [sp.lambdify((a, n), invariants[stage][k], "mpmath") for stage, k in STAGE_ROW_PAIRS]
+        print("# (r, epsilon): (sigma_shared_A, mu of initial A-B, shared A-A', shared A-B, final via A' A-A', A-B, "
+              "A'-B)")
+        for eps in STAGE_EPSILONS:
+            for r in sorted({*STAGE_RS, eps}):
+                at = mp.exp(2 * mp.mpf(r)), mp.expm1(2 * mp.mpf(eps))
+                mus = []
+                for invariants_at in pairs:
+                    dt, det = invariants_at(*at)
+                    mus.append(float(mp.sqrt((dt - mp.sqrt(max(dt * dt - 4 * det, 0))) / 2)))
+                values = [repr(float(sigma(*at)))] + list(map(repr, mus))
+                print(f"    ({r!r}, {eps!r}):\n        ({', '.join(values[:4])},\n         {', '.join(values[4:])}),")
+
+
 #: The sweep reference grid: each epsilon with r at 0, near 0, at epsilon, across the r ~ 18.37 where the
 #: rounded stage matrices stop being positive definite, and up to 354.8, below the ln(DBL_MAX) / 2 = 354.89
 #: where ``exp(2r)`` and ``exp(2 epsilon)`` overflow; epsilon 300 and r 200 need the pair form's scaling where
@@ -321,11 +418,14 @@ def main():
     check_pairs_separable(derived)
     pair = entangled_pair()
     print_sweep_reference(*pair, derived["shared"][0][0])
-    bad = check_numpy_forms(derived) + check_entangled_pair_forms(*pair) + check_sweep_columns(*pair, derived)
+    invariants = {stage: pair_invariants(cm) for stage, cm in STAGES.items()}
+    print_stage_reference(derived, invariants)
+    bad = (check_numpy_forms(derived) + check_entangled_pair_forms(*pair) + check_sweep_columns(*pair, derived)
+           + check_stage_forms(derived, invariants) + check_stage_reports(derived, invariants))
     if bad:
         sys.exit("closed_forms disagrees with the derivation:\n" + "\n".join(bad))
-    print(f"the mirror, the conditioned pair, r_l's cubic, the separable pairs, the sweep forms and every "
-          f"closed_forms value and sweep column at {len(POINTS)} points agree")
+    print(f"the mirror, the conditioned pair, r_l's cubic, the separable pairs, the sweep and stage forms and every "
+          f"closed_forms value, sweep column and stage report at {len(POINTS)} points agree")
 
 
 if __name__ == "__main__":

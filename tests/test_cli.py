@@ -88,12 +88,16 @@ class TestThresholdsCommand:
         assert payload["r_m"] == round12(threshold_r_m(0.37))
         assert payload["gap"] == round12(threshold_r_m(0.37) - threshold_r_e(0.37))
 
-    @pytest.mark.parametrize("eps", ["400", "700"])
+    @pytest.mark.parametrize("eps", ["400", "700", "8.9e307", "9e307", "1e308", "1.7976931348623157e308"])
     def test_noise_past_the_exp_overflow(self, capsys, eps):
-        # exp(2 epsilon) overflows from epsilon ~ 354.9; r_l is epsilon / 2 to the printed digits there
+        # exp(2 epsilon) overflows from epsilon ~ 354.9, and 2 epsilon from DBL_MAX / 2; r_l is epsilon / 2 to the
+        # printed digits there, and the gap its limit
         code, out = run_cli(capsys, "thresholds", "--epsilon", eps)
         assert (code, out.err) == (0, "")
-        assert json.loads(out.out)["r_l"] == float(eps) / 2.0
+        payload = json.loads(out.out)
+        assert payload["r_l"] == round12(float(eps) / 2.0) and payload["gap"] == 0.314362920168
+        code, out = run_cli(capsys, "gap-sweep", "--eps-min", "0", "--eps-max", eps, "--steps", "3")
+        assert (code, out.err) == (0, "")
 
     def test_output_file_round_trips(self, tmp_path, capsys):
         target = tmp_path / "thresholds.json"
@@ -266,6 +270,46 @@ class TestAnalyzeCommand:
         assert "entangled_splitting" not in report
 
 
+#: ``analyze``'s envelope, derived from the stage matrices and the forms of ``protocol._stage_report``: on the
+#: epsilon axis every stage prints while ``epsilon < ln(DBL_MAX) / 2``, where the matrix's ``exp(2 epsilon)`` leaves
+#: float64; on the r axis the initial and shared stages print while ``r < ln(DBL_MAX) / 2``, where ``exp(2r)`` does,
+#: and the finals while the entangled pair's ``delta_tilde``, about ``(14 + 2 sqrt 2) / 16 exp(2r)``, is finite.
+#: All agree with a bisection of the CLI to the last float.
+FINAL_R_EDGE = (LN_MAX - math.log((14.0 + 2.0 * math.sqrt(2.0)) / 16.0)) / 2.0
+
+
+class TestAnalyzeEnvelope:
+    def assert_prints(self, capsys, r, eps, stage):
+        code, out = run_cli(capsys, "analyze", "--r", repr(r), "--epsilon", repr(eps), "--stage", stage)
+        assert (code, out.err) == (0, "")
+        report = json.loads(out.out)["report"]
+        numbers = [v["sigma"] for v in report["verdicts"]] + [x for m in report["pairwise"] for x in m.values()
+                                                               if type(x) is float]
+        assert all(math.isfinite(x) for x in numbers)
+
+    def assert_fails(self, capsys, r, eps, stage, line):
+        code, out = run_cli(capsys, "analyze", "--r", repr(r), "--epsilon", repr(eps), "--stage", stage)
+        assert (code, out.out, out.err) == (1, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 100.0])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_r_axis(self, capsys, stage, eps):
+        if stage.startswith("final"):
+            edge, k = FINAL_R_EDGE, 1 if stage == STAGE_FINAL_VIA_APRIME else 2
+            line = f"non-finite value in output at report.pairwise[{k}].delta_tilde = inf"
+        else:
+            edge, line = EDGE, "overflow encountered in exp"
+        assert edge == pytest.approx(354.8661 if stage.startswith("final") else 354.8914, abs=1e-4)
+        self.assert_prints(capsys, edge * (1 - EDGE_STEP), eps, stage)
+        self.assert_fails(capsys, edge * (1 + EDGE_STEP), eps, stage, line)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_epsilon_axis(self, capsys, stage, r):
+        self.assert_prints(capsys, r, EDGE * (1 - EDGE_STEP), stage)
+        self.assert_fails(capsys, r, EDGE * (1 + EDGE_STEP), stage, "overflow encountered in exp")
+
+
 class TestMontecarloCommand:
     def test_schema_and_library_agreement(self, capsys):
         code, out = run_cli(capsys, "montecarlo", "--r", "0.3", "--epsilon", "0.1",
@@ -341,14 +385,19 @@ class TestClassifyCommand:
     @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("r", [9.0, 12.0, 16.0])
     def test_saved_stage_state_round_trips(self, tmp_path, capsys, r, eps, stage):
-        # a full-precision record of a physical stage matrix classifies as analyze reports it
+        # a full-precision record of a physical stage matrix classifies with the labels analyze reports; the numbers
+        # differ, since classify reads the rounded matrix and analyze the closed forms
         state = stage_state(ProtocolParams(r, eps), stage)
         path = tmp_path / "stage.json"
         save_state(state.state, path)
         code, out = run_cli(capsys, "classify", "--input", str(path))
         assert code == 0, out.err
         _, want = run_cli(capsys, "analyze", "--r", str(r), "--epsilon", str(eps), "--stage", stage)
-        assert json.loads(out.out) == json.loads(want.out)["report"]
+        got, want = json.loads(out.out), json.loads(want.out)["report"]
+        labels = [("verdicts", ("splitting", "entangled", "boundary")), ("pairwise", ("pair", "entangled"))]
+        assert got["class"] == want["class"]
+        for key, fields in labels:
+            assert [[v[f] for f in fields] for v in got[key]] == [[v[f] for f in fields] for v in want[key]]
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="sigma is 0 on every pure state, so every splitting reads boundary (ROADMAP item 8)")
@@ -446,16 +495,16 @@ class TestNonFiniteOutput:
             _emit_profile({"x": np.array([1.0, np.inf])}, "json", None)
         assert capsys.readouterr().out == ""
 
-    def test_infinite_log_negativity_is_named(self, capsys):
-        # the pair's mu cancels to 0 at this squeezing, so its log negativity is inf
+    def test_stages_past_the_rounded_matrix_print(self, capsys):
+        # the rounded initial matrix's A-A' pair once gave mu 0 here, so its log negativity was inf; a mode beside
+        # the vacuum has mu 1
         code, out = run_cli(capsys, "analyze", "--r", "25", "--epsilon", "0.1", "--stage", "initial")
-        assert code == 1
-        assert out.out == ""
-        assert "at report.pairwise[0].log_negativity = inf" in out.err
+        assert (code, out.err) == (0, "")
+        assert [m["mu"] for m in json.loads(out.out)["report"]["pairwise"]] == [1.0, 1.0, 1.0]
         # the final stage's rounded matrix is no longer positive definite at this squeezing
         code, out = run_cli(capsys, "analyze", "--r", "25", "--epsilon", "0.1", "--stage", "final-via-A")
-        assert code == 1 and out.out == ""
-        assert out.err == "error: covariance matrix is not positive definite\n"
+        assert (code, out.err) == (0, "")
+        assert json.loads(out.out)["report"]["class"] == "fully-inseparable"
 
     @pytest.mark.parametrize("argv,line", [
         ("sweep --epsilon 400 --steps 3", "error: overflow encountered in expm1"),
@@ -508,7 +557,11 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
 JSON_LEAVES = st.one_of(
     FINITE,
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
-                     -1.7976931348623157e308, 1 / 3, 0.1 + 0.2, 999999999999.5]),
+                     -1.7976931348623157e308, 1 / 3, 0.1 + 0.2, 999999999999.5, 9999999999995.0]),
+    # the writer's fast path: integer-valued floats, the exponents repr drops, and subnormals
+    st.integers(-2**53, 2**53).map(float),
+    st.floats(1e12, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v, float(round(v))])),
+    st.floats(1e-311, 1e-309),
     FINITE.map(np.float64),
     st.integers(),
     st.integers(min_value=2**63, max_value=2**80) | st.integers(max_value=-2**63, min_value=-2**80),
@@ -644,7 +697,7 @@ class TestOneNonFiniteRule:
 @pytest.mark.pinned
 class TestClassifyValidatesOnce:
     """``classify`` reads a validated matrix from ``load_state`` and checks only its mode count after it;
-    ``analyze`` judges the stage it builds by its Cholesky factor alone and never calls ``validate_cm``."""
+    ``analyze`` reports the stage it builds from closed forms, judges no matrix and never calls ``validate_cm``."""
 
     @pytest.fixture
     def validate_calls(self, monkeypatch):
@@ -669,8 +722,9 @@ class TestClassifyValidatesOnce:
         for stage in STAGES:
             code, out = run_cli(capsys, "analyze", "--r", "0.4", "--epsilon", "0.1", "--stage", stage)
             assert code == 0, out.err
+        # the rounded shared matrix is not positive definite here, and the stage prints
         code, out = run_cli(capsys, "analyze", "--r", "20", "--epsilon", "0.1", "--stage", "shared")
-        assert (code, out.err) == (1, "error: covariance matrix is not positive definite\n")
+        assert (code, out.err) == (0, "")
         assert validate_calls == []
 
     @pytest.mark.parametrize("make", [random_physical_cm, random_pure_cm])
@@ -710,9 +764,9 @@ class TestReferenceOutput:
          "82168f1d601b2601f8a1289752ba9b2ac26775058abc23d2501977b08899dd80"),
         ("gap-sweep", "8e6746fb195e5155db72b5b0e487d7b37a5cb0830226e6b99bd1e2f491f35669"),
         ("analyze --r 0.4 --epsilon 0.1 --stage shared",
-         "4f20387a9322f425c7fbcb4a2f603f21ea8c0e38044a46ab044d3382913ed15a"),
+         "5a795b7c060658d4b57125c7f51f04efaaf5ce76ff17d1777cbc45e3bbd2a6d1"),
         ("analyze --r 0.4 --epsilon 0.1 --stage initial",
-         "2ba337aee2b10e57182d89cb5050e716aec18661b420b98ec56a2bed3b920877"),
+         "7f8afcf5decfdc8359087dbe3883532128b1ee146e22ea3b6469f72732eef755"),
         ("analyze --r 0.4 --epsilon 0.1 --stage final-via-A'",
          "d13cbcb0d71744ee8c13855c4345ccae3cfa7fda2bea8683edcb54b0172cfde9"),
         ("analyze --r 0.4 --epsilon 0.1 --stage final-via-A",

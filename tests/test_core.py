@@ -4,12 +4,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gaussent import (
     BadModeIndexError,
     DimensionMismatchError,
+    GaussentError,
     GaussianState,
     NotSymmetricError,
     UnphysicalError,
@@ -427,6 +428,31 @@ class TestStateJson:
         loaded = load_state(path)
         assert np.allclose(loaded.cm, state.cm, atol=1e-12)
         assert np.array_equal(loaded.displacement, state.displacement)
+
+    # a physical matrix with up to four entries replaced, by any float or by NaN, an infinity, -0 or a subnormal
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), displaced=st.booleans(),
+           entries=st.dictionaries(st.integers(0, 35), st.floats() | st.sampled_from(
+               [np.nan, np.inf, -np.inf, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308]), max_size=4))
+    def test_writer_is_the_indented_dump_and_reads_back(self, tmp_path, seed, displaced, entries):
+        rng = np.random.default_rng(seed)
+        cm = random_physical_cm(3, rng)
+        for k, v in entries.items():
+            cm.flat[k] = v
+        state = GaussianState(cm, rng.normal(size=6) if displaced else None)
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        assert path.read_text() == json.dumps(state.to_json_dict(), indent=2) + "\n"
+        # the file holds every entry's repr, so reading it is the gate on the matrix itself
+        try:
+            want = validate_cm(cm)
+        except GaussentError as exc:
+            with pytest.raises(type(exc)) as got:
+                load_state(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert load_state(path).cm.tobytes() == want.tobytes()
 
     def test_reader_enforces_physicality(self, tmp_path):
         path = tmp_path / "bad.json"

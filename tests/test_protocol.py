@@ -50,6 +50,7 @@ from gaussent.protocol import (
 from gaussent.core import _pt_invariants, _quadratures
 from gaussent.separability import _CLASS_BY_COUNT, _splittings
 
+from closed_forms import stage_entangled
 from helpers import pt_mu_oracle, random_pure_cm
 
 
@@ -913,18 +914,6 @@ class TestStageLadder:
             stage_state(ProtocolParams(0.1, 0.1), "halfway")
 
 
-def _refuses(fn, *args) -> bool:
-    """Whether ``fn(*args)`` raises ``UnphysicalError``.  A stage both gates accept may still raise
-    ``ValueError`` from its report: at epsilon 300 a rounded stage can leave a pair's ``mu`` NaN."""
-    try:
-        fn(*args)
-    except UnphysicalError:
-        return True
-    except ValueError as exc:
-        assert str(exc) == "mu must be nonnegative, got nan"
-    return False
-
-
 def _built_cm(params, stage):
     """``stage``'s matrix from the public builders, the initial stage beside the vacuum ancilla A'."""
     if stage == STAGE_INITIAL:
@@ -934,31 +923,32 @@ def _built_cm(params, stage):
     return final_cm(params, stage[len("final-"):]).cm
 
 
-class TestOneGate:
-    """A built stage passes one gate, its Cholesky factor, in ``stage_state``; ``sweep_profile`` builds none
-    (its envelope is ``TestSweepEnvelope`` in ``tests/test_cli.py``)."""
+class TestNoGate:
+    """``stage_state`` judges no matrix: it reports from the closed forms, also where the rounded stage matrix is no
+    longer positive definite and ``validate_cm``, the gate of ``classify``, refuses it (its envelope is
+    ``TestAnalyzeEnvelope`` in ``tests/test_cli.py``)."""
 
-    #: the small-squeezing range, then step 0.001 across the r ~ 18.37 where the rounded stages stop being
-    #: positive definite
-    R = np.concatenate((np.linspace(0.0, 1.2, 121), np.linspace(18.30, 18.45, 151))).tolist()
+    #: step 0.001 across the r ~ 18.37 where the rounded stages stop being positive definite
+    R = np.linspace(18.30, 18.45, 151).tolist()
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 3.0, 20.0, 300.0])
-    def test_stage_state_refuses_where_validate_cm_does(self, eps):
-        refused = {}
-        with np.errstate(over="ignore", invalid="ignore"):  # epsilon 300 overflows the reports of passed stages
-            for stage in STAGES:
-                refused[stage] = [_refuses(stage_state, ProtocolParams(r, eps), stage) for r in self.R]
-                assert refused[stage] == [_refuses(validate_cm, _built_cm(ProtocolParams(r, eps), stage))
-                                          for r in self.R]
-        assert not any(refused[STAGE_INITIAL])
-        for stage in STAGES[1:]:
-            # below epsilon 20 only rows from r ~ 18.37 are refused; from epsilon 20, rows from r = 0 on
-            assert any(refused[stage]) and (refused[stage][0] if eps >= 20.0 else not any(refused[stage][:121]))
+    def test_stage_state_reports_where_validate_cm_refuses(self, eps):
+        refused = 0
+        for stage in STAGES:
+            for r in self.R:
+                report = stage_state(ProtocolParams(r, eps), stage).report
+                assert [v.entangled for v in report.verdicts] == stage_entangled(stage, r, eps).tolist()
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        validate_cm(_built_cm(ProtocolParams(r, eps), stage))
+                except UnphysicalError:
+                    refused += 1
+        assert refused > 0
 
-    def test_an_infinite_stage_is_refused(self):
-        # exp(2 r) overflows at r = 400; LAPACK factors a matrix holding inf without error
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(UnphysicalError, match="^covariance matrix is not positive definite$"):
+    def test_an_infinite_stage_raises(self):
+        # exp(2 r) overflows at r = 400, in building the matrix, before any form
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="^overflow encountered in exp$"):
                 stage_state(ProtocolParams(400.0, 0.1), STAGE_SHARED)
 
 
@@ -993,7 +983,7 @@ class TestPureStateObstruction:
             assert pt_entangled(cm) == pair_entangled[-1]
         assert 0 < sum(pair_entangled) < len(pair_entangled)
 
-    @pytest.mark.xfail(strict=True, reason="sigma is 0 on every pure state (ROADMAP item 3)")
+    @pytest.mark.xfail(strict=True, reason="sigma is 0 on every pure state (ROADMAP item 8)")
     def test_splitting_sigma_sees_pure_state_entanglement(self):
         entangled = [cm for cm in pure_products(20) if pt_entangled(cm)]
         assert entangled

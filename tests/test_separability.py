@@ -356,7 +356,8 @@ class TestClassifyThreeMode:
     def test_reports_unchanged_by_the_stacked_kernels(self):
         # sha256 of the full-precision reports, taken with the one-splitting-at-a-time
         # implementation that preceded the stacked kernels
-        reports = [stage_state(ProtocolParams(r, eps), stage).report
+        # the stages through the kernels; stage_state itself reports from closed forms
+        reports = [classify_three_mode(stage_state(ProtocolParams(r, eps), stage).state.cm)
                    for r in (0.0, 0.3, 0.9, 1.5, 2.5) for eps in (0.001, 0.1, 1.0) for stage in STAGES]
         rng = np.random.default_rng(21)
         reports += [classify_three_mode(random_physical_cm(3, rng)) for _ in range(40)]
@@ -423,7 +424,7 @@ class TestClassifyThreeMode:
             if not before.boundary:
                 assert (after.entangled, after.boundary) == (before.entangled, False)
 
-    @pytest.mark.xfail(strict=True, reason="the splitting band does not widen with local squeezing (ROADMAP item 3)")
+    @pytest.mark.xfail(strict=True, reason="the splitting band does not widen with local squeezing (ROADMAP item 8)")
     def test_class_is_unchanged_by_local_squeezing(self):
         # about 17 dB on each mode: the shared stage's B|(AA') sigma is 0, its image's -6.5e-11, outside the band
         cm = shared_cm(ProtocolParams(1.0, 0.1))[0].cm
