@@ -441,8 +441,6 @@ def _stage_report(stage: str, r: float, epsilon: float) -> SeparabilityReport:
     multiple is not 0 and ``r > epsilon``, ``boundary`` iff the value is exactly 0 (a 0 multiple, ``r = 0`` or
     ``r = epsilon``).  A pair's lower PT value is ``mu^2 = 1 + t`` with ``t = P / ((S + sqrt(p^2 + f^2 g)) / 2)``
     (:func:`_pair_forms`), and its log negativity ``-log1p(t) / ln 4``; its verdict is the caller-input one."""
-    if stage not in _STAGE_PAIRS:
-        raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
     r, epsilon = float(r), float(epsilon)
     u, n, b, x = math.expm1(2.0 * r), math.expm1(2.0 * epsilon), math.exp(-2.0 * r), -math.expm1(-2.0 * r)
     multiples = _SIGMA_MULTIPLES[stage]

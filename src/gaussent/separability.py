@@ -6,10 +6,9 @@ splitting is judged by the sign of the invariant combination
 means entangled.  Two-mode states are judged by the lower symplectic
 eigenvalue ``mu`` of the partial transpose: below 1 means entangled.  Each
 verdict is decided once: a splitting's by the stacked kernel ``_splittings``,
-a pair's by ``_entanglement_metrics``, the one constructor of the pair record,
-from the numbers the stacked kernel ``_pt_metrics`` returns.  ``_report``
-assembles the report of either source: these kernels on a caller's matrix,
-or the protocol's closed forms on a built stage.
+a pair's by ``_pair_record``, the one constructor of the pair record, from
+the numbers the stacked kernel ``_pt_metrics`` returns or from the protocol's
+closed forms of a built stage.  ``_report`` assembles the report of either.
 """
 
 from __future__ import annotations

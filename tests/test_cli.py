@@ -496,8 +496,8 @@ class TestNonFiniteOutput:
         assert capsys.readouterr().out == ""
 
     def test_stages_past_the_rounded_matrix_print(self, capsys):
-        # the rounded initial matrix's A-A' pair once gave mu 0 here, so its log negativity was inf; a mode beside
-        # the vacuum has mu 1
+        # the kernels give the rounded initial matrix's A-A' pair mu 0 here (log negativity inf); the forms give a
+        # mode beside the vacuum mu 1
         code, out = run_cli(capsys, "analyze", "--r", "25", "--epsilon", "0.1", "--stage", "initial")
         assert (code, out.err) == (0, "")
         assert [m["mu"] for m in json.loads(out.out)["report"]["pairwise"]] == [1.0, 1.0, 1.0]
