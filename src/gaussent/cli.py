@@ -50,20 +50,24 @@ _REPR_EXPONENTS = ("e+12", "e+13", "e+14", "e+15")
 
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` of a payload whose floats are rounded to 12 significant digits, rounded
-    and formatted in one walk: ``indent`` is the newline and indent before the next item of ``value``.  A NaN or
-    infinity prints as ``nan`` or ``inf``, for ``_write_checked`` to refuse; dict keys must be strings.  Floats,
-    the most common leaf, are tested first, and a container's float items call ``_float_text`` directly."""
+    and formatted in one walk: ``indent`` is the newline and indent before the next item of ``value``.  A float
+    prints as ``repr`` of its rounding, which is its ``"%.12g"`` text with ``.0`` appended to an integer, except
+    where ``repr`` drops the exponent (``e+12`` to ``e+15``) or prints fewer digits of a subnormal (``e-3xx``);
+    those two go through ``repr``.  A NaN or infinity prints as ``nan`` or ``inf``, for ``_write_checked`` to
+    refuse; dict keys must be strings.  Floats, the most common leaf, are tested first."""
     if isinstance(value, (float, np.floating)):
-        return _float_text(value)
+        text = "%.12g" % value
+        if "e" not in text:
+            return text if "." in text or "n" in text else text + ".0"
+        return repr(float(text)) if text[-4:] in _REPR_EXPONENTS or text[-5:-2] == "e-3" else text
     if isinstance(value, str):
         return _encode_str(value)
     inner = indent + "  "
-    if isinstance(value, dict):  # a float item skips the call
-        items = [_encode_str(k) + ": " + (_float_text(v) if type(v) is float else _json_text(v, inner))
-                 for k, v in value.items()]
+    if isinstance(value, dict):
+        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        items = [_float_text(v) if type(v) is float else _json_text(v, inner) for v in value]
+        items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     if value is None:
         return "null"
@@ -72,16 +76,6 @@ def _json_text(value, indent: str = "\n") -> str:
     if isinstance(value, (int, np.integer)):
         return int.__repr__(int(value))
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _float_text(value) -> str:
-    """``repr`` of a float rounded to 12 significant digits: its ``"%.12g"`` text, with ``.0`` appended to an
-    integer, except where ``repr`` drops the exponent (``e+12`` to ``e+15``) or, on a subnormal (``e-3xx``),
-    prints fewer digits; those two go through ``repr``."""
-    text = "%.12g" % value
-    if "e" not in text:
-        return text if "." in text or "n" in text else text + ".0"
-    return repr(float(text)) if text[-4:] in _REPR_EXPONENTS or text[-5:-2] == "e-3" else text
 
 
 def _raise_non_finite(value, path: str = "") -> None:

@@ -18,13 +18,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import GaussianState, _quadratures
-from .errors import NumericalFailureError
+from .errors import DomainError, NumericalFailureError
 from .ops import _preparation_cm, embed_vacuum
 from .separability import (_CLASS_BY_COUNT, _PAIR_QUADS, SeparabilityReport, _localizable_mu, _pair_record,
                            _pt_metrics, _report)
 
 _SQRT2 = math.sqrt(2.0)
 _LN4 = math.log(4.0)
+#: ``ln(DBL_MAX)``: ``exp(x)`` is finite iff ``x <= _LN_MAX``.
+_LN_MAX = math.log(np.finfo(float).max)
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 _C8 = 8.0 * _SQRT2  # recurring constant in the pair-entanglement threshold
 _AB = _PAIR_QUADS[1]  # quadratures of the entangled pair: modes A and B of the final stage via A'
@@ -371,9 +373,12 @@ def sweep_profile(r, epsilon: float) -> dict:
     c = np.expm1(2.0 * epsilon) * b
     w = np.ldexp(1.0, -np.maximum(np.frexp(c)[1], 0))
     trace, det_x, det_p, disc = _entangled_pair(b, x, c * w, w)
+    k = np.maximum(-np.frexp(x)[1], 0)  # x 2^k lies in [1/2, 1], so its square underflows only where sigma does
+    xk = np.ldexp(x, k)
+    sigma = np.ldexp(-(xk * xk) * np.exp(2.0 * epsilon) * np.expm1(2.0 * (r - epsilon)), -2 * k)
     return {"r": r, "mu_pair": np.sqrt(2.0 * det_x * det_p / (trace + np.sqrt(disc))), "mu_m": _mu_m(r, epsilon),
             # + 0.0 prints r = 0 and r == epsilon as 0, not -0
-            "sigma_shared_A": -(x * x) * np.exp(2.0 * epsilon) * np.expm1(2.0 * (r - epsilon)) + 0.0,
+            "sigma_shared_A": sigma + 0.0,
             "class_final": _CLASS_BY_COUNT[3 * (r > epsilon)]}
 
 
@@ -383,9 +388,18 @@ def stage_state(params: ProtocolParams, stage: str) -> StageState:
     The state is the stage's correctly rounded matrix; the initial stage is the product of the two-mode initial
     state with the vacuum ancilla A'.  The report comes from the closed forms in ``(r, epsilon)`` of
     :func:`_stage_report`, not from the matrix, whose rounding costs about ``exp(2r) 2^-53`` from r ~ 4 on; no gate
-    judges the matrix, so past r ~ 18.4, where it is no longer positive definite, the stage still reports.  A
-    stage whose matrix or forms overflow (``max(r, epsilon)`` at ``ln(DBL_MAX) / 2 = 354.89``) raises under
-    ``np.errstate(over="raise")`` or reports an infinity."""
+    judges the matrix, so past r ~ 18.4, where it is no longer positive definite, the stage still reports.  Up to
+    ``max(r, epsilon) = ln(DBL_MAX) / 2 = 354.89`` the matrix is finite and no floating-point error is raised,
+    under any ``np.errstate``; a report value that leaves float64 there is ``inf`` (a final stage's
+    ``delta_tilde`` from r = 354.866, and more where r and epsilon are both that large).
+
+    Raises:
+        DomainError: ``max(r, epsilon) > ln(DBL_MAX) / 2``, where ``exp(2r)`` or ``exp(2 epsilon)`` leaves
+            float64; checked before any arithmetic.
+    """
+    if 2.0 * max(params.r, params.epsilon) > _LN_MAX:
+        raise DomainError(f"r and epsilon must be at most ln(DBL_MAX) / 2 = {_LN_MAX / 2.0!r}, past which exp(2 r) "
+                          f"or exp(2 epsilon) leaves float64, got r={params.r}, epsilon={params.epsilon}")
     if stage == STAGE_INITIAL:
         state = embed_vacuum(initial_cm(params), 1)
     else:
@@ -437,19 +451,20 @@ def _pair_forms(kind: str, u, n, b, x, c):
 
 def _stage_report(stage: str, r: float, epsilon: float) -> SeparabilityReport:
     """A stage's report from closed forms in ``(r, epsilon)``, in Python floats.  Each splitting ``sigma`` is a
-    multiple of the shared one, ``-(1 - exp(-2r))^2 exp(2 epsilon) expm1(2 (r - epsilon))``: entangled iff the
-    multiple is not 0 and ``r > epsilon``, ``boundary`` iff the value is exactly 0 (a 0 multiple, ``r = 0`` or
-    ``r = epsilon``).  A pair's lower PT value is ``mu^2 = 1 + t`` with ``t = P / ((S + sqrt(p^2 + f^2 g)) / 2)``
-    (:func:`_pair_forms`), and its log negativity ``-log1p(t) / ln 4``; its verdict is the caller-input one."""
+    multiple of the shared one, ``-(1 - exp(-2r))^2 exp(2 epsilon) expm1(2 (r - epsilon))``, and its flags read the
+    printed value: entangled iff it is negative, ``boundary`` iff it is exactly 0 (a 0 multiple, ``r = 0``,
+    ``r = epsilon``, or a value below the smallest subnormal, as at ``epsilon = 0`` from ``r ~ 1e-108`` down).  A
+    pair's lower PT value is ``mu^2 = 1 + t`` with ``t = P / ((S + sqrt(p^2 + f^2 g)) / 2)`` (:func:`_pair_forms`),
+    and its log negativity ``-log1p(t) / ln 4``; its verdict is the caller-input one."""
     r, epsilon = float(r), float(epsilon)
     u, n, b, x = math.expm1(2.0 * r), math.expm1(2.0 * epsilon), math.exp(-2.0 * r), -math.expm1(-2.0 * r)
-    multiples = _SIGMA_MULTIPLES[stage]
-    sigma = -(x * x) * math.exp(2.0 * epsilon) * math.expm1(2.0 * (r - epsilon)) if any(multiples) else 0.0
+    k = max(0, -math.frexp(x)[1])  # x 2^k lies in [1/2, 1], so its square underflows only where sigma does
+    xk = math.ldexp(x, k)
+    sigma = math.ldexp(-(xk * xk) * math.exp(2.0 * epsilon) * math.expm1(2.0 * (r - epsilon)), -2 * k)
     pairs = []
     for kind in _STAGE_PAIRS[stage]:
         s, prod, p, f, g = _pair_forms(kind, u, n, b, x, n * b)
         t = prod and prod / (0.5 * s + 0.5 * math.hypot(p, f * math.sqrt(g)))  # nu^2 - 1 of the lower value
         pairs.append(_pair_record(math.sqrt(1.0 + t), max(0.0, -math.log1p(t) / _LN4), s + 2.0, prod))
-    return _report([m * sigma + 0.0 if m else 0.0 for m in multiples],  # + 0.0 prints -0 as 0
-                   [bool(m) and r > epsilon for m in multiples],
-                   [not m or r == 0.0 or r == epsilon for m in multiples], pairs)
+    sigmas = [m * sigma + 0.0 if m else 0.0 for m in _SIGMA_MULTIPLES[stage]]  # + 0.0 prints -0 as 0
+    return _report(sigmas, [v < 0.0 for v in sigmas], [v == 0.0 for v in sigmas], pairs)

@@ -127,18 +127,18 @@ def _as_modes(cm: np.ndarray, n: int) -> np.ndarray:
 
 def _splittings(cm: np.ndarray):
     """``sigma`` of the three 1x2 splittings of ``(..., 6, 6)`` stacks, with its entangled and
-    boundary masks, each shaped ``(..., 3)``, and the class label their entangled count implies."""
+    boundary masks, each shaped ``(..., 3)``."""
     i1, i2, i3 = _pt_invariants(cm, [0, 1, 2])
     sigma = i3 - i2 + i1 - 1.0
     band = SPLITTING_BAND * (1.0 + np.abs(i1) + np.abs(i2) + np.abs(i3))
     entangled = sigma < -band
-    return sigma, entangled, np.abs(sigma) <= band, _CLASS_BY_COUNT[entangled.sum(-1)]
+    return sigma, entangled, np.abs(sigma) <= band
 
 
 def splitting_sigma(cm: np.ndarray, mode: int) -> SplittingVerdict:
     """Invariant separability test of one mode against the remaining pair."""
     (mode,) = _check_modes(mode, 3)
-    sigma, entangled, boundary = (x[mode].item() for x in _splittings(_as_modes(cm, 3))[:3])
+    sigma, entangled, boundary = (x[mode].item() for x in _splittings(_as_modes(cm, 3)))
     return SplittingVerdict(SPLITTING_LABELS[mode], sigma, entangled, boundary)
 
 
@@ -198,7 +198,7 @@ def classify_three_mode(cm: np.ndarray) -> SeparabilityReport:
 
 def _three_mode_report(cm: np.ndarray) -> SeparabilityReport:
     """:func:`classify_three_mode` of a 6x6 matrix already judged physical."""
-    sigma, entangled, boundary, _ = _splittings(cm)
+    sigma, entangled, boundary = _splittings(cm)
     pairs = _pt_metrics(cm[_PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]])
     pairwise = map(_entanglement_metrics, *(x.tolist() for x in pairs))
     return _report(sigma.tolist(), entangled.tolist(), boundary.tolist(), pairwise)

@@ -306,11 +306,11 @@ def check_stage_reports(derived, invariants):
     return bad
 
 
-#: The stage rows' grid: each epsilon with r at 0, near 0, at epsilon, across the r ~ 18.37 where the rounded stage
-#: matrices stop being positive definite, and up to 354, below the ln(DBL_MAX) / 2 = 354.89 where ``exp(2r)``
-#: overflows.
+#: The stage rows' grid: each epsilon with r at 0, near 0 (1e-170, where the printed ``sigma`` underflows to 0), at
+#: epsilon, across the r ~ 18.37 where the rounded stage matrices stop being positive definite, and up to 354, below
+#: the ln(DBL_MAX) / 2 = 354.89 where ``exp(2r)`` overflows.
 STAGE_EPSILONS = (0.0, 1e-8, 0.1, 3.0, 20.0, 300.0)
-STAGE_RS = (0.0, 1e-8, 0.01, 0.5, 2.0, 6.0, 12.0, 18.3, 19.0, 50.0, 200.0, 354.0)
+STAGE_RS = (0.0, 1e-170, 1e-8, 0.01, 0.5, 2.0, 6.0, 12.0, 18.3, 19.0, 50.0, 200.0, 354.0)
 #: The rows' pairs: (stage, pair) for initial A-B, shared A-A' and A-B, and the final via A' stage's three pairs.
 STAGE_ROW_PAIRS = (("initial", 1), ("shared", 0), ("shared", 1), ("final-via-A'", 0), ("final-via-A'", 1),
                    ("final-via-A'", 2))

@@ -271,10 +271,11 @@ class TestAnalyzeCommand:
 
 
 #: ``analyze``'s envelope, derived from the stage matrices and the forms of ``protocol._stage_report``: on the
-#: epsilon axis every stage prints while ``epsilon < ln(DBL_MAX) / 2``, where the matrix's ``exp(2 epsilon)`` leaves
-#: float64; on the r axis the initial and shared stages print while ``r < ln(DBL_MAX) / 2``, where ``exp(2r)`` does,
-#: and the finals while the entangled pair's ``delta_tilde``, about ``(14 + 2 sqrt 2) / 16 exp(2r)``, is finite.
-#: All agree with a bisection of the CLI to the last float.
+#: epsilon axis every stage prints while ``epsilon <= ln(DBL_MAX) / 2``, past which ``exp(2 epsilon)`` leaves
+#: float64 and ``stage_state`` refuses; on the r axis the initial and shared stages print while
+#: ``r <= ln(DBL_MAX) / 2``, past which ``exp(2r)`` does, and the finals while the entangled pair's
+#: ``delta_tilde``, about ``(14 + 2 sqrt 2) / 16 exp(2r)``, is finite.  All agree with a bisection of the CLI to
+#: the last float.
 FINAL_R_EDGE = (LN_MAX - math.log((14.0 + 2.0 * math.sqrt(2.0)) / 16.0)) / 2.0
 
 
@@ -287,8 +288,10 @@ class TestAnalyzeEnvelope:
                                                                if type(x) is float]
         assert all(math.isfinite(x) for x in numbers)
 
-    def assert_fails(self, capsys, r, eps, stage, line):
+    def assert_fails(self, capsys, r, eps, stage, line=None):
         code, out = run_cli(capsys, "analyze", "--r", repr(r), "--epsilon", repr(eps), "--stage", stage)
+        line = line or (f"r and epsilon must be at most ln(DBL_MAX) / 2 = {EDGE!r}, past which exp(2 r) or "
+                        f"exp(2 epsilon) leaves float64, got r={r!r}, epsilon={eps!r}")
         assert (code, out.out, out.err) == (1, "", f"error: {line}\n")
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 100.0])
@@ -298,7 +301,7 @@ class TestAnalyzeEnvelope:
             edge, k = FINAL_R_EDGE, 1 if stage == STAGE_FINAL_VIA_APRIME else 2
             line = f"non-finite value in output at report.pairwise[{k}].delta_tilde = inf"
         else:
-            edge, line = EDGE, "overflow encountered in exp"
+            edge, line = EDGE, None
         assert edge == pytest.approx(354.8661 if stage.startswith("final") else 354.8914, abs=1e-4)
         self.assert_prints(capsys, edge * (1 - EDGE_STEP), eps, stage)
         self.assert_fails(capsys, edge * (1 + EDGE_STEP), eps, stage, line)
@@ -307,7 +310,15 @@ class TestAnalyzeEnvelope:
     @pytest.mark.parametrize("stage", STAGES)
     def test_epsilon_axis(self, capsys, stage, r):
         self.assert_prints(capsys, r, EDGE * (1 - EDGE_STEP), stage)
-        self.assert_fails(capsys, r, EDGE * (1 + EDGE_STEP), stage, "overflow encountered in exp")
+        self.assert_fails(capsys, r, EDGE * (1 + EDGE_STEP), stage)
+
+    def test_flags_read_the_printed_sigma_at_tiny_r(self, capsys):
+        # (1 - exp(-2r))^2 is below the float64 range at r = 1e-170: sigma prints 0 and reads boundary at epsilon 0,
+        # and exp(2 epsilon) lifts it back into range at epsilon 300
+        for eps, sigma, flags in (("0", 0.0, (False, True)), ("300", 1.50920812037e-79, (False, False))):
+            code, out = run_cli(capsys, "analyze", "--r", "1e-170", "--epsilon", eps, "--stage", "shared")
+            verdict = json.loads(out.out)["report"]["verdicts"][0]
+            assert (code, verdict["sigma"], (verdict["entangled"], verdict["boundary"])) == (0, sigma, flags)
 
 
 class TestMontecarloCommand:
@@ -509,7 +520,9 @@ class TestNonFiniteOutput:
     @pytest.mark.parametrize("argv,line", [
         ("sweep --epsilon 400 --steps 3", "error: overflow encountered in expm1"),
         ("montecarlo --r 400 --epsilon 0.1 --samples 10", "error: overflow encountered in exp"),
-        ("analyze --r 400 --epsilon 0.1 --stage shared", "error: overflow encountered in exp"),
+        ("analyze --r 400 --epsilon 0.1 --stage shared",
+         "error: r and epsilon must be at most ln(DBL_MAX) / 2 = 354.891356446692, past which exp(2 r) or "
+         "exp(2 epsilon) leaves float64, got r=400.0, epsilon=0.1"),
     ])
     def test_overflow_fails_with_one_stderr_line(self, argv, line):
         # a child process, so numpy warnings would reach its stderr as they do a user's

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussent import (
+    DomainError,
     GaussianState,
     NumericalFailureError,
     UnphysicalError,
@@ -904,7 +906,8 @@ class TestStageLadder:
     def test_shared_stage_at_high_noise_is_ppt(self):
         # sigma_B is 0 analytically and A|(A'B) is separable for r < epsilon
         r = np.linspace(0.0, 1.5, 6000)
-        _, entangled, boundary, labels = _splittings(protocol._stage_matrix(protocol._blocks(r, 3.0), STAGE_SHARED))
+        _, entangled, boundary = _splittings(protocol._stage_matrix(protocol._blocks(r, 3.0), STAGE_SHARED))
+        labels = _CLASS_BY_COUNT[entangled.sum(-1)]
         assert (labels == "ppt-all-splittings").all()
         assert not entangled.any()
         assert boundary[:, 2].all() and not boundary[1:, :2].any()  # sigma_A is 0 at r = 0 only
@@ -945,11 +948,18 @@ class TestNoGate:
                     refused += 1
         assert refused > 0
 
-    def test_an_infinite_stage_raises(self):
-        # exp(2 r) overflows at r = 400, in building the matrix, before any form
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError, match="^overflow encountered in exp$"):
-                stage_state(ProtocolParams(400.0, 0.1), STAGE_SHARED)
+    # the library's default errstate, and the CLI's, which would raise at exp(2r)
+    @pytest.mark.parametrize("over", ["warn", "ignore", "raise"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_an_infinite_stage_raises(self, stage, over):
+        edge = math.log(np.finfo(float).max) / 2.0
+        past = np.nextafter(edge, np.inf)
+        with np.errstate(over=over):
+            for r, eps in ((400.0, 0.1), (0.1, 400.0), (past, 0.0), (0.0, past)):
+                with pytest.raises(DomainError, match=r"^r and epsilon must be at most ln\(DBL_MAX\) / 2 = "):
+                    stage_state(ProtocolParams(r, eps), stage)
+            for r, eps in ((edge, 0.0), (0.0, edge)):
+                assert np.isfinite(stage_state(ProtocolParams(r, eps), stage).state.cm).all()
 
 
 def pure_products(count):

@@ -47,6 +47,7 @@ from gaussent.separability import (
     PAIR_MODES,
     SPLITTING_BAND,
     SPLITTING_LABELS,
+    _CLASS_BY_COUNT,
     _PAIR_QUADS,
     _entanglement_metrics,
     _localizable_mu,
@@ -62,7 +63,7 @@ def assert_shared_minors_match_each_transpose(cm):
     """The shared-minor kernel and ``_splittings`` give, byte for byte, what the
     invariants of each partially transposed matrix itself give."""
     i1, i2, i3 = _pt_invariants(cm, [0, 1, 2])
-    splits = _splittings(cm)[:3]
+    splits = _splittings(cm)
     for mode in range(3):
         w1, w2, w3 = (np.asarray(x) for x in char_poly_invariants(partial_transpose(cm, mode)))
         for got, want in zip((i1[..., mode], i2[..., mode], i3[..., 0]), (w1, w2, w3)):
@@ -143,7 +144,7 @@ class TestSplittingSigma:
         cms = [random_physical_cm(3, rng) for _ in range(12)]
         cms += [final_cm(ProtocolParams(r, 0.4), ROUTE_VIA_APRIME).cm for r in (0.0, 0.2, 0.9, 1.5)]
         stack = np.stack(cms).reshape(4, 4, 6, 6)
-        results = _splittings(stack)[:3]
+        results = _splittings(stack)
         assert [x.shape for x in results] == [(4, 4, 3)] * 3
         sigma, entangled, boundary = (x.reshape(-1, 3) for x in results)
         for k, cm in enumerate(cms):
@@ -371,7 +372,8 @@ class TestClassifyThreeMode:
         cms = [random_physical_cm(3, rng) for _ in range(8)]
         cms += [stage_state(ProtocolParams(0.3, 0.1), stage).state.cm for stage in STAGES]
         stack = np.stack(cms).reshape(3, 4, 6, 6)
-        sigma, entangled, boundary, labels = _splittings(stack)
+        sigma, entangled, boundary = _splittings(stack)
+        labels = _CLASS_BY_COUNT[entangled.sum(-1)]
         pairs = _pt_metrics(stack[..., _PAIR_QUADS[:, :, None], _PAIR_QUADS[:, None, :]])
         assert labels.shape == (3, 4)
         for k, cm in enumerate(cms):
