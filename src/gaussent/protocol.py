@@ -390,7 +390,7 @@ def stage_state(params: ProtocolParams, stage: str) -> StageState:
     :func:`_stage_report`, not from the matrix, whose rounding costs about ``exp(2r) 2^-53`` from r ~ 4 on; no gate
     judges the matrix, so past r ~ 18.4, where it is no longer positive definite, the stage still reports.  Up to
     ``max(r, epsilon) = ln(DBL_MAX) / 2 = 354.89`` the matrix is finite and no floating-point error is raised,
-    under any ``np.errstate``; a report value that leaves float64 there is ``inf`` (a final stage's
+    under any ``np.errstate``; a report value whose form leaves float64 there reads ``inf`` (a final stage's
     ``delta_tilde`` from r = 354.866, and more where r and epsilon are both that large).
 
     Raises:
