@@ -13,11 +13,11 @@ and :func:`gaussent.protocol.gap_profile` by name: closed forms in ``r`` and
 report from closed forms, :func:`gaussent.protocol.stage_state`, and judges no
 matrix.  ``classify`` validates the matrix it reads once, in
 :func:`gaussent.core.load_state`, then checks its mode count.  Numeric
-options must be finite and nonnegative.  JSON and CSV share one non-finite
-rule: a NaN or infinity formats as ``nan`` or ``inf``, and finished text
-holding either fails the command rather than print, naming its key path (or
-row and column); so does a floating-point overflow (a ``sweep`` row past its
-forms' range), division by zero, invalid operation or array too large to
+options must be finite and nonnegative; ``sweep`` and ``analyze`` refuse
+``max(r, epsilon) > ln(DBL_MAX) / 2`` with one ``DomainError``.  JSON and CSV
+share one non-finite rule: a NaN or infinity formats as ``nan`` or ``inf``, and
+text holding either fails the command rather than print, naming its key path
+(or row and column); so does a floating-point error or an array too large to
 allocate, with one line on stderr.
 Exit codes: 0 success, 1 validation or numerical failure, 2 usage error.
 """

@@ -344,42 +344,18 @@ def gap_profile(epsilons) -> dict:
     return {"epsilon": eps, "r_l": threshold_r_l(eps), "r_e": eps + ex_e, "r_m": eps + ex_m, "gap": ex_m - ex_e}
 
 
-def _entangled_pair(b, x, c, w):
-    """Invariants of the entangled pair (A-B of the final stage via A') with ``b = exp(-2r)``, ``x = 1 - b``,
-    ``c = (exp(2 epsilon) - 1) b w`` and a power of two ``w`` that scales them exactly: ``16 b w delta_tilde``,
-    ``4 w det X``, ``4 b det P`` and ``256 b^2 w^2 (delta_tilde^2 - 4 det X det P)``.  The one term of the last
-    that can be negative, ``c x r1 w``, is outweighed by the other two, since ``r1^2 - 4 (11b + 1)^2 q2`` is
-    ``(28160 sqrt 2 - 43776) b (b + 3) (b + (61 + 60 sqrt 2) / 71)^2 < 0``, so the discriminant is never negative
-    and keeps its digits as ``r -> 0``.  Plain arithmetic, so the derivation script can pass sympy symbols."""
-    trace = ((14.0 + 2.0 * _SQRT2) * w + c + (24.0 - 12.0 * _SQRT2) * b * w + 11.0 * c * b
-             + (10.0 * _SQRT2 - 6.0) * b * b * w)
-    det_x = (5.0 - 2.0 * _SQRT2 + 2.0 * _SQRT2 * b - b * b) * w + c * (4.0 - b)
-    r1 = (68.0 - 220.0 * _SQRT2) * b * b + (24.0 * _SQRT2 - 384.0) * b + 28.0 + 4.0 * _SQRT2
-    q2 = (300.0 - 120.0 * _SQRT2) * b * b + (24.0 + 256.0 * _SQRT2) * b + 204.0 + 56.0 * _SQRT2
-    disc = c * c * (11.0 * b + 1.0) * (11.0 * b + 1.0) + c * x * r1 * w + x * x * q2 * w * w
-    return trace, det_x, 3.0 + b, disc
-
-
 def sweep_profile(r, epsilon: float) -> dict:
-    """Sweep columns by name over the squeezing values ``r``, from closed forms in ``(r, epsilon)``: ``r``,
-    ``mu_pair`` (the entangled pair's PT eigenvalue, :func:`_entangled_pair`), ``mu_m``, ``sigma_shared_A``
-    (the shared state's ``A|(A'B)`` value, ``-(1 - exp(-2r))^2 exp(2 epsilon) expm1(2 (r - epsilon))``) and
-    ``class_final`` (the final state via A' is fully inseparable iff ``r > epsilon``; its three splittings'
-    ``sigma`` are multiples of the shared one).  It builds no matrix, and scales each row's pair form by the power
-    of two that brings ``c`` below 1; a row is finite while ``max(r, epsilon) < ln(DBL_MAX) / 2 = 354.89``."""
+    """Sweep columns by name over the squeezing values ``r``: ``r``, ``mu_pair`` (the entangled pair's PT value),
+    ``mu_m``, ``sigma_shared_A`` (the shared ``A|(A'B)`` value) and ``class_final`` (the final state via A'): the forms
+    :func:`stage_state` reports from, on arrays, so each row holds its report's bits.  No matrix; every row is finite.
+    ``ValueError`` on a NaN, infinite or negative value; past ``ln(DBL_MAX) / 2``, ``DomainError`` naming ``max(r)``."""
     r = np.asarray(r, dtype=float)
     _check_domain(r=r, epsilon=epsilon)
-    b, x = np.exp(-2.0 * r), -np.expm1(-2.0 * r)
-    c = np.expm1(2.0 * epsilon) * b
-    w = np.ldexp(1.0, -np.maximum(np.frexp(c)[1], 0))
-    trace, det_x, det_p, disc = _entangled_pair(b, x, c * w, w)
-    k = np.maximum(-np.frexp(x)[1], 0)  # x 2^k lies in [1/2, 1], so its square underflows only where sigma does
-    xk = np.ldexp(x, k)
-    sigma = np.ldexp(-(xk * xk) * np.exp(2.0 * epsilon) * np.expm1(2.0 * (r - epsilon)), -2 * k)
-    return {"r": r, "mu_pair": np.sqrt(2.0 * det_x * det_p / (trace + np.sqrt(disc))), "mu_m": _mu_m(r, epsilon),
-            # + 0.0 prints r = 0 and r == epsilon as 0, not -0
-            "sigma_shared_A": sigma + 0.0,
-            "class_final": _CLASS_BY_COUNT[3 * (r > epsilon)]}
+    _check_edge(r.max(initial=0.0), epsilon)
+    u, n, b, x, sigma = _prelude(r, epsilon)
+    _, entangled = _stage_splittings(STAGE_FINAL_VIA_APRIME, sigma)
+    return {"r": r, "mu_pair": _pair_step(*_pair_forms("entangled", u, n, b, x, n * b))[1], "mu_m": _mu_m(r, epsilon),
+            "sigma_shared_A": sigma, "class_final": _CLASS_BY_COUNT[sum(entangled)]}
 
 
 def stage_state(params: ProtocolParams, stage: str) -> StageState:
@@ -389,17 +365,14 @@ def stage_state(params: ProtocolParams, stage: str) -> StageState:
     state with the vacuum ancilla A'.  The report comes from the closed forms in ``(r, epsilon)`` of
     :func:`_stage_report`, not from the matrix, whose rounding costs about ``exp(2r) 2^-53`` from r ~ 4 on; no gate
     judges the matrix, so past r ~ 18.4, where it is no longer positive definite, the stage still reports.  Up to
-    ``max(r, epsilon) = ln(DBL_MAX) / 2 = 354.89`` the matrix is finite and no floating-point error is raised,
-    under any ``np.errstate``; a report value whose form leaves float64 there reads ``inf`` (a final stage's
-    ``delta_tilde`` from r = 354.866, and more where r and epsilon are both that large).
+    ``max(r, epsilon) = ln(DBL_MAX) / 2 = 354.89`` the matrix, each ``sigma`` and ``mu`` are finite and no
+    floating-point error is raised, under any ``np.errstate``; a ``delta_tilde`` or ``ppt_condition_value`` above
+    ``DBL_MAX`` reads ``inf`` (a final stage's ``delta_tilde`` from r = 354.866, more where epsilon is that large).
 
     Raises:
-        DomainError: ``max(r, epsilon) > ln(DBL_MAX) / 2``, where ``exp(2r)`` or ``exp(2 epsilon)`` leaves
-            float64; checked before any arithmetic.
+        DomainError: ``max(r, epsilon) > ln(DBL_MAX) / 2``, checked before any arithmetic.
     """
-    if 2.0 * max(params.r, params.epsilon) > _LN_MAX:
-        raise DomainError(f"r and epsilon must be at most ln(DBL_MAX) / 2 = {_LN_MAX / 2.0!r}, past which exp(2 r) "
-                          f"or exp(2 epsilon) leaves float64, got r={params.r}, epsilon={params.epsilon}")
+    _check_edge(params.r, params.epsilon)
     if stage == STAGE_INITIAL:
         state = embed_vacuum(initial_cm(params), 1)
     else:
@@ -419,52 +392,78 @@ _SIGMA_MULTIPLES = {STAGE_INITIAL: (0.0, 0.0, 0.0), STAGE_SHARED: (1.0, 1.0, 0.0
                     STAGE_FINAL_VIA_APRIME: (1.0, 0.25, 0.25), STAGE_FINAL_VIA_A: (0.25, 1.0, 0.25)}
 
 
+def _check_edge(r: float, epsilon: float) -> None:
+    """The one domain of the stage reports and sweep rows, checked before any arithmetic."""
+    if 2.0 * max(r, epsilon) > _LN_MAX:
+        raise DomainError(f"r and epsilon must be at most ln(DBL_MAX) / 2 = {_LN_MAX / 2.0!r}, past which exp(2 r) "
+                          f"or exp(2 epsilon) leaves float64, got r={float(r)}, epsilon={float(epsilon)}")
+
+
+def _prelude(r, epsilon):
+    """``u = expm1(2r)``, ``n = expm1(2 epsilon)``, ``b = exp(-2r)``, ``x = 1 - b`` and the shared ``A|(A'B)``
+    ``sigma = -x^2 exp(2 epsilon) expm1(2d)``, ``d = r - epsilon``, for a float or an array ``r``; ``x^2`` is squared
+    as ``x 2^k`` in [1/2, 1], so it underflows only where ``sigma`` does, and from ``d > 1`` on ``sigma`` is
+    ``x^2 exp(2r) expm1(-2d)``, whose error does not grow with ``d`` and which stays below ``exp(2r)``."""
+    u, n, b, x = np.expm1(2.0 * r), np.expm1(2.0 * epsilon), np.exp(-2.0 * r), -np.expm1(-2.0 * r)
+    k, d = np.maximum(-np.frexp(x)[1], 0), r - epsilon
+    xk, far = np.ldexp(x, k), d > 1.0
+    sign = 1.0 - 2.0 * far  # -1 from d > 1 on, where exp(2r) is taken out
+    e, tail = np.exp(2.0 * np.maximum(epsilon, r * far)), sign * np.expm1(2.0 * sign * d)
+    return u, n, b, x, np.ldexp(-(xk * xk) * e * tail, -2 * k) + 0.0  # + 0.0 prints r = 0 and r == epsilon as 0
+
+
 def _pair_forms(kind: str, u, n, b, x, c):
-    """``(S, P, p, f, g)`` of one pair kind, with ``u = expm1(2r)``, ``n = expm1(2 epsilon)``, ``b = exp(-2r)``,
-    ``x = 1 - b`` and ``c = n b``.  ``S = nu_1^2 + nu_2^2 - 2`` (``delta_tilde - 2``) and
-    ``P = (nu_1^2 - 1)(nu_2^2 - 1)`` (the ``ppt_condition_value``) over the partially transposed spectrum, and its
-    discriminant ``(nu_1^2 - nu_2^2)^2 = S^2 - 4P`` as ``p^2 + f^2 g``, the square completed in ``n``, which keeps
-    its digits where the two values meet.  Only the route pairs' ``P`` and each ``p`` mix signs; no term exceeds
-    the value it sums to, so none overflows first.  Plain arithmetic, so the derivation script can pass sympy
-    symbols."""
+    """``(S, P, p, f, g)`` of one pair kind in :func:`_prelude`'s ``(u, n, b, x)`` and ``c = n b``, a quarter in each
+    coefficient (exact but in subnormals, and finite up to ``ln(DBL_MAX) / 2``): ``4S = nu_1^2 + nu_2^2 - 2``
+    (``delta_tilde - 2``) and ``4P = (nu_1^2 - 1)(nu_2^2 - 1)`` (``ppt_condition_value``) over the partially
+    transposed spectrum, and its discriminant ``(nu_1^2 - nu_2^2)^2 = 16 (p^2 + f^2 g)``, the square completed in
+    ``n``, which keeps its digits where the two values meet.  Only the route pairs' ``P`` and each ``p`` mix signs;
+    no term exceeds the value it sums to, so none overflows first.  Plain arithmetic, for sympy symbols too."""
     if kind == "vacuum-A":  # initial A-A', A beside the vacuum A'
-        return n + u, 0.0, n + u, 0.0, 0.0
+        return 0.25 * n + 0.25 * u, 0.0, 0.25 * n + 0.25 * u, 0.0, 0.0
     if kind == "vacuum-B":  # initial A'-B
-        return x, 0.0, x, 0.0, 0.0
+        return 0.25 * x, 0.0, 0.25 * x, 0.0, 0.0
     if kind == "preparation":  # initial A-B
-        return n + u + x, n * x, n + u - x, 2.0 * x, u + 1.0
+        return 0.25 * n + 0.25 * u + 0.25 * x, 0.25 * n * x, 0.25 * n + 0.25 * u - 0.25 * x, 0.5 * x, u + 1.0
     if kind == "noise":  # shared A-A': the spectrum is {exp(2r), 1 + c}
-        return c + u, n * x, c - u, 0.0, 0.0
+        return 0.25 * c + 0.25 * u, 0.25 * n * x, 0.25 * c - 0.25 * u, 0.0, 0.0
     if kind == "shared":  # shared A-B and A'-B
-        h = n * (0.25 + 0.25 * b) + 0.5 * u
-        return h + x, n * (0.25 * x * (1.0 + b)) + u * (0.25 * x * x), h - x, x, u + 2.0
+        h = n * (0.0625 + 0.0625 * b) + 0.125 * u
+        return h + 0.25 * x, n * (0.0625 * x * (1.0 + b)) + u * (0.0625 * x * x), h - 0.25 * x, 0.25 * x, u + 2.0
     if kind == "port":  # Bob's output ports: A'-B via A', A-B via A
-        return 0.5 * (c + x) + u, n * (0.25 * x * (2.0 + b)) - (0.25 * x * x) * (u + 2.0), 0.5 * (c - x) - u, x, u + 2.0
+        return (0.125 * (c + x) + 0.25 * u, n * (0.0625 * x * (2.0 + b)) - (0.0625 * x * x) * (u + 2.0),
+                0.125 * (c - x) - 0.25 * u, 0.25 * x, u + 2.0)
     # final A-A' (k = -1) and the pair the protocol entangles (k = 1) differ in the sign of each sqrt(2) term
     k = -1.0 if kind == "final" else 1.0
-    h, s = n * (0.0625 + 0.6875 * b), k * _SQRT2
-    return (h + x * ((0.875 + 0.125 * s) * u + 1.25 - 0.5 * s),
-            n * (0.0625 * x * (11.0 + b)) + x * x * ((0.0625 - 0.5 * s) * u - 0.5 * s),
-            h + x * ((0.875 + 0.125 * s) * u - 20.75 - 0.5 * s + 240.0 / (u + 12.0)),
-            x * (5.0 * _SQRT2 + k - 60.0 * _SQRT2 / (u + 12.0)) * _SQRT3_2, u + 4.0 / 3.0)
+    h, s = n * (0.015625 + 0.171875 * b), k * _SQRT2
+    return (h + x * ((0.21875 + 0.03125 * s) * u + 0.3125 - 0.125 * s),
+            n * (0.015625 * x * (11.0 + b)) + x * x * ((0.015625 - 0.125 * s) * u - 0.125 * s),
+            h + x * ((0.21875 + 0.03125 * s) * u - 5.1875 - 0.125 * s + 60.0 / (u + 12.0)),
+            0.25 * x * (5.0 * _SQRT2 + k - 60.0 * _SQRT2 / (u + 12.0)) * _SQRT3_2, u + 4.0 / 3.0)
+
+
+def _pair_step(s, prod, p, f, g):
+    """``t = nu^2 - 1`` of the lower PT value, ``P / ((S + sqrt(p^2 + f^2 g)) / 2)`` from :func:`_pair_forms` (0 where
+    ``P`` is, as at r = 0, where the denominator can be 0 too), and ``mu = sqrt(1 + t)``, over pairs or rows."""
+    t = prod / (0.5 * s + 0.5 * np.hypot(p, f * np.sqrt(g)) + (prod == 0.0))
+    return t, np.sqrt(1.0 + t)
+
+
+def _stage_splittings(stage: str, sigma):
+    """A stage's splitting ``sigma`` as printed, multiples of the shared one, and its entangled flags (``< 0``)."""
+    sigmas = [m * sigma + 0.0 if m else 0.0 for m in _SIGMA_MULTIPLES[stage]]  # + 0.0 prints -0 as 0
+    return sigmas, [v < 0.0 for v in sigmas]
 
 
 def _stage_report(stage: str, r: float, epsilon: float) -> SeparabilityReport:
-    """A stage's report from closed forms in ``(r, epsilon)``, in Python floats.  Each splitting ``sigma`` is a
-    multiple of the shared one, ``-(1 - exp(-2r))^2 exp(2 epsilon) expm1(2 (r - epsilon))``, and its flags read the
-    printed value: entangled iff it is negative, ``boundary`` iff it is exactly 0 (a 0 multiple, ``r = 0``,
-    ``r = epsilon``, or a value below the smallest subnormal, as at ``epsilon = 0`` from ``r ~ 1e-108`` down).  A
-    pair's lower PT value is ``mu^2 = 1 + t`` with ``t = P / ((S + sqrt(p^2 + f^2 g)) / 2)`` (:func:`_pair_forms`),
-    and its log negativity ``-log1p(t) / ln 4``; its verdict is the caller-input one."""
-    r, epsilon = float(r), float(epsilon)
-    u, n, b, x = math.expm1(2.0 * r), math.expm1(2.0 * epsilon), math.exp(-2.0 * r), -math.expm1(-2.0 * r)
-    k = max(0, -math.frexp(x)[1])  # x 2^k lies in [1/2, 1], so its square underflows only where sigma does
-    xk = math.ldexp(x, k)
-    sigma = math.ldexp(-(xk * xk) * math.exp(2.0 * epsilon) * math.expm1(2.0 * (r - epsilon)), -2 * k)
+    """A stage's report from the forms :func:`sweep_profile` evaluates on arrays (:func:`_prelude`, :func:`_pair_forms`,
+    :func:`_pair_step`, :func:`_stage_splittings`); a splitting is ``boundary`` iff its printed ``sigma`` is 0, and a
+    pair prints ``delta_tilde = 4S + 2``, ``ppt_condition_value = 4P`` and log negativity ``-log1p(t) / ln 4``."""
+    u, n, b, x, sigma = map(float, _prelude(float(r), float(epsilon)))
     pairs = []
     for kind in _STAGE_PAIRS[stage]:
-        s, prod, p, f, g = _pair_forms(kind, u, n, b, x, n * b)
-        t = prod and prod / (0.5 * s + 0.5 * math.hypot(p, f * math.sqrt(g)))  # nu^2 - 1 of the lower value
-        pairs.append(_pair_record(math.sqrt(1.0 + t), max(0.0, -math.log1p(t) / _LN4), s + 2.0, prod))
-    sigmas = [m * sigma + 0.0 if m else 0.0 for m in _SIGMA_MULTIPLES[stage]]  # + 0.0 prints -0 as 0
-    return _report(sigmas, [v < 0.0 for v in sigmas], [v == 0.0 for v in sigmas], pairs)
+        s, prod, *rest = _pair_forms(kind, u, n, b, x, n * b)
+        t, mu = map(float, _pair_step(s, prod, *rest))
+        pairs.append(_pair_record(mu, max(0.0, -math.log1p(t) / _LN4), 4.0 * s + 2.0, 4.0 * prod))
+    sigmas, entangled = _stage_splittings(stage, sigma)
+    return _report(sigmas, entangled, [v == 0.0 for v in sigmas], pairs)

@@ -9,16 +9,14 @@ It needs sympy and mpmath, which the tests do not import; pytest does not collec
 * that the (A, A') pair left after x-homodyne detection of B has the PT spectrum ``nu^2`` in
   ``{exp(2r), homodyne^2}``, the two branches whose lower one is ``protocol.mu_m``, and that they cross where
   ``a = exp(2r)`` is a root of the cubic ``protocol.threshold_r_l`` solves;
-* that ``protocol._entangled_pair``, from which ``sweep_profile`` takes ``mu_pair``, holds the entangled pair's
-  ``delta_tilde``, ``det X``, ``det P`` and discriminant, scaled by powers of ``w``, coefficient by coefficient in
-  ``(b, c, w)``, and that the discriminant is positive wherever ``r > 0``;
 * that any two parties are separable at every ``(r, epsilon)`` outside the two route pairs: with ``a = 1 + u``,
   the initial A-A' and A'-B products are 0, and the other six never-entangled pair products are a numerator
   with only positive coefficients in ``(u, n)`` over a positive denominator, while the four route pairs' keep
   mixed signs;
-* that ``protocol._pair_forms``, from which ``stage_state`` reports every built stage, holds each pair's
-  ``delta_tilde - 2``, ``det - delta_tilde + 1`` and discriminant ``delta_tilde^2 - 4 det``, coefficient by
-  coefficient in ``(u, n)``, and ``protocol._SIGMA_MULTIPLES`` each splitting's ``sigma`` over the shared one;
+* that ``protocol._pair_forms``, from which ``stage_state`` reports every built stage and ``sweep_profile`` takes
+  ``mu_pair``, holds a quarter of each pair's ``delta_tilde - 2`` and ``det - delta_tilde + 1`` and a sixteenth of
+  its discriminant ``delta_tilde^2 - 4 det``, coefficient by coefficient in ``(u, n)``, and
+  ``protocol._SIGMA_MULTIPLES`` each splitting's ``sigma`` over the shared one;
 
 prints
 
@@ -49,7 +47,7 @@ import numpy as np
 import sympy as sp
 
 import closed_forms
-from gaussent.protocol import _SIGMA_MULTIPLES, _STAGE_PAIRS, _entangled_pair, _pair_forms, _stage_report, sweep_profile
+from gaussent.protocol import _SIGMA_MULTIPLES, _STAGE_PAIRS, _pair_forms, _stage_report, sweep_profile
 from gaussent.separability import _CLASS_BY_COUNT
 
 a, n = sp.symbols("a n", positive=True)
@@ -211,30 +209,6 @@ def entangled_pair():
     return sp.simplify((x * d * p * d).trace()), sp.factor(x.det()), sp.factor(p.det())
 
 
-def check_entangled_pair_forms(trace, det_x, det_p):
-    """One message per invariant of ``protocol._entangled_pair`` whose coefficient of some ``b^i c^j w^k`` misses
-    the derived one by more than 1e-13 (1 + |coefficient|); ``b = 1/a``, ``c = n w / a``, and each derived form
-    takes the power of ``w`` that the library's scaling gives it."""
-    b, c, w = sp.symbols("b c w", positive=True)
-    derived = [sp.expand(sp.cancel(e.subs(n, c * a).subs(a, 1 / b))) for e in
-               (16 * trace / a, 4 * det_x, 4 * det_p / a, 256 * (trace**2 - 4 * det_x * det_p) / a**2)]
-    # the discriminant, a quadratic in c >= 0, is positive for 0 < b < 1: its own discriminant in c is negative
-    disc = [derived[3].coeff(c, k) for k in range(3)]
-    sign = (28160 * S2 - 43776) * b * (b + 3) * (b + (61 + 60 * S2) / 71) ** 2 * (1 - b) ** 2
-    assert sp.simplify(disc[1] ** 2 - 4 * disc[2] * disc[0] - sign) == 0, "the pair's discriminant can vanish"
-    scaled = [sp.expand(e.subs(c, c / w) * w**k) for e, k in zip(derived, (1, 1, 0, 2))]
-    bad = []
-    for name, got, want in zip(("16 b w delta_tilde", "4 w det X", "4 b det P", "256 b^2 w^2 disc"),
-                               _entangled_pair(b, 1 - b, c, w), scaled):
-        want = sp.Poly(want, b, c, w)
-        got = sp.Poly(sp.expand(got), b, c, w)
-        monomials = set(want.as_dict()) | set(got.as_dict())
-        miss = {m: (float(got.as_dict().get(m, 0)), float(want.as_dict().get(m, 0))) for m in monomials}
-        if any(abs(g - w) > 1e-13 * (1 + abs(w)) for g, w in miss.values()):
-            bad.append(f"_entangled_pair's {name}: (b, c, w) powers -> (library, derived) {miss}")
-    return bad
-
-
 def check_sweep_columns(trace, det_x, det_p, derived):
     """One message per ``sweep_profile`` column that misses the derivation at a dyadic point: ``mu_pair``, ``mu_m``
     and ``sigma_shared_A`` by more than 1e-14 (1 + |value|), ``class_final`` at all."""
@@ -257,8 +231,8 @@ def check_sweep_columns(trace, det_x, det_p, derived):
 
 def check_stage_forms(derived, invariants):
     """One message per ``protocol._pair_forms`` value whose coefficient of some ``u^i n^j`` misses the derived one
-    by more than 1e-12 (1 + |coefficient|), each side over the other's denominator: ``S`` against
-    ``delta_tilde - 2``, ``P`` against ``det - delta_tilde + 1`` and ``p^2 + f^2 g`` against
+    by more than 1e-12 (1 + |coefficient|), each side over the other's denominator: ``4S`` against
+    ``delta_tilde - 2``, ``4P`` against ``det - delta_tilde + 1`` and ``16 (p^2 + f^2 g)`` against
     ``delta_tilde^2 - 4 det``, with ``a = 1 + u``, ``b = 1/a``, ``x = u/a`` and ``c = n/a``; and one per stage whose
     ``protocol._SIGMA_MULTIPLES`` are not its ``sigma`` over the shared one."""
     u = sp.Symbol("u", positive=True)
@@ -269,8 +243,8 @@ def check_stage_forms(derived, invariants):
             bad.append(f"_SIGMA_MULTIPLES[{stage!r}] = {_SIGMA_MULTIPLES[stage]} misses {sigmas}")
         for pair, kind, (dt, det) in zip(PAIRS, _STAGE_PAIRS[stage], invariants[stage]):
             s, prod, p, f, g = _pair_forms(kind, u, n, 1 / (1 + u), u / (1 + u), n / (1 + u))
-            for name, got, want in (("S", s, dt - 2), ("P", prod, det - dt + 1),
-                                    ("p^2 + f^2 g", p * p + f * f * g, dt * dt - 4 * det)):
+            for name, got, want in (("4S", 4 * s, dt - 2), ("4P", 4 * prod, det - dt + 1),
+                                    ("16 (p^2 + f^2 g)", 16 * (p * p + f * f * g), dt * dt - 4 * det)):
                 got_num, got_den = sp.fraction(sp.together(sp.sympify(got)))
                 want_num, want_den = sp.fraction(sp.cancel(want.subs(a, 1 + u)))
                 lhs = sp.Poly(sp.expand(got_num * want_den), u, n).as_dict()
@@ -420,7 +394,7 @@ def main():
     print_sweep_reference(*pair, derived["shared"][0][0])
     invariants = {stage: pair_invariants(cm) for stage, cm in STAGES.items()}
     print_stage_reference(derived, invariants)
-    bad = (check_numpy_forms(derived) + check_entangled_pair_forms(*pair) + check_sweep_columns(*pair, derived)
+    bad = (check_numpy_forms(derived) + check_sweep_columns(*pair, derived)
            + check_stage_forms(derived, invariants) + check_stage_reports(derived, invariants))
     if bad:
         sys.exit("closed_forms disagrees with the derivation:\n" + "\n".join(bad))

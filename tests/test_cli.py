@@ -31,8 +31,8 @@ from gaussent import (
     validate_cm,
 )
 from gaussent.cli import _emit_json, _emit_profile, _json_text, main
-from gaussent.protocol import (ROUTE_VIA_APRIME, STAGE_FINAL_VIA_A, STAGE_FINAL_VIA_APRIME, STAGES, ProtocolParams,
-                               stage_state)
+from gaussent.protocol import (ROUTE_VIA_APRIME, STAGE_FINAL_VIA_A, STAGE_FINAL_VIA_APRIME, STAGE_SHARED, STAGES,
+                               ProtocolParams, stage_state)
 
 from helpers import random_physical_cm, random_pure_cm
 
@@ -175,49 +175,48 @@ class TestSweepCommand:
         assert exc.value.code == 2
 
 
-#: ``sweep``'s envelope, derived from its forms (``protocol.sweep_profile``): every row is finite while
-#: ``max(r, epsilon) < ln(DBL_MAX) / 2``.  On the epsilon axis ``exp(2 epsilon)`` leaves float64 there; on the
-#: r axis ``sigma_shared_A``, about ``exp(2 epsilon) - exp(2r)``, does, where ``exp(2r) = DBL_MAX + exp(2 epsilon)``:
-#: ``ln(DBL_MAX) / 2`` to the last float at small epsilon, 355.19 at epsilon 354.8.  Both agree with a bisection of
-#: the CLI to the last float.
+#: ``sweep``'s and ``analyze``'s domain: ``max(r, epsilon) <= ln(DBL_MAX) / 2``, past which ``exp(2r)`` or
+#: ``exp(2 epsilon)`` leaves float64 and both refuse with ``protocol.stage_state``'s ``DomainError``.
 LN_MAX = float(np.log(np.finfo(float).max))
 EDGE = LN_MAX / 2.0
-
-
-def r_edge(eps):
-    return float(np.logaddexp(LN_MAX, 2.0 * eps)) / 2.0
-
-
 #: relative distance from an edge to the rows just inside and just past it
 EDGE_STEP = 1e-13
 
 
+def domain_line(r, eps):
+    return (f"error: r and epsilon must be at most ln(DBL_MAX) / 2 = {EDGE!r}, past which exp(2 r) or "
+            f"exp(2 epsilon) leaves float64, got r={r!r}, epsilon={eps!r}\n")
+
+
 class TestSweepEnvelope:
+    """Every row up to the edge prints, on both axes and at the edge itself, and a sweep past it prints the one
+    ``DomainError`` line, naming its largest ``r``."""
+
     def assert_finite_rows(self, capsys, *argv):
         code, out = run_cli(capsys, "sweep", *argv, "--steps", "3")
         assert (code, out.err) == (0, "")
         rows = [line.split(",") for line in out.out.splitlines()[1:]]
         assert len(rows) == 3 and all(math.isfinite(float(x)) for row in rows for x in row[:4])
 
-    def assert_fails(self, capsys, ufunc, *argv):
-        code, out = run_cli(capsys, "sweep", *argv, "--steps", "3")
-        assert (code, out.out, out.err) == (1, "", f"error: overflow encountered in {ufunc}\n")
+    def assert_fails(self, capsys, r_max, eps, *argv):
+        code, out = run_cli(capsys, "sweep", "--epsilon", repr(eps), *argv, "--r-max", repr(r_max), "--steps", "3")
+        assert (code, out.out, out.err) == (1, "", domain_line(r_max, eps))
 
-    # at epsilon 0 the factor exp(2 epsilon) is 1, so expm1(2 (r - epsilon)) overflows first
-    @pytest.mark.parametrize("eps,ufunc", [(0.0, "expm1"), (0.1, "multiply"), (100.0, "multiply"),
-                                           (354.8, "multiply")])
-    def test_r_axis(self, capsys, eps, ufunc):
-        edge = r_edge(eps)
-        assert edge == (EDGE if eps <= 100.0 else pytest.approx(355.1943, abs=1e-4))
-        r_min, inside, past = str(edge - 1.0), str(edge * (1 - EDGE_STEP)), str(edge * (1 + EDGE_STEP))
-        self.assert_finite_rows(capsys, "--epsilon", str(eps), "--r-min", r_min, "--r-max", inside)
-        self.assert_fails(capsys, ufunc, "--epsilon", str(eps), "--r-min", r_min, "--r-max", past)
+    # at the edge itself exp(2 epsilon) expm1(2 (r - epsilon)) could round past DBL_MAX (at epsilon 0.355, 0.887,
+    # ...); sigma_shared_A takes exp(2r) out instead there
+    @pytest.mark.parametrize("eps", [0.0, 0.1, EDGE / 1000.0, 0.887228391116730, 100.0, 354.8, EDGE])
+    def test_r_axis(self, capsys, eps):
+        for r_max in (EDGE * (1 - EDGE_STEP), EDGE):
+            self.assert_finite_rows(capsys, "--epsilon", repr(eps), "--r-min", repr(EDGE - 1.0), "--r-max",
+                                    repr(r_max))
+        self.assert_fails(capsys, EDGE * (1 + EDGE_STEP), eps, "--r-min", repr(EDGE - 1.0))
 
     @pytest.mark.parametrize("r", [0.0, 1.0, 5.0, 354.8])
     def test_epsilon_axis(self, capsys, r):
-        rs = ("--r-min", str(r), "--r-max", str(r + 0.05))
-        self.assert_finite_rows(capsys, "--epsilon", str(EDGE * (1 - EDGE_STEP)), *rs)
-        self.assert_fails(capsys, "expm1", "--epsilon", str(EDGE * (1 + EDGE_STEP)), *rs)
+        rs = ("--r-min", repr(r), "--r-max", repr(r + 0.05))
+        for eps in (EDGE * (1 - EDGE_STEP), EDGE):
+            self.assert_finite_rows(capsys, "--epsilon", repr(eps), *rs)
+        self.assert_fails(capsys, r + 0.05, EDGE * (1 + EDGE_STEP), *rs[:2])
 
 
 class TestGapSweepCommand:
@@ -290,9 +289,7 @@ class TestAnalyzeEnvelope:
 
     def assert_fails(self, capsys, r, eps, stage, line=None):
         code, out = run_cli(capsys, "analyze", "--r", repr(r), "--epsilon", repr(eps), "--stage", stage)
-        line = line or (f"r and epsilon must be at most ln(DBL_MAX) / 2 = {EDGE!r}, past which exp(2 r) or "
-                        f"exp(2 epsilon) leaves float64, got r={r!r}, epsilon={eps!r}")
-        assert (code, out.out, out.err) == (1, "", f"error: {line}\n")
+        assert (code, out.out, out.err) == (1, "", f"error: {line}\n" if line else domain_line(r, eps))
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 100.0])
     @pytest.mark.parametrize("stage", STAGES)
@@ -311,6 +308,16 @@ class TestAnalyzeEnvelope:
     def test_epsilon_axis(self, capsys, stage, r):
         self.assert_prints(capsys, r, EDGE * (1 - EDGE_STEP), stage)
         self.assert_fails(capsys, r, EDGE * (1 + EDGE_STEP), stage)
+
+    def test_corner_names_the_value_that_overflowed(self, capsys):
+        # the A-A' pair's ppt_condition_value leaves float64 here; its mu, from quarter-scaled forms, does not
+        line = "non-finite value in output at report.pairwise[0].ppt_condition_value = inf"
+        self.assert_fails(capsys, 354.5, 354.866, STAGE_FINAL_VIA_APRIME, line)
+
+    @pytest.mark.parametrize("eps", [EDGE / 1000.0, 0.887228391116730])
+    def test_shared_sigma_is_finite_at_the_edge(self, capsys, eps):
+        # there exp(2 epsilon) expm1(2 (r - epsilon)) could round past DBL_MAX; the form takes exp(2r) out instead
+        self.assert_prints(capsys, EDGE, eps, STAGE_SHARED)
 
     def test_flags_read_the_printed_sigma_at_tiny_r(self, capsys):
         # (1 - exp(-2r))^2 is below the float64 range at r = 1e-170: sigma prints 0 and reads boundary at epsilon 0,
@@ -518,7 +525,9 @@ class TestNonFiniteOutput:
         assert json.loads(out.out)["report"]["class"] == "fully-inseparable"
 
     @pytest.mark.parametrize("argv,line", [
-        ("sweep --epsilon 400 --steps 3", "error: overflow encountered in expm1"),
+        ("sweep --epsilon 400 --steps 3",
+         "error: r and epsilon must be at most ln(DBL_MAX) / 2 = 354.891356446692, past which exp(2 r) or "
+         "exp(2 epsilon) leaves float64, got r=0.6, epsilon=400.0"),
         ("montecarlo --r 400 --epsilon 0.1 --samples 10", "error: overflow encountered in exp"),
         ("analyze --r 400 --epsilon 0.1 --stage shared",
          "error: r and epsilon must be at most ln(DBL_MAX) / 2 = 354.891356446692, past which exp(2 r) or "

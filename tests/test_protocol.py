@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussent import (
@@ -319,10 +319,10 @@ SWEEP_REFERENCE = {
     (354.8, 354.8): (1.0190653688015627, 1.224744871391589, 0.0),
 }
 SWEEP_EPSILONS = sorted({eps for _, eps in SWEEP_REFERENCE})
-#: Bounds against ``SWEEP_REFERENCE``: ``mu_pair`` and ``mu_m`` relative, both measured 2.2e-16;
-#: ``sigma_shared_A`` relative, in ulp times ``1 + |r - epsilon|``, measured 1.65 (at r = 1e-8, epsilon = 0): its
-#: error grows like ``2 |r - epsilon|`` ulp at most, from rounding ``r - epsilon`` before ``expm1`` (measured
-#: 2.8e-15 at r = 18.3 and 4.5e-14, 204 ulp, at r = 354, epsilon = 0.1).
+#: Bounds against ``SWEEP_REFERENCE``: ``mu_pair`` and ``mu_m`` relative, measured 3.6e-16 (at r = 6, epsilon = 0)
+#: and 2.2e-16; ``sigma_shared_A`` relative, in ulp times ``1 + |r - epsilon|``, measured 1.65 (at r = 1e-8,
+#: epsilon = 0): up to ``r - epsilon = 1`` its error grows like ``2 |r - epsilon|`` ulp at most, from rounding
+#: ``r - epsilon`` before ``expm1``; past it, where the form takes ``exp(2r)`` out, it was 0.94 ulp at most.
 SWEEP_MU_BOUND, SWEEP_SIGMA_ULPS = 5e-16, 2.0
 #: ``sweep_profile`` against the one-state kernels on the built matrices, r <= 6 and epsilon <= 3: ``mu_pair``
 #: relative and ``sigma_shared_A`` in units of ``1 + |i1| + |i2| + |i3|`` of the shared matrix.  Measured 7.0e-12
@@ -960,6 +960,43 @@ class TestNoGate:
                     stage_state(ProtocolParams(r, eps), stage)
             for r, eps in ((edge, 0.0), (0.0, edge)):
                 assert np.isfinite(stage_state(ProtocolParams(r, eps), stage).state.cm).all()
+
+
+EDGE = math.log(np.finfo(float).max) / 2.0
+#: r or epsilon: log-uniform from 1e-160, where the shared sigma underflows, to the edge, or uniform up to it
+PARAMETER = (st.floats(-160.0, math.log10(EDGE)).map(lambda e: min(10.0 ** e, EDGE)) | st.floats(0.0, EDGE)
+             | st.just(0.0))
+
+
+class TestOneEvaluator:
+    """``sweep`` and ``analyze`` print one set of closed forms: a sweep row is, bit for bit, the final stage via
+    A''s A-B ``mu`` and class and the shared ``A|(A'B)`` ``sigma`` that ``stage_state`` reports."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(r=PARAMETER, eps=PARAMETER)
+    @example(r=5e-151, eps=0.0)  # sigma underflows to 0 although r > epsilon: both read the printed 0
+    def test_sweep_row_is_the_stage_report(self, r, eps):
+        row = sweep_profile([r], eps)
+        params = ProtocolParams(r, eps)
+        final = stage_state(params, STAGE_FINAL_VIA_APRIME).report
+        shared = stage_state(params, STAGE_SHARED).report
+        got = (repr(row["mu_pair"][0].item()), repr(row["sigma_shared_A"][0].item()), row["class_final"][0])
+        assert got == (repr(final.pairwise[1][1].mu), repr(shared.verdicts[0].sigma), final.class_label)
+
+    def test_mu_is_finite_near_the_corner(self):
+        # from r = 354.866 the final stages' delta_tilde leaves float64, and where r and epsilon are both that
+        # large ppt_condition_value does too; the quarter-scaled forms keep t, and so mu, finite
+        grid = np.linspace(354.0, EDGE, 55).tolist()
+        overflowed = 0
+        for stage in STAGES:
+            for r in grid:
+                for eps in grid:
+                    report = protocol._stage_report(stage, r, eps)
+                    assert all(math.isfinite(v.sigma) for v in report.verdicts)
+                    for _, m in report.pairwise:
+                        assert math.isfinite(m.mu) and math.isfinite(m.log_negativity), (stage, r, eps)
+                        overflowed += not math.isfinite(m.ppt_condition_value)
+        assert overflowed > 0
 
 
 def pure_products(count):
