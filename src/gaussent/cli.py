@@ -29,12 +29,11 @@ import functools
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import protocol
-from .core import load_state
+from .core import _write_file, load_state
 from .errors import GaussentError
 from .ops import sample_preparation
 from .separability import _of_modes, _three_mode_report
@@ -92,14 +91,15 @@ def _raise_non_finite(value, path: str = "") -> None:
 
 
 def _write_checked(text: str, output: str | None, payload) -> None:
-    """Write ``text``, unless it holds a non-finite number: a NaN or infinity prints as ``nan`` or ``inf``, and only
-    then is ``payload()`` built and walked to name its path.  Text such as a key holding ``inf`` costs that walk."""
+    """Write ``text`` to stdout or in place to ``output`` (:func:`gaussent.core._write_file`), unless it holds a
+    non-finite number: a NaN or infinity prints as ``nan`` or ``inf``, and only then is ``payload()`` built and walked
+    to name its path, before any file is opened.  Text such as a key holding ``inf`` costs that walk."""
     if "nan" in text or "inf" in text:
         _raise_non_finite(payload())
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        _write_file(output, text)
 
 
 def _emit_json(payload, output: str | None) -> None:

@@ -11,6 +11,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -344,4 +346,25 @@ def save_state(state: GaussianState, path: str | Path) -> None:
     breaking their ``[``, ``, `` and ``]`` indents them as that would."""
     fields = ",\n  ".join(f'"{key}": {json.dumps(value)}' for key, value in state.to_json_dict().items())
     text = fields.replace("[", "[\n    ").replace(", ", ",\n    ").replace("]", "\n  ]")
-    Path(path).write_text("{\n  " + text + "\n}\n")
+    _write_file(path, "{\n  " + text + "\n}\n")
+
+
+def _write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` (UTF-8, ASCII in practice) to ``path`` in place, the package's one file writer.
+
+    The file is opened without ``O_TRUNC`` (created with mode ``0o666 & ~umask``), written from its start, and only
+    then cut to the new length if ``fstat`` shows a regular file that is longer; a device such as ``/dev/null``,
+    whose ``ftruncate`` fails, is left as it is.  Truncating a file that holds data to zero makes ext4 (under its
+    default ``auto_da_alloc``) start writeback at close, which cost several times the write itself.  A failed write
+    (say ``ENOSPC``) raises ``OSError`` and leaves the part written over the old tail."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):  # os.write may write less than it is given
+            done += os.write(fd, data[done:])
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > done:
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)

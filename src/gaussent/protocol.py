@@ -399,17 +399,25 @@ def _check_edge(r: float, epsilon: float) -> None:
                           f"or exp(2 epsilon) leaves float64, got r={float(r)}, epsilon={float(epsilon)}")
 
 
+#: ``_prelude`` scales an ``x`` below ``2^-53`` by ``w = 2^53`` and one below ``2^-564`` by ``2^564`` (``w`` sums to 1,
+#: ``2^53`` or ``2^564`` exactly), so ``x w`` lies in [2^-511, 1] and squares to a normal number.  Each product of
+#: ``sigma``'s numerator is then the one from ``x`` scaled into [1/2, 1) by its own exponent, times a power of two,
+#: and a numerator that leaves the normal range occurs only with ``w >= 2^53``, where the quotient is 0 either way; so
+#: the two divisions by ``w`` give the bits of one ``ldexp`` by that exponent, with no integer exponent.
+_SMALL_X, _TINY_X = 2.0 ** -53, 2.0 ** -564
+
+
 def _prelude(r, epsilon):
     """``u = expm1(2r)``, ``n = expm1(2 epsilon)``, ``b = exp(-2r)``, ``x = 1 - b`` and the shared ``A|(A'B)``
     ``sigma = -x^2 exp(2 epsilon) expm1(2d)``, ``d = r - epsilon``, for a float or an array ``r``; ``x^2`` is squared
-    as ``x 2^k`` in [1/2, 1], so it underflows only where ``sigma`` does, and from ``d > 1`` on ``sigma`` is
-    ``x^2 exp(2r) expm1(-2d)``, whose error does not grow with ``d`` and which stays below ``exp(2r)``."""
+    as ``x w`` in [2^-511, 1] (:data:`_SMALL_X`), so it underflows only where ``sigma`` does, and from ``d > 1`` on
+    ``sigma`` is ``x^2 exp(2r) expm1(-2d)``, whose error does not grow with ``d`` and which stays below ``exp(2r)``."""
     u, n, b, x = np.expm1(2.0 * r), np.expm1(2.0 * epsilon), np.exp(-2.0 * r), -np.expm1(-2.0 * r)
-    k, d = np.maximum(-np.frexp(x)[1], 0), r - epsilon
-    xk, far = np.ldexp(x, k), d > 1.0
+    w, d = 1.0 + (x < _SMALL_X) * (2.0 ** 53 - 1.0) + (x < _TINY_X) * (2.0 ** 564 - 2.0 ** 53), r - epsilon
+    xw, far = x * w, d > 1.0
     sign = 1.0 - 2.0 * far  # -1 from d > 1 on, where exp(2r) is taken out
     e, tail = np.exp(2.0 * np.maximum(epsilon, r * far)), sign * np.expm1(2.0 * sign * d)
-    return u, n, b, x, np.ldexp(-(xk * xk) * e * tail, -2 * k) + 0.0  # + 0.0 prints r = 0 and r == epsilon as 0
+    return u, n, b, x, -(xw * xw) * e * tail / w / w + 0.0  # + 0.0 prints r = 0 and r == epsilon as 0
 
 
 def _pair_forms(kind: str, u, n, b, x, c):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,57 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--epsilon", "0.1", "--steps", "1"])
         assert exc.value.code == 2
+
+
+class TestOutputFile:
+    """``--output`` goes through the package's one file writer: in place, the old tail cut, never truncated to 0."""
+
+    def test_shorter_output_over_a_longer_file(self, tmp_path, capsys):
+        target = tmp_path / "f.csv"
+        for steps in ("600", "3"):
+            code, out = run_cli(capsys, "sweep", "--epsilon", "0.1", "--steps", steps, "--output", str(target))
+            assert (code, out.out, out.err) == (0, "", "")
+        _, out = run_cli(capsys, "sweep", "--epsilon", "0.1", "--steps", "3")
+        assert target.read_text() == out.out and out.out.count("\n") == 4
+
+    def test_device_output_exits_0(self, capsys):
+        # /dev/null is no regular file, so the writer cuts no tail (ftruncate would fail there with EINVAL)
+        code, out = run_cli(capsys, "analyze", "--r", "0.3", "--epsilon", "0.1", "--stage", "shared",
+                            "--output", os.devnull)
+        assert (code, out.out, out.err) == (0, "", "")
+
+    @pytest.mark.parametrize("where", ["directory", "missing/f.json"])
+    def test_unwritable_path_exits_1_with_one_line(self, tmp_path, capsys, where):
+        (tmp_path / "directory").mkdir()
+        code, out = run_cli(capsys, "thresholds", "--epsilon", "0.1", "--output", str(tmp_path / where))
+        assert (code, out.out) == (1, "")
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: [Errno ")
+
+    def test_non_finite_refusal_leaves_the_file_untouched(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old bytes\n")
+        code, out = run_cli(capsys, "analyze", "--r", "354.5", "--epsilon", "354.866", "--stage", "final-via-A'",
+                            "--output", str(target))
+        assert (code, out.out) == (1, "")
+        assert out.err == "error: non-finite value in output at report.pairwise[0].ppt_condition_value = inf\n"
+        assert target.read_bytes() == b"old bytes\n"
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path, capsys):
+        old = os.umask(0o020)
+        try:
+            code, _ = run_cli(capsys, "thresholds", "--epsilon", "0.1", "--output", str(tmp_path / "t.json"))
+        finally:
+            os.umask(old)
+        assert code == 0 and stat.S_IMODE((tmp_path / "t.json").stat().st_mode) == 0o666 & ~0o020
+
+    def test_writer_never_truncates_to_zero(self, tmp_path, capsys, monkeypatch):
+        flags = []
+        real_open = os.open
+        monkeypatch.setattr(os, "open", lambda path, flag, *args: flags.append(flag) or real_open(path, flag, *args))
+        target = tmp_path / "f.csv"
+        for steps in ("40", "3"):
+            assert run_cli(capsys, "sweep", "--epsilon", "0.1", "--steps", steps, "--output", str(target))[0] == 0
+        assert len(flags) == 2 and not any(flag & os.O_TRUNC for flag in flags)
 
 
 #: ``sweep``'s and ``analyze``'s domain: ``max(r, epsilon) <= ln(DBL_MAX) / 2``, past which ``exp(2r)`` or

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import warnings
 from itertools import combinations
 
@@ -453,6 +455,39 @@ class TestStateJson:
             assert str(got.value) == str(exc)
         else:
             assert load_state(path).cm.tobytes() == want.tobytes()
+
+    def test_rewrites_leave_exactly_the_new_bytes(self, tmp_path):
+        # the writer writes in place and cuts the old tail: a 1-mode state over a 3-mode file, then a 3-mode one over it
+        path = tmp_path / "state.json"
+        shared = GaussianState(shared_cm(ProtocolParams(0.3, 0.1))[0].cm)
+        for state in (GaussianState.vacuum(3), GaussianState.vacuum(1), shared):
+            save_state(state, path)
+            assert path.read_text() == json.dumps(state.to_json_dict(), indent=2) + "\n"
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o002)
+        try:
+            save_state(GaussianState.vacuum(1), tmp_path / "state.json")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "state.json").stat().st_mode) == 0o666 & ~0o002
+
+    def test_writer_never_truncates_to_zero(self, tmp_path, monkeypatch):
+        flags = []
+        real_open = os.open
+        monkeypatch.setattr(os, "open", lambda path, flag, *args: flags.append(flag) or real_open(path, flag, *args))
+        path = tmp_path / "state.json"
+        save_state(GaussianState.vacuum(3), path)
+        save_state(GaussianState.vacuum(1), path)
+        assert len(flags) == 2 and not any(flag & os.O_TRUNC for flag in flags)
+        assert path.read_text() == json.dumps(GaussianState.vacuum(1).to_json_dict(), indent=2) + "\n"
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+        path, state = tmp_path / "state.json", GaussianState.vacuum(2)
+        save_state(state, path)
+        assert path.read_text() == json.dumps(state.to_json_dict(), indent=2) + "\n"
 
     def test_reader_enforces_physicality(self, tmp_path):
         path = tmp_path / "bad.json"
